@@ -118,7 +118,12 @@ def _dispatch(args: argparse.Namespace) -> None:
             print(path)
         return
     if verb == "lattice":
-        lattice = finite_lattice.parse_cover_file(Path(args.covers).read_text())
+        try:
+            text = Path(args.covers).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MultilatError(f"cannot read cover file {args.covers}: "
+                                f"{getattr(exc, 'strerror', None) or exc}") from exc
+        lattice = finite_lattice.parse_cover_file(text)
         if args.dot:
             sys.stdout.write(lattice.to_dot())
             return

@@ -146,28 +146,12 @@ def quotient(v: MultVector, s: JiSet) -> FiniteLattice:
     block_id = {w: i for i, block in enumerate(p.blocks) for w in block}
     labels = ["{" + ",".join(sorted(word_str(w) for w in block)) + "}"
               for block in p.blocks]
-    nblocks = len(p.blocks)
-    below = [[False] * nblocks for _ in range(nblocks)]
-    for i in range(nblocks):
-        below[i][i] = True
-    for w in block_id:
-        for u in multinomial.covers(w):
-            below[block_id[w]][block_id[u]] = True
-    # transitive closure, then strip to covers
-    for mid in range(nblocks):
-        for i in range(nblocks):
-            if below[i][mid]:
-                for j in range(nblocks):
-                    if below[mid][j]:
-                        below[i][j] = True
-    covers = []
-    for i in range(nblocks):
-        for j in range(nblocks):
-            if i != j and below[i][j] and not any(
-                    mid != i and mid != j and below[i][mid] and below[mid][j]
-                    for mid in range(nblocks)):
-                covers.append((i, j))
-    return FiniteLattice.from_covers(covers, labels=labels)
+    # The block order is generated by the covers that cross blocks;
+    # from_covers closes it and recovers the quotient's covers.
+    edges = {(block_id[w], block_id[u])
+             for w in block_id for u in multinomial.covers(w)
+             if block_id[w] != block_id[u]}
+    return FiniteLattice.from_covers(edges, labels=labels)
 
 
 def check_parikh_connectivity(p: Partition) -> bool:

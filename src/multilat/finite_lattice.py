@@ -4,6 +4,15 @@ and the SD_n(meet) equation machinery.
 Elements are integer indices into a label list.  The order relation and
 the join/meet tables are dense numpy arrays, which keeps exhaustive
 triple scans fast enough at desk scale.
+
+The tables are filled from the given edges in O(n^2 d) time, d the
+largest number of successors given for one element (Freese, Jezek and
+Nation, *Free Lattices*, ch. 11): a linear extension orders the elements,
+each row ``leq[x]`` is the union of the rows of its successors, and
+``x v y`` for incomparable x, y is the least of the joins ``c v y`` over
+the successors ``c`` of x.  The meet table is the join table of the dual
+order.  The SD_n(meet) scan steps one array per x, since the z sequence
+is the transpose of the y sequence.
 """
 
 from __future__ import annotations
@@ -24,13 +33,19 @@ class FiniteLattice:
     transitive closure of the covers is a lattice order.
     """
 
-    def __init__(self, labels, leq, join, meet):
+    def __init__(self, labels, leq, join, meet, upper_covers):
         self.labels: list[str] = list(labels)
         self.leq_table: np.ndarray = leq      # leq_table[i, j] == (i <= j)
         self.join_table: np.ndarray = join
         self.meet_table: np.ndarray = meet
-        self._lower_covers = None
-        self._upper_covers = None
+        self._upper_covers: list[list[int]] = upper_covers
+        self._lower_covers: list[list[int]] = [[] for _ in upper_covers]
+        for lo, ups in enumerate(upper_covers):
+            for hi in ups:
+                self._lower_covers[hi].append(lo)
+        # The tables never change, so the irreducibles are listed once.
+        self._jis = [i for i, low in enumerate(self._lower_covers) if len(low) == 1]
+        self._mis = [i for i, ups in enumerate(upper_covers) if len(ups) == 1]
 
     # -- construction ------------------------------------------------------
 
@@ -40,6 +55,16 @@ class FiniteLattice:
 
         Pairs may use integer indices (with explicit ``labels``) or label
         strings, in which case the element set is inferred and sorted.
+        The pairs need only generate the order: duplicate, transitive and
+        reflexive pairs are allowed, and the true covers are recovered.
+
+        Kahn's algorithm gives a linear extension; elements it cannot
+        place lie on or above a cycle.  Walking the extension from the
+        top, ``leq[x]`` is the union of the rows of x's successors, and the
+        join and meet tables follow by :func:`_join_table` on the order
+        and on its dual.  Raises :class:`NotALattice` on a cycle, on more
+        than one minimal or maximal element, and on a pair without a least
+        upper bound.
         """
         covers = list(covers)
         if labels is None:
@@ -53,21 +78,28 @@ class FiniteLattice:
         if n == 0:
             raise NotALattice("empty element set")
 
-        leq = np.eye(n, dtype=bool)
+        succ_sets: list[set[int]] = [set() for _ in range(n)]
+        pred_sets: list[set[int]] = [set() for _ in range(n)]
         for lo, hi in edges:
-            leq[lo, hi] = True
-        while True:
-            closed = leq @ leq
-            if (closed <= leq).all():
-                break
-            leq |= closed
-        asym = leq & leq.T & ~np.eye(n, dtype=bool)
-        if asym.any():
-            i, j = map(int, np.argwhere(asym)[0])
-            raise NotALattice(f"cycle through {labels[i]} and {labels[j]}")
+            if lo != hi:
+                succ_sets[lo].add(hi)
+                pred_sets[hi].add(lo)
+        succ = [sorted(s) for s in succ_sets]
+        pred = [sorted(s) for s in pred_sets]
 
-        bottoms = [i for i in range(n) if leq[:, i].sum() == 1]
-        tops = [i for i in range(n) if leq[i, :].sum() == 1]
+        indegree = [len(p) for p in pred]
+        bottoms = [i for i in range(n) if not indegree[i]]
+        order = list(bottoms)
+        for x in order:  # grows while it is walked
+            for c in succ[x]:
+                indegree[c] -= 1
+                if not indegree[c]:
+                    order.append(c)
+        if len(order) < n:
+            a, b = _cycle_pair(succ, pred, {i for i in range(n) if indegree[i]})
+            raise NotALattice(f"cycle through {labels[a]} and {labels[b]}")
+
+        tops = [i for i in range(n) if not succ[i]]
         if len(bottoms) != 1:
             raise NotALattice(f"{len(bottoms)} minimal elements: "
                               + ", ".join(labels[i] for i in bottoms))
@@ -75,33 +107,24 @@ class FiniteLattice:
             raise NotALattice(f"{len(tops)} maximal elements: "
                               + ", ".join(labels[i] for i in tops))
 
-        # Any linear extension: fewer elements below comes first.
-        topo = sorted(range(n), key=lambda i: (int(leq[:, i].sum()), i))
-        rank = np.empty(n, dtype=np.int64)
-        rank[topo] = np.arange(n)
+        leq = np.zeros((n, n), dtype=bool)
+        for x in reversed(order):
+            if succ[x]:
+                leq[x] = leq[succ[x]].any(axis=0)
+            leq[x, x] = True
 
-        join = cls._bound_table(leq, rank, labels, upper=True)
-        meet = cls._bound_table(leq, rank, labels, upper=False)
-        return cls(labels, leq, join, meet)
+        join = _join_table(succ, leq, order, labels, "least upper")
+        meet = _join_table(pred, leq.T, order[::-1], labels, "greatest lower")
 
-    @staticmethod
-    def _bound_table(leq, rank, labels, upper: bool) -> np.ndarray:
-        n = len(labels)
-        ge = leq if upper else leq.T  # ge[i] = candidates above (below) i
-        order = rank if upper else (n - 1 - rank)
-        table = np.empty((n, n), dtype=np.int64)
-        big = n + 1
-        for i in range(n):
-            bounds = ge[i][None, :] & ge  # row j: common bounds of {i, j}
-            keyed = np.where(bounds, order[None, :], big)
-            cand = np.argmin(keyed, axis=1)
-            ok = (bounds & ~ge[cand]).sum(axis=1) == 0
-            if not ok.all():
-                j = int(np.argmin(ok))
-                kind = "least upper" if upper else "greatest lower"
-                raise NotALattice(f"no {kind} bound for {labels[i]}, {labels[j]}")
-            table[i] = cand
-        return table
+        # Every u > x lies above some successor of x, so the covers of x
+        # are the successors above no other successor.
+        upper_covers = []
+        for ups in succ:
+            if len(ups) > 1:
+                keep = leq[np.ix_(ups, ups)].sum(axis=0) == 1
+                ups = [c for c, k in zip(ups, keep) if k]
+            upper_covers.append(ups)
+        return cls(labels, leq, join, meet, upper_covers)
 
     # -- basic structure ---------------------------------------------------
 
@@ -135,21 +158,10 @@ class FiniteLattice:
         except ValueError as exc:
             raise MultilatError(f"unknown element {label!r}") from exc
 
-    def _compute_covers(self) -> None:
-        lt = self.leq_table & ~np.eye(self.n, dtype=bool)
-        strict2 = lt @ lt
-        cov = lt & ~strict2
-        self._lower_covers = [list(map(int, np.flatnonzero(cov[:, j]))) for j in range(self.n)]
-        self._upper_covers = [list(map(int, np.flatnonzero(cov[i, :]))) for i in range(self.n)]
-
     def lower_covers(self, i: int) -> list[int]:
-        if self._lower_covers is None:
-            self._compute_covers()
         return self._lower_covers[i]
 
     def upper_covers(self, i: int) -> list[int]:
-        if self._upper_covers is None:
-            self._compute_covers()
         return self._upper_covers[i]
 
     def cover_pairs(self) -> list[tuple[int, int]]:
@@ -158,16 +170,16 @@ class FiniteLattice:
 
     def dual(self) -> "FiniteLattice":
         """The order dual, sharing labels."""
-        return FiniteLattice(self.labels, self.leq_table.T.copy(),
-                             self.meet_table.copy(), self.join_table.copy())
+        return FiniteLattice(self.labels, self.leq_table.T, self.meet_table,
+                             self.join_table, self._lower_covers)
 
     # -- irreducibles and arrow relations ----------------------------------
 
     def join_irreducibles(self) -> list[int]:
-        return [i for i in self.elements() if len(self.lower_covers(i)) == 1]
+        return list(self._jis)
 
     def meet_irreducibles(self) -> list[int]:
-        return [i for i in self.elements() if len(self.upper_covers(i)) == 1]
+        return list(self._mis)
 
     def j_star(self, j: int) -> int:
         (lower,) = self.lower_covers(j)
@@ -193,12 +205,10 @@ class FiniteLattice:
 
     def bruteforce_D(self) -> set[tuple[int, int]]:
         """Join dependency: j D j' iff j != j' and j up-arrow m down-arrow j'."""
-        jis = self.join_irreducibles()
-        mis = self.meet_irreducibles()
         rel = set()
-        for j in jis:
-            ups = [m for m in mis if self.arrow_up(j, m)]
-            for j2 in jis:
+        for j in self._jis:
+            ups = [m for m in self._mis if self.arrow_up(j, m)]
+            for j2 in self._jis:
                 if j2 != j and any(self.arrow_down(m, j2) for m in ups):
                     rel.add((j, j2))
         return rel
@@ -208,17 +218,12 @@ class FiniteLattice:
 
     def kappa_of(self, j: int) -> int | None:
         """The unique m with j up-arrow m down-arrow j, if it exists."""
-        found = [m for m in self.meet_irreducibles()
+        found = [m for m in self._mis
                  if self.arrow_up(j, m) and self.arrow_down(m, j)]
         return found[0] if len(found) == 1 else None
 
     def is_meet_semidistributive(self) -> bool:
-        for j in self.join_irreducibles():
-            hits = [m for m in self.meet_irreducibles()
-                    if self.arrow_up(j, m) and self.arrow_down(m, j)]
-            if len(hits) != 1:
-                return False
-        return True
+        return all(self.kappa_of(j) is not None for j in self._jis)
 
     def is_join_semidistributive(self) -> bool:
         return self.dual().is_meet_semidistributive()
@@ -230,7 +235,7 @@ class FiniteLattice:
         """Semidistributive with an acyclic join dependency relation."""
         if not self.is_semidistributive():
             return False
-        return _is_acyclic(self.join_irreducibles(), self.bruteforce_D())
+        return _is_acyclic(self._jis, self.bruteforce_D())
 
     def is_distributive(self) -> bool:
         """The distributive law on all triples, vectorized per x."""
@@ -378,17 +383,18 @@ class FiniteLattice:
         """True if SD_n(meet) holds for all triples, else the first failing triple.
 
         Iterates x in index order; within an x-slice the least (y, z) is
-        reported, so the witness is deterministic.
+        reported, so the witness is deterministic.  Only the y sequence is
+        stepped, as an n-by-n array over all (y, z): the z sequence is its
+        transpose, z_k(y, z) = y_k(z, y), by induction on k.
         """
         J, M = self.join_table, self.meet_table
+        y0 = _sd_start(self.n)
         for x in self.elements():
-            yk = np.arange(self.n)[:, None] * np.ones(self.n, dtype=np.int64)[None, :]
-            zk = np.arange(self.n)[None, :] * np.ones(self.n, dtype=np.int64)[:, None]
-            y0, z0 = yk.copy(), zk.copy()
+            mx = M[x]
+            yk = y0
             for _ in range(n):
-                yk, zk = J[y0, M[x, zk]], J[z0, M[x, yk]]
-            rhs = M[x, J[y0, z0]]
-            bad = M[x, yk] != rhs
+                yk = _sd_step(J, mx, yk)
+            bad = mx[yk] != mx[J]
             if bad.any():
                 ys, zs = np.argwhere(bad)[0]
                 return (x, int(ys), int(zs))
@@ -397,20 +403,18 @@ class FiniteLattice:
     def sd_mu(self) -> int:
         """max over triples of the least n with y_{n-1} = y_n and z_{n-1} = z_n."""
         J, M = self.join_table, self.meet_table
+        y0 = _sd_start(self.n)
         worst = 1
         for x in self.elements():
-            y0 = np.arange(self.n)[:, None] * np.ones(self.n, dtype=np.int64)[None, :]
-            z0 = y0.T.copy()
-            yk, zk = y0, z0
-            k = 0
-            unstable = np.ones((self.n, self.n), dtype=bool)
-            while unstable.any():
-                yn, zn = J[y0, M[x, zk]], J[z0, M[x, yk]]
+            mx = M[x]
+            yk, k = y0, 0
+            while True:
+                yn = _sd_step(J, mx, yk)
                 k += 1
-                unstable = (yn != yk) | (zn != zk)
-                if unstable.any():
-                    worst = max(worst, k + 1)
-                yk, zk = yn, zn
+                if np.array_equal(yn, yk):  # z_k is y_k transposed
+                    break
+                worst = max(worst, k + 1)
+                yk = yn
         return worst
 
     def dpath_from_sd_failure(self, x: int, y: int, z: int, n: int) -> list[int]:
@@ -522,6 +526,75 @@ class SdTrace:
     x_seq: tuple[int, ...]
     mu: int
     holds: bool
+
+
+def _join_table(succ, leq, order, labels, what: str) -> np.ndarray:
+    """The join table of the order ``leq``, or the meet table of its dual.
+
+    ``succ[x]`` holds elements above x that include all of x's upper
+    covers, and ``order`` is a linear extension.  Elements are renumbered
+    by their position in ``order``, so a lower position means lower rank.
+    Rows are filled from the top down, and only below the diagonal: the
+    entries above it are the joins with higher positions, which the
+    transpose supplies at the end.  For y incomparable to x, every common
+    upper bound lies above some ``c v y`` with c in ``succ[x]``, so
+    ``x v y`` exists iff the lowest of these candidates is below all the
+    others.  The candidates of one row are one d-by-n gather.
+    """
+    n = len(order)
+    order = np.asarray(order)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    below = leq.T[np.ix_(order, order)]  # below[i, j]: position j <= position i
+    table = np.empty((n, n), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        row = table[i, : i + 1]
+        row[:] = i
+        apart = np.flatnonzero(~below[i, :i])
+        if apart.size:
+            cand = table[np.ix_(pos[succ[order[i]]], apart)]
+            best = cand.min(axis=0)
+            ok = below[cand, best].all(axis=0)
+            if not ok.all():
+                a, b = sorted((int(order[i]), int(order[apart[np.argmin(ok)]])))
+                raise NotALattice(f"no {what} bound for {labels[a]}, {labels[b]}")
+            row[apart] = best
+    table = np.where(np.tri(n, dtype=bool), table, table.T)
+    return order[table][np.ix_(pos, pos)]
+
+
+def _cycle_pair(succ, pred, left: set[int]) -> tuple[int, int]:
+    """The least element on a cycle and the least other element of its
+    strongly connected component, both among the elements ``left``
+    unplaced by Kahn's algorithm (every cycle lies there): the first
+    pair x < y with x <= y <= x in index order."""
+    def reach(x, nbrs):
+        seen, stack = {x}, [x]
+        while stack:
+            for y in nbrs[stack.pop()]:
+                if y in left and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+
+    for a in sorted(left):
+        component = reach(a, succ) & reach(a, pred)
+        if len(component) > 1:
+            return a, min(component - {a})
+    raise InternalInconsistency("elements left by Kahn's algorithm lie on no cycle")
+
+
+def _sd_start(n: int) -> np.ndarray:
+    """y_0 over all (y, z): the n-by-n array with value y at (y, z)."""
+    return np.broadcast_to(np.arange(n)[:, None], (n, n))
+
+
+def _sd_step(J: np.ndarray, mx: np.ndarray, yk: np.ndarray) -> np.ndarray:
+    """y_{k+1} = y v (x ^ z_k) over all (y, z), with z_k = y_k transposed
+    and ``mx`` the row x ^ . of the meet table.  Row y of the result
+    gathers from row y of J, indexed into the flat table."""
+    rows = np.arange(0, J.size, len(J))[:, None]
+    return J.ravel()[rows + mx[yk.T]]
 
 
 def partition_from_find(n: int, find) -> tuple[frozenset[int], ...]:

@@ -116,7 +116,12 @@ class TheoremReport:
 
 def theorem_check(v: MultVector, method: str | None = None,
                   exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> TheoremReport:
-    """Confirm that L(v) of dimension n fails SD_{n-2} and satisfies SD_{n-1}."""
+    """Confirm that L(v) of dimension n fails SD_{n-2} and satisfies SD_{n-1}.
+
+    ``exhaustive_cap`` only picks the method when none is given; an
+    exhaustive check materializes up to the cap of ``to_finite_lattice``,
+    as ``sd --exhaustive`` does.
+    """
     n = v.dimension
     if n < 2:
         raise MultilatError(f"dimension of v={v} must be >= 2")
@@ -134,7 +139,7 @@ def theorem_check(v: MultVector, method: str | None = None,
         raise MultilatError(f"witness triple does not fail SD_{n - 2} in L({v})")
 
     if method == EXHAUSTIVE:
-        lattice = multinomial.to_finite_lattice(v, cap=exhaustive_cap)
+        lattice = multinomial.to_finite_lattice(v)
         if lattice.sd_holds(n - 1) is not True:
             raise MultilatError(f"SD_{n - 1} unexpectedly fails in L({v})")
     else:

@@ -76,6 +76,15 @@ def test_theorem(capsys):
     assert data["sd_fail_level"] == 1 and data["sd_hold_level"] == 2
 
 
+def test_theorem_exhaustive_above_auto_cap(capsys):
+    # 120 elements: above the cap that picks the method, below the
+    # materialization cap an explicit exhaustive check uses
+    data = json.loads(run_ok(capsys, "theorem", "-v", "1,1,1,1,1",
+                             "--method", "exhaustive"))
+    assert (data["sd_fail_level"], data["sd_hold_level"]) == (3, 4)
+    assert data["method"] == "exhaustive"
+
+
 def test_lattice_and_fixtures(tmp_path, capsys):
     run_ok(capsys, "seed-fixtures", str(tmp_path))
     assert (tmp_path / "n5.cov").exists()
@@ -91,6 +100,13 @@ def test_domain_error_exit_code(capsys):
     assert cli.run(["join", "-v", "2,1", "abb", "aab"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", ["missing.cov", "."])
+def test_unreadable_cover_file(tmp_path, capsys, name):
+    assert cli.run(["lattice", "--covers", str(tmp_path / name)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read cover file") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import oracle_sd_holds_on
 from multilat import finite_lattice as fl
@@ -36,12 +38,14 @@ def test_tables_against_bruteforce_bounds(name):
 
 
 def test_from_covers_rejects_cycle():
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice, match="cycle through a and b"):
         fl.FiniteLattice.from_covers([("a", "b"), ("b", "a")])
+    with pytest.raises(NotALattice, match="cycle through b and c"):
+        fl.FiniteLattice.from_covers([("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")])
 
 
 def test_from_covers_rejects_two_maximal():
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice, match="2 maximal elements: a, b"):
         fl.FiniteLattice.from_covers([("0", "a"), ("0", "b")])
 
 
@@ -49,8 +53,69 @@ def test_from_covers_rejects_missing_bounds():
     # a, b < c, d: the pair (a, b) has two minimal upper bounds
     covers = [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"),
               ("a", "d"), ("b", "d"), ("c", "1"), ("d", "1")]
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice, match="no least upper bound for a, b"):
         fl.FiniteLattice.from_covers(covers)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges generating a random order on at most 7 elements, under shuffled
+    indices, with transitive, duplicate and reflexive edges mixed in and,
+    now and then, one edge that may close a cycle."""
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(perm[min(a, b)], perm[max(a, b)])
+             for a, b in draw(st.lists(pairs, max_size=3 * n))]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    if draw(st.booleans()) and n > 1:
+        edges.append(draw(pairs))
+    return n, draw(st.permutations(edges))
+
+
+def brute_order(n, edges):
+    le = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        le[a][b] = True
+    for k, i, j in itertools.product(range(n), repeat=3):
+        le[i][j] = le[i][j] or (le[i][k] and le[k][j])
+    return le
+
+
+def brute_bound(n, le, i, j):
+    ubs = [t for t in range(n) if le[i][t] and le[j][t]]
+    least = [t for t in ubs if all(le[t][u] for u in ubs)]
+    return least[0] if len(least) == 1 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_from_covers_matches_bruteforce_on_random_orders(case):
+    n, edges = case
+    labels = [f"e{i}" for i in range(n)]
+    le = brute_order(n, edges)
+    ge = [list(col) for col in zip(*le)]
+    pairs = list(itertools.product(range(n), repeat=2))
+    cyclic = [(i, j) for i, j in pairs if i != j and le[i][j] and le[j][i]]
+    if cyclic:
+        i, j = cyclic[0]
+        with pytest.raises(NotALattice, match=f"^cycle through e{i} and e{j}$"):
+            fl.FiniteLattice.from_covers(edges, labels=labels)
+        return
+    joins = {(i, j): brute_bound(n, le, i, j) for i, j in pairs}
+    meets = {(i, j): brute_bound(n, ge, i, j) for i, j in pairs}
+    if None in joins.values() or None in meets.values():
+        with pytest.raises(NotALattice):
+            fl.FiniteLattice.from_covers(edges, labels=labels)
+        return
+    L = fl.FiniteLattice.from_covers(edges, labels=labels)
+    assert L.leq_table.tolist() == le
+    assert {p: L.join(*p) for p in pairs} == joins
+    assert {p: L.meet(*p) for p in pairs} == meets
+    covers = [(i, j) for i, j in pairs if i != j and le[i][j]
+              and not any(le[i][k] and le[k][j] for k in range(n) if k not in (i, j))]
+    assert L.cover_pairs() == covers
+    assert L.dual().cover_pairs() == sorted((j, i) for i, j in covers)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
@@ -139,6 +204,16 @@ def test_sd_holds_matches_direct_recursion(name, n):
     if verdict is not True:
         x, y, z = verdict
         assert not oracle_sd_holds_on(L, x, y, z, n)
+
+
+@pytest.mark.parametrize("text,n,triple", [
+    ("1,1,1,1,1", 3, ("bcdea", "badce", "acbed")),
+    ("2,2,2,1", 2, ("abbccda", "aabccbd", "abbacdc")),
+    ("4,2,2", 1, ("aaabbcac", "aaabbacc", "aaaabcbc")),
+])
+def test_sd_holds_first_failing_triple(text, n, triple):
+    L = mn.to_finite_lattice(mn.parse_vector(text))
+    assert L.sd_holds(n) == tuple(L.index_of(w) for w in triple)
 
 
 def test_sd_eval_trace_consistency():

@@ -70,7 +70,8 @@ def test_kappa_and_dual_are_mutually_inverse(text):
         assert ir.kappa(ir.kappa_d(m)) == m
 
 
-@pytest.mark.parametrize("text", ["2,1", "1,1,1", "2,2", "2,1,1", "3,3"])
+@pytest.mark.parametrize("text", ["2,1", "1,1,1", "2,2", "2,1,1", "3,3",
+                                  "1,1,1,1,1,1", "2,2,2,2"])
 def test_kappa_matches_lattice_kappa(text):
     v = V(text)
     L = materialized(text)
@@ -101,7 +102,8 @@ def test_arrows_match_lattice_arrows(text):
             assert ir.arrow_down(m, j) == L.arrow_down(mw[m], jw[j]), (m, j)
 
 
-@pytest.mark.parametrize("text", ["1,1,1", "2,1,1", "1,2,1", "1,1,1,1"])
+@pytest.mark.parametrize("text", ["1,1,1", "2,1,1", "1,2,1", "1,1,1,1",
+                                  "1,1,1,1,1,1", "2,2,2,2"])
 def test_d_rel_matches_bruteforce(text):
     v = V(text)
     L = materialized(text)
