@@ -177,14 +177,16 @@ def _dispatch(args: argparse.Namespace) -> None:
         graph = irreducibles.d_graph(v)
         sys.stdout.write(graph.to_dot() if args.dot else graph.to_json() + "\n")
     elif verb == "congruences":
-        sets = congruence.d_closed_sets(v)
+        graph, masks = congruence.d_closed_masks(v)
         if args.count:
-            print(len(sets))
+            print(len(masks))
         else:
+            # node indices ascend with the vectors, so each set comes out sorted
             print(json.dumps(
                 {"v": list(v.entries),
-                 "congruences": sorted(sorted(list(j.x) for j in s.members)
-                                       for s in sets)},
+                 "congruences": sorted([list(graph.nodes[i].x)
+                                        for i in congruence.mask_members(mask)]
+                                       for mask in masks)},
                 indent=2))
     elif verb == "classes":
         s = congruence.parse_ji_set(v, args.S)

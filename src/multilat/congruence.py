@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import irreducibles, multinomial
 from .errors import CapExceeded, MultilatError
 from .finite_lattice import FiniteLattice
-from .irreducibles import IrrVector, d_graph, ji_word
+from .irreducibles import DGraph, IrrVector, d_graph, ji_word
 from .multinomial import MultVector, PathWord, leq, mjoin, mmeet, word_str
 
 
@@ -32,12 +32,9 @@ class JiSet:
                 raise MultilatError("JiSet members must be non-degenerate")
 
     def is_d_closed(self) -> bool:
-        return all(
-            k in self.members
-            for j in self.members
-            for k in irreducibles.enumerate_ji(self.parent)
-            if irreducibles.d_rel(j, k)
-        )
+        return all(k in self.members
+                   for j in self.members
+                   for k, _ in irreducibles.d_successors(j))
 
     def __str__(self) -> str:
         return ";".join(str(j) for j in sorted(self.members, key=lambda j: j.x))
@@ -74,20 +71,20 @@ class Partition:
 DEFAULT_JI_CAP = 24
 
 
-def d_closed_sets(v: MultVector, cap: int = DEFAULT_JI_CAP) -> list[JiSet]:
-    """All D-closed sets of join irreducibles, i.e. all congruences.
+def d_closed_masks(v: MultVector, cap: int = DEFAULT_JI_CAP) -> tuple[DGraph, list[int]]:
+    """The D-graph and its forward-closed node sets, i.e. all congruences.
 
-    Enumerated as forward-closed vertex sets of the (acyclic) D-graph:
-    nodes are taken in reverse topological order and a node may join a
-    set only once all of its direct successors are present.
+    A set is a bitmask over ``graph.nodes``.  Nodes are taken in reverse
+    topological order and a node may join a set only once all of its
+    direct successors are present.
     """
-    graph = d_graph(v)
-    m = len(graph.nodes)
+    m = irreducibles.count_ji(v)
     if m > cap:
         raise CapExceeded(f"{m} join irreducibles exceed cap {cap}")
-    succ: dict[int, set[int]] = {i: set() for i in range(m)}
+    graph = d_graph(v)
+    succ: list[list[int]] = [[] for _ in range(m)]
     for s, t, _ in graph.edges:
-        succ[s].add(t)
+        succ[s].append(t)
     order: list[int] = []
     seen: set[int] = set()
 
@@ -95,16 +92,30 @@ def d_closed_sets(v: MultVector, cap: int = DEFAULT_JI_CAP) -> list[JiSet]:
         if i in seen:
             return
         seen.add(i)
-        for t in sorted(succ[i]):
+        for t in succ[i]:  # ascending, as d_graph sorts the edges
             visit(t)
         order.append(i)  # successors first
 
     for i in range(m):
         visit(i)
-    sets: list[frozenset[int]] = [frozenset()]
+    masks = [0]
     for node in order:
-        sets.extend([s | {node} for s in sets if succ[node] <= s])
-    return [JiSet(v, frozenset(graph.nodes[i] for i in s)) for s in sets]
+        need = sum(1 << t for t in succ[node])
+        bit = 1 << node
+        masks.extend([s | bit for s in masks if s & need == need])
+    return graph, masks
+
+
+def mask_members(mask: int) -> list[int]:
+    """Node indices of a bitmask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def d_closed_sets(v: MultVector, cap: int = DEFAULT_JI_CAP) -> list[JiSet]:
+    """All D-closed sets of join irreducibles, i.e. all congruences."""
+    graph, masks = d_closed_masks(v, cap)
+    return [JiSet(v, frozenset(graph.nodes[i] for i in mask_members(mask)))
+            for mask in masks]
 
 
 def congruence_from_S(v: MultVector, s: JiSet, verify: bool = True) -> Partition:

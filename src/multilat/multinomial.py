@@ -62,9 +62,10 @@ class MultVector:
 
 def parse_vector(text: str) -> MultVector:
     try:
-        return MultVector(tuple(int(part) for part in text.split(",")))
+        entries = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise MultilatError(f"cannot parse multiplicity vector {text!r}") from exc
+    return MultVector(entries)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,25 @@ def test_unreadable_cover_file(tmp_path, capsys, name):
     assert err.startswith("error: cannot read cover file") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["classes", "-v", "3,3", "-S", "9,9"], "error: vector (9, 9) outside [0, 3,3]\n"),
+    (["ji", "-v", "3,-1"], "error: negative multiplicity in (3, -1)\n"),
+    (["ji", "-v", "3,x"], "error: cannot parse multiplicity vector '3,x'\n"),
+    (["classes", "-v", "3,3", "-S", "1,x"], "error: cannot parse irreducible vector '1,x'\n"),
+])
+def test_parse_errors_keep_their_message(capsys, argv, message):
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("verb", ["theorem", "dgraph"])
+def test_d_graph_cap_refuses_huge_vectors(capsys, verb):
+    assert cli.run([verb, "-v", ",".join(["1"] * 20)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1048555 join irreducibles exceed the D-graph cap")
+    assert err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.run(["join", "-v", "2,1", "aab"])  # missing second word

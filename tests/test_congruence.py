@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -39,6 +40,31 @@ def test_counts_match_independent_lattice_enumeration(text):
 def test_cap():
     with pytest.raises(CapExceeded):
         cg.d_closed_sets(V("3,3,3"), cap=4)
+
+
+@pytest.mark.parametrize("text", ["1,1,1,1", "2,0,1,1", "1,2,1"])
+def test_masks_are_distinct_forward_closed_sets(text):
+    graph, masks = cg.d_closed_masks(V(text))
+    assert len(set(masks)) == len(masks)
+    for mask in masks:
+        members = set(cg.mask_members(mask))
+        assert all(t in members for s, t, _ in graph.edges if s in members)
+    assert cg.mask_members(0b10110) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("text", ["1,1,1,1", "2,1,1", "1,0,2,1", "1,1,1,1,1"])
+def test_is_d_closed_matches_pair_scan(text):
+    v = V(text)
+    jis = ir.enumerate_ji(v)
+    rng = random.Random(text)
+    verdicts = set()
+    for _ in range(60):
+        density = rng.choice((0.1, 0.5, 0.9))
+        members = frozenset(j for j in jis if rng.random() < density)
+        closed = all(k in members for j in members for k in jis if ir.d_rel(j, k))
+        assert cg.JiSet(v, members).is_d_closed() == closed
+        verdicts.add(closed)
+    assert verdicts == {True, False}
 
 
 def test_ji_set_parse_and_str_roundtrip():

@@ -2,10 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilat import irreducibles as ir
 from multilat import multinomial as mn
-from multilat.errors import MultilatError
+from multilat.errors import CapExceeded, InternalInconsistency, MultilatError
 
 VECTORS = ["2,1", "1,1,1", "2,2", "2,1,1", "1,2,1", "3,3", "1,1,1,1", "2,2,1"]
 
@@ -200,3 +202,64 @@ def test_degenerate_vectors_have_no_plan():
     assert bottom_like.degenerate
     with pytest.raises(MultilatError):
         ir.principal_plan(bottom_like)
+
+
+def pair_scan_edges(v):
+    """The D-graph edges by testing every ordered pair with d_rel."""
+    nodes = ir.enumerate_ji(v)
+    return [(si, ti, ir.cover_type(src, dst))
+            for si, src in enumerate(nodes) for ti, dst in enumerate(nodes)
+            if si != ti and ir.d_rel(src, dst)]
+
+
+@pytest.mark.parametrize("text", ["1,1,1,1,1,1", "1,1,1,1,1,1,1,1", "2,2,2,2,2",
+                                  "3,0,2,1,3", "0,3,3,0"])
+def test_d_graph_matches_pair_scan(text):
+    v = V(text)
+    g = ir.d_graph(v)
+    assert g.nodes == tuple(ir.enumerate_ji(v))
+    assert list(g.edges) == pair_scan_edges(v)
+
+
+small_vectors = st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(
+    lambda e: ir.count_ji(mn.MultVector(tuple(e))) <= 80)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_vectors)
+def test_d_successors_match_d_rel(entries):
+    v = mn.MultVector(tuple(entries))
+    assert list(ir.d_graph(v).edges) == pair_scan_edges(v)
+    jis = ir.enumerate_ji(v)
+    for j in jis:
+        succ = ir.d_successors(j)
+        assert len({k for k, _ in succ}) == len(succ)
+        assert {k for k, _ in succ} == {k for k in jis if ir.d_rel(j, k)}
+        assert all(tag == ir.cover_type(j, k) for k, tag in succ)
+
+
+def test_d_successors_rejects_meet_vectors():
+    with pytest.raises(MultilatError):
+        ir.d_successors(ir.enumerate_mi(V("1,1,1"))[0])
+
+
+def test_d_graph_cap_is_checked_before_enumerating(monkeypatch):
+    v = V(",".join(["1"] * 20))  # about 10^6 join irreducibles
+    with pytest.raises(CapExceeded, match="1048555 join irreducibles"):
+        ir.d_graph(v)
+    monkeypatch.setattr(ir, "D_GRAPH_CAP", 10)
+    with pytest.raises(CapExceeded, match="11 join irreducibles"):
+        ir.d_graph(V("1,1,1,1"))
+    monkeypatch.setattr(ir, "D_GRAPH_CAP", 11)
+    assert len(ir.d_graph(V("1,1,1,1")).nodes) == 11
+
+
+def test_longest_simple_path_detects_a_cycle():
+    v = V("1,1,1")
+    nodes = tuple(ir.enumerate_ji(v))
+    # a chain 0 -> 1 -> 2 closed by 2 -> 1, plus an acyclic tail 3 -> 0
+    edges = ((0, 1, "other"), (1, 2, "other"), (2, 1, "other"), (3, 0, "other"))
+    with pytest.raises(InternalInconsistency, match=rf"cycle through \({nodes[1]}\)"):
+        ir.longest_simple_path(ir.DGraph(v, nodes, edges))
+    acyclic = ir.DGraph(v, nodes, ((3, 0, "other"), (0, 1, "other"), (1, 2, "other")))
+    assert ir.longest_simple_path(acyclic) == 3
