@@ -8,6 +8,7 @@ text, DOT, or JSON to stdout; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -97,8 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args leaves the parser unchanged.
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str]) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _dispatch(args)
     except MultilatError as exc:
@@ -157,14 +162,13 @@ def _dispatch(args: argparse.Namespace) -> None:
         w, u = (parse_word(v, t) for t in args.words)
         op = multinomial.mjoin if verb == "join" else multinomial.mmeet
         print(word_str(op(w, u)))
+    elif verb in ("ji", "mi") and args.count:
+        print(irreducibles.count_ji(v))  # x -> v - x pairs the two kinds
     elif verb in ("ji", "mi"):
         items = irreducibles.enumerate_ji(v) if verb == "ji" else irreducibles.enumerate_mi(v)
-        if args.count:
-            print(len(items))
-        else:
-            to_word = irreducibles.ji_word if verb == "ji" else irreducibles.mi_word
-            for j in items:
-                print(str(j) if args.vectors else word_str(to_word(j)))
+        to_word = irreducibles.ji_word if verb == "ji" else irreducibles.mi_word
+        for j in items:
+            print(str(j) if args.vectors else word_str(to_word(j)))
     elif verb == "kappa":
         w = parse_word(v, args.word)
         if args.dual:
@@ -209,13 +213,10 @@ def _run_sd(v, args) -> None:
     if args.witness:
         if args.dual:
             raise MultilatError("--dual applies to exhaustive mode only")
-        wx, wy, wz = sd_engine.witness_words(v)
-        fails = (sd_engine._sd_fails_on_words(wx, wy, wz, n)
-                 or sd_engine._sd_fails_on_words(wx, wz, wy, n))
         print(json.dumps({
             "v": list(v.entries), "n": n, "mode": "witness",
-            "witness_words": [word_str(w) for w in (wx, wy, wz)],
-            "sd_fails_on_witness": fails,
+            "witness_words": [word_str(w) for w in sd_engine.witness_words(v)],
+            "sd_fails_on_witness": sd_engine.witness_fails(v, n),
         }, indent=2))
         return
     lattice = multinomial.to_finite_lattice(v)

@@ -166,34 +166,29 @@ def quotient(v: MultVector, s: JiSet) -> FiniteLattice:
 
 
 def check_parikh_connectivity(p: Partition) -> bool:
-    """Every block connected under single adjacent-transposition steps."""
+    """Every block connected under single adjacent-transposition steps.
+
+    Swapping two unequal adjacent letters is an upper or a lower cover,
+    so the steps are the ``covers`` edges inside a block, walked both ways.
+    """
     for block in p.blocks:
-        if len(block) == 1:
-            continue
-        words = set(block)
-        start = next(iter(sorted(words)))
-        frontier = [start]
+        nbrs: dict[PathWord, list[PathWord]] = {w: [] for w in block}
+        for w in block:
+            for u in multinomial.covers(w):
+                if u in nbrs:
+                    nbrs[w].append(u)
+                    nbrs[u].append(w)
+        start = min(block)
         reached = {start}
+        frontier = [start]
         while frontier:
-            w = frontier.pop()
-            for u in _adjacent_swaps(w):
-                if u in words and u not in reached:
+            for u in nbrs[frontier.pop()]:
+                if u not in reached:
                     reached.add(u)
                     frontier.append(u)
-        if reached != words:
+        if len(reached) != len(block):
             return False
     return True
-
-
-def _adjacent_swaps(w: PathWord) -> list[PathWord]:
-    out = []
-    letters = list(w.letters)
-    for p in range(len(letters) - 1):
-        if letters[p] != letters[p + 1]:
-            swapped = letters[:]
-            swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-            out.append(PathWord(w.parent, tuple(swapped)))
-    return out
 
 
 def ji_set_to_json(s: JiSet) -> str:

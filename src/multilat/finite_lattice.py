@@ -197,12 +197,6 @@ class FiniteLattice:
         """j not below m, but its unique lower cover is."""
         return not self.le(j, m) and self.le(self.j_star(j), m)
 
-    def bruteforce_ji(self) -> list[int]:
-        return self.join_irreducibles()
-
-    def bruteforce_mi(self) -> list[int]:
-        return self.meet_irreducibles()
-
     def bruteforce_D(self) -> set[tuple[int, int]]:
         """Join dependency: j D j' iff j != j' and j up-arrow m down-arrow j'."""
         rel = set()
@@ -255,30 +249,16 @@ class FiniteLattice:
         t -> t ^ s and transitivity, via union-find with a worklist.
         """
         parent = list(self.elements())
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a: int, b: int) -> bool:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[max(ra, rb)] = min(ra, rb)
-            return True
-
         work = [(u, w)]
-        union(u, w)
+        _union(parent, u, w)
         while work:
             a, b = work.pop()
             for t in self.elements():
                 for x, y in ((self.join(a, t), self.join(b, t)),
                              (self.meet(a, t), self.meet(b, t))):
-                    if union(x, y):
+                    if _union(parent, x, y):
                         work.append((x, y))
-        return partition_from_find(self.n, find)
+        return _blocks(parent)
 
     def congruences(self) -> set[tuple[frozenset[int], ...]]:
         """All congruences: closure of the principal ones under join."""
@@ -297,9 +277,6 @@ class FiniteLattice:
                         new.add(joined)
             frontier = new
         return found
-
-    def congruence_classes(self, theta: tuple[frozenset[int], ...]) -> int:
-        return len(theta)
 
     def quotient_to_ji(self, x: int, y: int) -> int:
         """For a prime quotient y -< x, the minimal j with j v y = x.
@@ -329,13 +306,6 @@ class FiniteLattice:
                        self.meet(a, c) == self.meet(b, c):
                         out.append(Pentagon(self, a, b, c))
         return out
-
-    def pentagon_descend(self, pent: "Pentagon", a1: int, b1: int) -> Quotient:
-        """A prime quotient u/w in [0_N, b_N] whose congruence collapses (a1, b1)."""
-        if not (self.le(pent.b, b1) and self.le(a1, pent.a)
-                and b1 in self.lower_covers(a1)):
-            raise MultilatError("need a prime quotient inside the central quotient")
-        return self._prime_quotient_collapsing((a1, b1), pent.zero, pent.b)
 
     def _prime_quotient_collapsing(self, target: tuple[int, int],
                                    lo: int, hi: int) -> Quotient:
@@ -501,14 +471,6 @@ class Pentagon:
     c: int
 
     @property
-    def one(self) -> int:
-        return self.lattice.join(self.a, self.c)
-
-    @property
-    def zero(self) -> int:
-        return self.lattice.meet(self.a, self.c)
-
-    @property
     def nondegenerate(self) -> bool:
         return self.a != self.b
 
@@ -597,28 +559,38 @@ def _sd_step(J: np.ndarray, mx: np.ndarray, yk: np.ndarray) -> np.ndarray:
     return J.ravel()[rows + mx[yk.T]]
 
 
-def partition_from_find(n: int, find) -> tuple[frozenset[int], ...]:
+def _find(parent: list[int], a: int) -> int:
+    """Union-find root of a, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Merge the sets of a and b under the smaller root; False if already one."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[max(ra, rb)] = min(ra, rb)
+    return True
+
+
+def _blocks(parent: list[int]) -> tuple[frozenset[int], ...]:
     blocks: dict[int, set[int]] = {}
-    for i in range(n):
-        blocks.setdefault(find(i), set()).add(i)
+    for i in range(len(parent)):
+        blocks.setdefault(_find(parent, i), set()).add(i)
     return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
 
 
 def join_partitions(n: int, p1, p2) -> tuple[frozenset[int], ...]:
     parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for part in (p1, p2):
         for block in part:
             items = sorted(block)
             for a, b in zip(items, items[1:]):
-                parent[find(a)] = find(b)
-    return partition_from_find(n, find)
+                _union(parent, a, b)
+    return _blocks(parent)
 
 
 def _same_block(theta, a: int, b: int) -> bool:

@@ -13,6 +13,11 @@ z_f in {x_f, x_f + 1}; the rest of z is forced.  Each node has O(n^2)
 candidates, so the D-graph on m join irreducibles costs O(m*n^2)
 candidates instead of the m^2 pair tests of ``d_rel``.  ``dbullet``,
 ``d_rel`` and ``cover_type`` stay as the arrow-based reference.
+
+The meet side is not written out again.  Word reversal is an
+anti-automorphism of L(v) that sends <x> to [v - x], so meet irreducibles,
+their words, their parsing and ``kappa_d`` are the join-side functions
+composed with reversal and x -> v - x (``_dual``).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from itertools import product
 from math import prod
 
 from .errors import CapExceeded, InternalInconsistency, MultilatError
-from .multinomial import MultVector, PathWord, bottom, top, word_str
+from .multinomial import MultVector, PathWord, bottom, word_str
 
 JOIN = "join"
 MEET = "meet"
@@ -89,19 +94,22 @@ def principal_plan(j: IrrVector) -> tuple[int, int]:
     return plan
 
 
-def _enumerate(v: MultVector, kind: str) -> list[IrrVector]:
-    return [IrrVector(v, x, kind)
-            for x in product(*(range(e + 1) for e in v.entries))
-            if _plan(v.entries, x, kind) is not None]
+def _dual(j: IrrVector) -> IrrVector:
+    """<x> -> [v - x] and [y] -> <v - y>; the plan is unchanged."""
+    return IrrVector(j.parent, tuple(e - c for e, c in zip(j.parent.entries, j.x)),
+                     MEET if j.kind == JOIN else JOIN)
 
 
 def enumerate_ji(v: MultVector) -> list[IrrVector]:
     """All join irreducibles of L(v), lexicographic on the vector."""
-    return _enumerate(v, JOIN)
+    return [IrrVector(v, x, JOIN)
+            for x in product(*(range(e + 1) for e in v.entries))
+            if _plan(v.entries, x, JOIN) is not None]
 
 
 def enumerate_mi(v: MultVector) -> list[IrrVector]:
-    return _enumerate(v, MEET)
+    """All meet irreducibles, lexicographic: x -> v - x reverses the order."""
+    return [_dual(j) for j in reversed(enumerate_ji(v))]
 
 
 def count_ji(v: MultVector) -> int:
@@ -123,41 +131,36 @@ def ji_word(j: IrrVector) -> PathWord:
     return PathWord(j.parent, tuple(letters))
 
 
-def mi_word(j: IrrVector) -> PathWord:
-    """The single-ascent word an^xn..a1^x1 an^(vn-xn)..a1^(v1-x1)."""
-    if j.kind != MEET:
+def mi_word(m: IrrVector) -> PathWord:
+    """The single-ascent word an^yn..a1^y1 an^(vn-yn)..a1^(v1-y1): ji_word(<v-y>) reversed."""
+    if m.kind != MEET:
         raise MultilatError("mi_word expects a meet-kind vector")
-    if j.degenerate:
-        return top(j.parent)
-    letters = []
-    for i in range(j.parent.n, 0, -1):
-        letters.extend([i] * j.x[i - 1])
-    for i in range(j.parent.n, 0, -1):
-        letters.extend([i] * (j.parent.entries[i - 1] - j.x[i - 1]))
-    return PathWord(j.parent, tuple(letters))
+    w = ji_word(_dual(m))
+    return PathWord(w.parent, w.letters[::-1])
+
+
+def _counts_to_descent(w: PathWord, letters: tuple[int, ...], turns: str) -> tuple[int, ...]:
+    """Letter counts of ``letters`` (w, or w reversed) up to its single descent.
+
+    ``turns`` names what those descents are in w itself, for the diagnostic.
+    """
+    descents = [p for p in range(len(letters) - 1) if letters[p] > letters[p + 1]]
+    if len(descents) != 1:
+        raise MultilatError(f"word {word_str(w)} has {len(descents)} {turns}, expected 1")
+    x = [0] * w.parent.n
+    for letter in letters[: descents[0] + 1]:
+        x[letter - 1] += 1
+    return tuple(x)
 
 
 def parse_ji_word(w: PathWord) -> IrrVector:
     """Recover the vector from a word with exactly one descent."""
-    descents = [p for p in range(len(w.letters) - 1) if w.letters[p] > w.letters[p + 1]]
-    if len(descents) != 1:
-        raise MultilatError(f"word {word_str(w)} has {len(descents)} descents, expected 1")
-    prefix = w.letters[: descents[0] + 1]
-    x = [0] * w.parent.n
-    for letter in prefix:
-        x[letter - 1] += 1
-    return IrrVector(w.parent, tuple(x), JOIN)
+    return IrrVector(w.parent, _counts_to_descent(w, w.letters, "descents"), JOIN)
 
 
 def parse_mi_word(w: PathWord) -> IrrVector:
-    ascents = [p for p in range(len(w.letters) - 1) if w.letters[p] < w.letters[p + 1]]
-    if len(ascents) != 1:
-        raise MultilatError(f"word {word_str(w)} has {len(ascents)} ascents, expected 1")
-    prefix = w.letters[: ascents[0] + 1]
-    x = [0] * w.parent.n
-    for letter in prefix:
-        x[letter - 1] += 1
-    return IrrVector(w.parent, tuple(x), MEET)
+    """Recover [y] from a word with one ascent: reversed, it is ji_word(<v-y>)."""
+    return _dual(IrrVector(w.parent, _counts_to_descent(w, w.letters[::-1], "ascents"), JOIN))
 
 
 def _check_pair(a: IrrVector, b: IrrVector) -> None:
@@ -177,42 +180,30 @@ def arrow_up(j: IrrVector, m: IrrVector) -> bool:
 
 
 def arrow_down(m: IrrVector, j: IrrVector) -> bool:
-    """[y] down-arrow <x>: local comparison on the plan (a,b) of <x>."""
+    """[y] down-arrow <x>: by reversal, <v-y> up-arrow [v-x]."""
     _check_pair(m, j)
     if j.kind != JOIN or m.kind != MEET:
         raise MultilatError("arrow_down expects (meet, join)")
-    a, b = principal_plan(j)
-    x, y = j.x, m.x
-    return (x[a - 1] == y[a - 1] - 1 and x[b - 1] == y[b - 1] + 1
-            and all(x[i - 1] == y[i - 1] for i in range(a + 1, b)))
+    principal_plan(j)  # a degenerate <x> is named as given, not as [v-x]
+    return arrow_up(_dual(m), _dual(j))
+
+
+def _meet_on_plan(j: IrrVector, c: int, d: int) -> IrrVector:
+    """The [y] of plan (c,d) with y = x + e_c - e_d inside, 0 below c, v above d."""
+    v = j.parent.entries
+    y = (0,) * (c - 1) + (j.x[c - 1] + 1,) + j.x[c:d - 1] + (j.x[d - 1] - 1,) + v[d:]
+    return IrrVector(j.parent, y, MEET)
 
 
 def kappa(j: IrrVector) -> IrrVector:
     """The unique [y] with <x> up-arrow [y] down-arrow <x>."""
-    a, b = principal_plan(j)
-    v = j.parent.entries
-    y = list(j.x)
-    y[a - 1] += 1
-    y[b - 1] -= 1
-    for i in range(1, a):
-        y[i - 1] = 0
-    for i in range(b + 1, j.parent.n + 1):
-        y[i - 1] = v[i - 1]
-    return IrrVector(j.parent, tuple(y), MEET)
+    return _meet_on_plan(j, *principal_plan(j))
 
 
 def kappa_d(m: IrrVector) -> IrrVector:
-    """The unique <x> with [y] down-arrow <x> up-arrow [y]."""
-    c, d = principal_plan(m)
-    v = m.parent.entries
-    x = list(m.x)
-    x[c - 1] -= 1
-    x[d - 1] += 1
-    for i in range(1, c):
-        x[i - 1] = v[i - 1]
-    for i in range(d + 1, m.parent.n + 1):
-        x[i - 1] = 0
-    return IrrVector(m.parent, tuple(x), JOIN)
+    """The unique <x> with [y] down-arrow <x> up-arrow [y]: <v - kappa(<v-y>)>."""
+    principal_plan(m)  # a degenerate [y] is named as given, not as <v-y>
+    return _dual(kappa(_dual(m)))
 
 
 def dbullet(j: IrrVector, k: IrrVector) -> bool:
@@ -246,33 +237,17 @@ def d_rel(j: IrrVector, k: IrrVector) -> bool:
 def witness_m(j: IrrVector, k: IrrVector) -> IrrVector:
     """A meet irreducible [y] with <x> up-arrow [y] down-arrow <z>.
 
-    The plan (c,d) of [y] is picked by a four-way case split on which
-    endpoints of the plans moved.
+    The plan (c,d) of [y] takes each endpoint from the plan (e,f) of <z>,
+    or from the plan (a,b) of <x> where z moved off x there.
     """
     if not dbullet(j, k):
         raise MultilatError("witness requires the dependency relation to hold")
     a, b = principal_plan(j)
     e, f = principal_plan(k)
     x, z = j.x, k.x
-    d_e = x[e - 1] - z[e - 1]
-    d_f = z[f - 1] - x[f - 1]
-    if d_e == 0 and d_f == 0:
-        c, d = e, f
-    elif d_e == 1 and d_f == 0:
-        c, d = a, f
-    elif d_e == 0 and d_f == 1:
-        c, d = e, b
-    else:
-        c, d = a, b
-    v = j.parent.entries
-    y = list(x)
-    y[c - 1] += 1
-    y[d - 1] -= 1
-    for i in range(1, c):
-        y[i - 1] = 0
-    for i in range(d + 1, j.parent.n + 1):
-        y[i - 1] = v[i - 1]
-    m = IrrVector(j.parent, tuple(y), MEET)
+    c = e if x[e - 1] == z[e - 1] else a
+    d = f if x[f - 1] == z[f - 1] else b
+    m = _meet_on_plan(j, c, d)
     if not (arrow_up(j, m) and arrow_down(m, k)):
         raise MultilatError("constructed witness fails the arrow relations")
     return m

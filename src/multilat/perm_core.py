@@ -4,6 +4,12 @@ A permutation on {1..k} is ordered by containment of its inversion set.
 The inversion sets that occur are exactly the *clopen* subsets of the
 k(k-1)/2 possible pairs, and joins/meets are computed by a closure
 (resp. interior) operator on these sets.
+
+A clopen set is the inversion set of exactly one permutation, and that
+permutation is read straight off the set: value a stands at position
+1 + #{b > a : a\\b in x} + #{c < a : c\\a not in x}.  ``clopen_to_perm``
+reads the positions and checks the round trip ``inversions(sigma) == x``,
+which fails exactly when x is not clopen.
 """
 
 from __future__ import annotations
@@ -40,25 +46,12 @@ class Permutation:
             inv[img - 1] = i
         return Permutation(tuple(inv))
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(i) = self(other(i))."""
-        if self.size != other.size:
-            raise MultilatError("size mismatch in composition")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.size + 1)))
-
     def __str__(self) -> str:
         return ",".join(str(i) for i in self.images)
 
 
 def identity(k: int) -> Permutation:
     return Permutation(tuple(range(1, k + 1)))
-
-
-def adjacent_transposition(i: int, k: int) -> Permutation:
-    """The exchange (i, i+1) on {1..k}."""
-    images = list(range(1, k + 1))
-    images[i - 1], images[i] = images[i], images[i - 1]
-    return Permutation(tuple(images))
 
 
 def parse_perm(text: str) -> Permutation:
@@ -120,8 +113,9 @@ def parse_inv_set(k: int, text: str) -> InversionSet:
 
 def inversions(sigma: Permutation) -> InversionSet:
     """The disagreements of sigma: pairs a < b with sigma^-1(a) > sigma^-1(b)."""
-    inv = sigma.inverse()
-    return inv_set(sigma.size, ((a, b) for a, b in all_pairs(sigma.size) if inv(a) > inv(b)))
+    pos = sigma.inverse().images
+    return inv_set(sigma.size, ((a, b) for a, b in all_pairs(sigma.size)
+                                if pos[a - 1] > pos[b - 1]))
 
 
 def agreements(sigma: Permutation) -> InversionSet:
@@ -129,18 +123,23 @@ def agreements(sigma: Permutation) -> InversionSet:
 
 
 def closure(x: InversionSet) -> InversionSet:
-    """Least superset closed under a\\b, b\\c => a\\c (fixpoint of one-step extension)."""
-    pairs = set(x.pairs)
-    while True:
-        new = {
-            (a, c)
-            for (a, b) in pairs
-            for (b2, c) in pairs
-            if b == b2 and (a, c) not in pairs
-        }
-        if not new:
-            return inv_set(x.size, pairs)
-        pairs |= new
+    """Least superset closed under a\\b, b\\c => a\\c; x itself if already closed.
+
+    One Warshall pass over the middle b, on bitmask rows succ[a] = {c : a\\c}.
+    """
+    k = x.size
+    succ = [0] * (k + 1)
+    for a, c in x.pairs:
+        succ[a] |= 1 << c
+    before = succ[:]
+    for b in range(2, k):
+        for a in range(1, b):
+            if succ[a] >> b & 1:
+                succ[a] |= succ[b]
+    if succ == before:
+        return x
+    return inv_set(k, ((a, c) for a in range(1, k) for c in range(a + 1, k + 1)
+                       if succ[a] >> c & 1))
 
 
 def interior(x: InversionSet) -> InversionSet:
@@ -153,12 +152,8 @@ def is_closed(x: InversionSet) -> bool:
 
 
 def is_open(x: InversionSet) -> bool:
-    pairs = x.pairs
-    for a, c in pairs:
-        for b in range(a + 1, c):
-            if (a, b) not in pairs and (b, c) not in pairs:
-                return False
-    return True
+    """a\\c in x forces a\\b or b\\c in x: the complement is closed."""
+    return is_closed(x.complement())
 
 
 def is_clopen(x: InversionSet) -> bool:
@@ -168,24 +163,20 @@ def is_clopen(x: InversionSet) -> bool:
 def clopen_to_perm(x: InversionSet) -> Permutation:
     """The unique permutation whose inversion set is the given clopen set.
 
-    Peels off an adjacent inversion i\\i+1 (smallest i, for determinism),
-    conjugates the rest by the exchange (i,i+1), and recurses.
+    Value a stands at position a + #{b : a\\b in x} - #{c : c\\a in x};
+    the set is clopen exactly when these positions form a permutation
+    whose inversion set is x again.
     """
-    if not is_clopen(x):
-        raise MultilatError(f"not clopen: {x}")
     k = x.size
-    exchanges: list[Permutation] = []
-    pairs = set(x.pairs)
-    while pairs:
-        i = min(a for a, b in pairs if b == a + 1)
-        sig = adjacent_transposition(i, k)
-        pairs.discard((i, i + 1))
-        pairs = {tuple(sorted((sig(a), sig(b)))) for a, b in pairs}
-        exchanges.append(sig)
-    sigma = identity(k)
-    for sig in reversed(exchanges):
-        sigma = sig.compose(sigma)
-    return sigma
+    position = list(range(1, k + 1))
+    for a, b in x.pairs:
+        position[a - 1] += 1
+        position[b - 1] -= 1
+    if sorted(position) == list(range(1, k + 1)):
+        sigma = Permutation(tuple(position)).inverse()
+        if inversions(sigma) == x:
+            return sigma
+    raise MultilatError(f"not clopen: {x}")
 
 
 def _check_clopen_args(x: InversionSet, y: InversionSet) -> None:

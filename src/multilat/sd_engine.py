@@ -92,6 +92,16 @@ def _sd_fails_on_words(x: PathWord, y: PathWord, z: PathWord, n: int) -> bool:
     return mmeet(x, prev_y) != mmeet(x, mjoin(y, z))
 
 
+def witness_fails(v: MultVector, n: int) -> bool:
+    """Whether SD_n(meet) fails on the witness triple of L(v).
+
+    The parity of the dimension decides which of the two sequence orderings
+    climbs the full ladder; testing both keeps the check unambiguous.
+    """
+    wx, wy, wz = witness_words(v)
+    return _sd_fails_on_words(wx, wy, wz, n) or _sd_fails_on_words(wx, wz, wy, n)
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     """Per-v verdict: greatest failing SD level and least holding SD level."""
@@ -130,12 +140,7 @@ def theorem_check(v: MultVector, method: str | None = None,
     if method not in (EXHAUSTIVE, DPATH_BOUND):
         raise MultilatError(f"unknown method {method!r}")
 
-    wx, wy, wz = witness_words(v)
-    # The parity of n decides which of the two sequence orderings climbs
-    # the full ladder; testing both keeps the check unambiguous.
-    fails = (_sd_fails_on_words(wx, wy, wz, n - 2)
-             or _sd_fails_on_words(wx, wz, wy, n - 2))
-    if not fails:
+    if not witness_fails(v, n - 2):
         raise MultilatError(f"witness triple does not fail SD_{n - 2} in L({v})")
 
     if method == EXHAUSTIVE:
@@ -151,5 +156,5 @@ def theorem_check(v: MultVector, method: str | None = None,
         # acyclic D on a semidistributive lattice bounds the SD level
     return TheoremReport(
         v=v, dim=n, sd_fail_level=n - 2, sd_hold_level=n - 1,
-        witness_words=(word_str(wx), word_str(wy), word_str(wz)),
+        witness_words=tuple(word_str(w) for w in witness_words(v)),
         method=method)

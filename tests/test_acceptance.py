@@ -22,12 +22,6 @@ def report(num: int, name: str, ok: bool, extra: str = "") -> None:
     assert ok, f"criterion {num:02d} {name} failed"
 
 
-def witness_fails(v: mn.MultVector, n: int) -> bool:
-    wx, wy, wz = sd_engine.witness_words(v)
-    return (sd_engine._sd_fails_on_words(wx, wy, wz, n)
-            or sd_engine._sd_fails_on_words(wx, wz, wy, n))
-
-
 def test_01_dimension_three_sd_levels():
     start = time.perf_counter()
     ok = True
@@ -35,7 +29,7 @@ def test_01_dimension_three_sd_levels():
         v = mn.parse_vector(text)
         lattice = mn.to_finite_lattice(v)
         ok = ok and lattice.sd_holds(2) is True
-        ok = ok and witness_fails(v, 1)
+        ok = ok and sd_engine.witness_fails(v, 1)
     elapsed = time.perf_counter() - start
     report(1, "dimension-3: SD_2 holds, SD_1 fails on the witness",
            ok and elapsed < 1.0, f"{elapsed:.2f}s < 1s")
@@ -45,7 +39,7 @@ def test_02_dimension_four_sd_levels():
     start = time.perf_counter()
     v = mn.parse_vector("1,1,1,1")
     lattice = mn.to_finite_lattice(v)
-    ok = lattice.sd_holds(3) is True and witness_fails(v, 2)
+    ok = lattice.sd_holds(3) is True and sd_engine.witness_fails(v, 2)
     elapsed = time.perf_counter() - start
     report(2, "dimension-4: SD_3 holds, SD_2 fails on the witness",
            ok and elapsed < 5.0, f"{elapsed:.2f}s < 5s")
@@ -55,7 +49,7 @@ def test_03_dimension_five_dpath_bound():
     start = time.perf_counter()
     v = mn.parse_vector("1,1,2,1,1")
     length = irreducibles.longest_simple_path(irreducibles.d_graph(v))
-    ok = length == 3 and witness_fails(v, 3)
+    ok = length == 3 and sd_engine.witness_fails(v, 3)
     rep = sd_engine.theorem_check(v, method=sd_engine.DPATH_BOUND)
     ok = ok and rep.sd_fail_level == 3 and rep.sd_hold_level == 4
     elapsed = time.perf_counter() - start

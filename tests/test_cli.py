@@ -1,4 +1,7 @@
 import json
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,16 @@ def test_ji_mi(capsys):
     assert len(words) == 4 and "bca" in words
     vectors = run_ok(capsys, "mi", "-v", "1,1,1", "--vectors").splitlines()
     assert len(vectors) == 4 and all("," in line for line in vectors)
+
+
+@pytest.mark.parametrize("verb", ["ji", "mi"])
+def test_ji_mi_count_by_formula(capsys, verb):
+    start = time.perf_counter()
+    assert run_ok(capsys, verb, "-v", ",".join(["1"] * 20), "--count") == "1048555\n"
+    assert time.perf_counter() - start < 1.0
+    for text in ["3,3", "1,1,1", "2,2,2", "3,0,2,1,3", "0,3,3,0", "2,1", "1", "0,0"]:
+        listed = run_ok(capsys, verb, "-v", text).splitlines()
+        assert run_ok(capsys, verb, "-v", text, "--count") == f"{len(listed)}\n"
 
 
 def test_kappa(capsys):
@@ -132,3 +145,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.run(["join", "-v", "2,1", "aab"])  # missing second word
     assert exc.value.code == 2
+
+
+def test_parser_survives_consecutive_runs(capsys):
+    assert run_ok(capsys, "join", "-v", "2,1", "aba", "aab") == "aba\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["meet", "-v", "2,1", "aba"])  # missing second word
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: multilat meet")
+    assert run_ok(capsys, "meet", "-v", "2,1", "aba", "baa") == "aba\n"
+    assert cli.run(["ji", "-v", "3,x"]) == 1
+    assert capsys.readouterr().err == "error: cannot parse multiplicity vector '3,x'\n"
+    assert run_ok(capsys, "ji", "-v", "3,3", "--count") == "9\n"
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    """Every ``multilat`` line of the README runs cleanly and prints its ``# ->`` value."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines()
+             if line.startswith("multilat ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)  # seed-fixtures writes into the working directory
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli.run(argv) == 0, line
+        captured = capsys.readouterr()
+        assert captured.err == "", line
+        if "# ->" in line:
+            assert captured.out.strip() == line.split("# ->")[1].strip(), line

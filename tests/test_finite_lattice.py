@@ -121,8 +121,14 @@ def test_from_covers_matches_bruteforce_on_random_orders(case):
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
 def test_irreducibles_match_bruteforce(name):
     L = ALL_FIXTURES[name]
-    assert L.join_irreducibles() == L.bruteforce_ji()
-    assert L.meet_irreducibles() == L.bruteforce_mi()
+    le = L.leq_table.tolist()
+    n = len(le)
+    covers = [(i, j) for i in range(n) for j in range(n) if i != j and le[i][j]
+              and not any(le[i][k] and le[k][j] for k in range(n) if k not in (i, j))]
+    assert L.join_irreducibles() == [x for x in range(n)
+                                     if sum(j == x for _, j in covers) == 1]
+    assert L.meet_irreducibles() == [x for x in range(n)
+                                     if sum(i == x for i, _ in covers) == 1]
 
 
 def test_classification_of_fixtures():

@@ -59,6 +59,10 @@ def test_parse_rejects_wrong_shape():
         ir.parse_ji_word(mn.parse_word(v, "baba"))  # two descents
     with pytest.raises(MultilatError):
         ir.parse_ji_word(mn.parse_word(v, "aabb"))  # bottom: no descent
+    with pytest.raises(MultilatError, match="abab has 2 ascents"):
+        ir.parse_mi_word(mn.parse_word(v, "abab"))  # two ascents
+    with pytest.raises(MultilatError, match="bbaa has 0 ascents"):
+        ir.parse_mi_word(mn.parse_word(v, "bbaa"))  # top: no ascent
 
 
 @pytest.mark.parametrize("text", VECTORS)

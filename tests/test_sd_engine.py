@@ -57,12 +57,9 @@ def test_psi_is_order_embedding_of_permutations():
 def test_witness_words_fail_sd_n_minus_2(text):
     v = V(text)
     n = v.dimension
-    wx, wy, wz = sd.witness_words(v)
-    assert sd._sd_fails_on_words(wx, wy, wz, n - 2) or \
-        sd._sd_fails_on_words(wx, wz, wy, n - 2)
-    # one level up the equation must hold on the witness
-    assert not sd._sd_fails_on_words(wx, wy, wz, n - 1)
-    assert not sd._sd_fails_on_words(wx, wz, wy, n - 1)
+    assert sd.witness_fails(v, n - 2)
+    # one level up the equation must hold on the witness, in both orderings
+    assert not sd.witness_fails(v, n - 1)
 
 
 @pytest.mark.parametrize("text,method", [
