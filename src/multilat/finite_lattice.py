@@ -207,9 +207,6 @@ class FiniteLattice:
                     rel.add((j, j2))
         return rel
 
-    def bruteforce_D_dual(self) -> set[tuple[int, int]]:
-        return self.dual().bruteforce_D()
-
     def kappa_of(self, j: int) -> int | None:
         """The unique m with j up-arrow m down-arrow j, if it exists."""
         found = [m for m in self._mis

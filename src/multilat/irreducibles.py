@@ -13,6 +13,12 @@ z_f in {x_f, x_f + 1}; the rest of z is forced.  Each node has O(n^2)
 candidates, so the D-graph on m join irreducibles costs O(m*n^2)
 candidates instead of the m^2 pair tests of ``d_rel``.  ``dbullet``,
 ``d_rel`` and ``cover_type`` stay as the arrow-based reference.
+``d_graph`` starts each node's successors from the plan found while
+enumerating the node, so no plan is computed twice.
+
+``DGraph.to_json`` writes the reply of ``json.dumps(..., indent=2)``
+itself: each node's text is rendered once at each of the two depths it
+appears at, and the edge records are joined from those strings.
 
 The meet side is not written out again.  Word reversal is an
 anti-automorphism of L(v) that sends <x> to [v - x], so meet irreducibles,
@@ -100,11 +106,17 @@ def _dual(j: IrrVector) -> IrrVector:
                      MEET if j.kind == JOIN else JOIN)
 
 
+def _ji_plans(v: MultVector):
+    """Yield (x, plan) for every join irreducible <x>, lexicographic on x."""
+    for x in product(*(range(e + 1) for e in v.entries)):
+        plan = _plan(v.entries, x, JOIN)
+        if plan is not None:
+            yield x, plan
+
+
 def enumerate_ji(v: MultVector) -> list[IrrVector]:
     """All join irreducibles of L(v), lexicographic on the vector."""
-    return [IrrVector(v, x, JOIN)
-            for x in product(*(range(e + 1) for e in v.entries))
-            if _plan(v.entries, x, JOIN) is not None]
+    return [IrrVector(v, x, JOIN) for x, _ in _ji_plans(v)]
 
 
 def enumerate_mi(v: MultVector) -> list[IrrVector]:
@@ -293,22 +305,20 @@ def _successors(v: tuple[int, ...], x: tuple[int, ...], a: int, b: int):
             if not 0 <= ze < v[e - 1]:
                 continue
             head = v[:e - 1] + (ze,)  # z = v below e
-            for f in range(e + 1, b + 1):
+            for f in range(e + 1, b if e == a else b + 1):  # (a,b) gives x back
                 xf = x[f - 1]
+                body = head + x[e:f - 1]  # z = x strictly inside (e,f)
+                tail = (0,) * (n - f)  # z = 0 above f
                 for zf in ((xf,) if f == b else (xf, xf + 1)):
                     if not 0 < zf <= v[f - 1]:
                         continue
-                    # z = x strictly inside (e,f), z = 0 above f
-                    z = head + x[e:f - 1] + (zf,) + (0,) * (n - f)
-                    if z == x:
-                        continue
-                    if e == a:  # then f < b, since z != x
+                    if e == a:
                         tag = "RA" if zf == xf else "RB"
                     elif f == b:
                         tag = "LA" if ze == xe else "LB"
                     else:
                         tag = "other"
-                    yield z, tag
+                    yield body + (zf,) + tail, tag
 
 
 def d_successors(j: IrrVector) -> list[tuple[IrrVector, str]]:
@@ -366,44 +376,63 @@ class DGraph:
     edges: tuple[tuple[int, int, str], ...]  # (source, target, tag), node indices
 
     def to_dot(self) -> str:
+        labels = [f'"({node})"' for node in self.nodes]
         lines = ["digraph D {"]
-        for node in self.nodes:
-            lines.append(f'  "({node})";')
-        for src, dst, tag in self.edges:
-            lines.append(f'  "({self.nodes[src]})" -> "({self.nodes[dst]})" '
-                         f'[label="{tag}"];')
+        lines.extend(f"  {label};" for label in labels)
+        lines.extend(f'  {labels[src]} -> {labels[dst]} [label="{tag}"];'
+                     for src, dst, tag in self.edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "v": list(self.parent.entries),
-            "nodes": [list(node.x) for node in self.nodes],
-            "edges": [{"source": list(self.nodes[s].x),
-                       "target": list(self.nodes[t].x),
-                       "tag": tag} for s, t, tag in self.edges],
-        }, indent=2)
+        """``json.dumps`` of v, nodes and edges with ``indent=2``, byte for byte.
+
+        A node appears at two depths: as an item of "nodes" and as the
+        source or target of an edge.  Its text is rendered once at each,
+        and the edge records are joined from those strings.
+        """
+        tags = {tag: json.dumps(tag) for tag in {tag for _, _, tag in self.edges}}
+        nodes = [_json_array(map(str, node.x), 4) for node in self.nodes]
+        ends = [_json_array(map(str, node.x), 6) for node in self.nodes]
+        edges = [f'{{\n      "source": {ends[s]},\n      "target": {ends[t]},'
+                 f'\n      "tag": {tags[tag]}\n    }}' for s, t, tag in self.edges]
+        return (f'{{\n  "v": {_json_array(map(str, self.parent.entries), 2)},'
+                f'\n  "nodes": {_json_array(nodes, 2)},'
+                f'\n  "edges": {_json_array(edges, 2)}\n}}')
 
 
-# Set from the whole dgraph verb on a 2-vCPU Xeon, Python 3.11: (1^11),
-# m = 2,036, takes 2.6 s and 270 MB with its JSON reply; (1^12), m = 4,083,
-# takes 5.8 s and 650 MB.  d_graph alone is 0.5 s on (1^12).
-D_GRAPH_CAP = 2_500
+def _json_array(items, depth: int) -> str:
+    """Rendered items as a JSON array whose closing bracket sits at ``depth``."""
+    items = list(items)
+    if not items:
+        return "[]"
+    pad = " " * depth
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+# Set from the whole dgraph verb (in-process, JSON reply) on a 2-vCPU Xeon,
+# Python 3.11: (1^12), m = 4,083, takes 0.8 s and 250 MB; (1^13), m = 8,178,
+# takes 2.1 s and 580 MB.  The cap admits the first and refuses the second,
+# as 2,500 did for (1^11) (2.6 s, 270 MB) and (1^12) (5.8 s, 650 MB) when the
+# reply went through json.dumps.
+D_GRAPH_CAP = 5_000
+
+
+def check_d_graph_cap(v: MultVector) -> None:
+    """Refuse a D-graph of more than D_GRAPH_CAP nodes before enumerating them."""
+    m = count_ji(v)
+    if m > D_GRAPH_CAP:
+        raise CapExceeded(f"{m} join irreducibles exceed the D-graph cap {D_GRAPH_CAP}")
 
 
 def d_graph(v: MultVector) -> DGraph:
     """The D-graph from constructive successors; edges sorted by (source, target)."""
-    m = count_ji(v)
-    if m > D_GRAPH_CAP:
-        raise CapExceeded(f"{m} join irreducibles exceed the D-graph cap {D_GRAPH_CAP}")
-    nodes = tuple(enumerate_ji(v))  # already lexicographic on x
-    index = {node.x: i for i, node in enumerate(nodes)}
-    edges = []
-    for si, src in enumerate(nodes):
-        a, b = src.plan
-        edges.extend(sorted((si, index[z], tag)
-                            for z, tag in _successors(v.entries, src.x, a, b)))
-    return DGraph(v, nodes, tuple(edges))
+    check_d_graph_cap(v)
+    ji = list(_ji_plans(v))  # already lexicographic on x
+    index = {x: i for i, (x, _) in enumerate(ji)}
+    edges = sorted((si, index[z], tag) for si, (x, (a, b)) in enumerate(ji)
+                   for z, tag in _successors(v.entries, x, a, b))
+    return DGraph(v, tuple(IrrVector(v, x, JOIN) for x, _ in ji), tuple(edges))
 
 
 def longest_simple_path(g: DGraph) -> int:

@@ -235,13 +235,18 @@ def mmeet(w: PathWord, u: PathWord) -> PathWord:
     return iota_inv(w.parent, perm_core.clopen_to_perm(x))
 
 
+def check_size_cap(v: MultVector, cap: int = DEFAULT_SIZE_CAP) -> None:
+    """Refuse to materialize an L(v) of more than ``cap`` elements."""
+    size = v.size()
+    if size > cap:
+        raise CapExceeded(f"|L({v})| = {size} exceeds materialization cap {cap}")
+
+
 def to_finite_lattice(v: MultVector, cap: int = DEFAULT_SIZE_CAP):
     """Materialize L(v) as an explicit lattice with join/meet tables."""
     from .finite_lattice import FiniteLattice
 
-    size = v.size()
-    if size > cap:
-        raise CapExceeded(f"|L({v})| = {size} exceeds materialization cap {cap}")
+    check_size_cap(v, cap)
     words = list(enumerate_words(v, cap=v.k))
     index = {w: i for i, w in enumerate(words)}
     cover_pairs = [

@@ -141,6 +141,23 @@ def test_d_graph_cap_refuses_huge_vectors(capsys, verb):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["theorem", "-v", "200,200,200"], "error: 8120000 join irreducibles exceed the D-graph cap"),
+    (["theorem", "--method", "exhaustive", "-v", "2,2,2,2,2"],
+     "error: |L(2,2,2,2,2)| = 113400 exceeds materialization cap"),
+    (["theorem", "--method", "exhaustive", "-v", "1,2000"],
+     "error: 2001 letters exceed the witness cap"),
+    (["sd", "-v", "300,300,300", "-n", "1", "--witness"],
+     "error: 900 letters exceed the witness cap"),
+])
+def test_caps_refuse_before_any_witness_work(capsys, argv, message):
+    start = time.perf_counter()
+    assert cli.run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.run(["join", "-v", "2,1", "aab"])  # missing second word

@@ -193,6 +193,49 @@ def test_d_graph_exports():
     assert dot.count("->") == 4
 
 
+def reference_json(g):
+    return json.dumps({
+        "v": list(g.parent.entries),
+        "nodes": [list(node.x) for node in g.nodes],
+        "edges": [{"source": list(g.nodes[s].x), "target": list(g.nodes[t].x), "tag": tag}
+                  for s, t, tag in g.edges],
+    }, indent=2)
+
+
+def reference_dot(g):
+    lines = ["digraph D {"] + [f'  "({node})";' for node in g.nodes]
+    lines += [f'  "({g.nodes[s]})" -> "({g.nodes[t]})" [label="{tag}"];'
+              for s, t, tag in g.edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def assert_same_text(got, want):
+    """Fail naming the first differing offset; pytest's own diff of long texts is slow."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {at}: "
+                    f"{got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
+
+
+@pytest.mark.parametrize("text,nodes,edges", [("3", 0, 0), ("1,1", 1, 0), ("0,3,3,0", 9, 0),
+                                              ("1,1,1,1", 11, 28), ("3,0,2,1,3", 86, 372)])
+def test_d_graph_writers_match_references(text, nodes, edges):
+    g = ir.d_graph(V(text))
+    assert (len(g.nodes), len(g.edges)) == (nodes, edges)
+    assert_same_text(g.to_json(), reference_json(g))
+    assert_same_text(g.to_dot(), reference_dot(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(
+    lambda e: ir.count_ji(mn.MultVector(tuple(e))) <= 300))
+def test_d_graph_writers_match_references_on_random_vectors(entries):
+    g = ir.d_graph(mn.MultVector(tuple(entries)))
+    assert_same_text(g.to_json(), reference_json(g))
+    assert_same_text(g.to_dot(), reference_dot(g))
+
+
 def test_longest_simple_path_values():
     assert ir.longest_simple_path(ir.d_graph(V("2,2"))) == 0
     assert ir.longest_simple_path(ir.d_graph(V("1,1,1"))) == 1

@@ -62,6 +62,38 @@ def test_witness_words_fail_sd_n_minus_2(text):
     assert not sd.witness_fails(v, n - 1)
 
 
+def two_walk_fails(v, n):
+    """SD_n fails on (x,y,z) or on (x,z,y), each ordering walked on its own."""
+    def fails(x, y, z):
+        yk, zk = y, z
+        for _ in range(n):
+            yk, zk = mn.mjoin(y, mn.mmeet(x, zk)), mn.mjoin(z, mn.mmeet(x, yk))
+        return mn.mmeet(x, yk) != mn.mmeet(x, mn.mjoin(y, z))
+    x, y, z = sd.witness_words(v)
+    return fails(x, y, z) or fails(x, z, y)
+
+
+@pytest.mark.parametrize("text", ["1,1", "0,3,2", "2,0,1,1", "1,2,1,0,1", "1,1,1,1",
+                                  "0,1,1,1,1,1", "2,1,0,1,1,1", "1,1,1,1,1,1"])
+def test_one_walk_decides_both_orderings(text):
+    v = V(text)
+    verdicts = [sd.witness_fails(v, n) for n in range(v.dimension + 1)]
+    assert verdicts == [two_walk_fails(v, n) for n in range(v.dimension + 1)]
+    # the witness fails up to SD_{dim-2} and holds from SD_{dim-1} on
+    assert verdicts == [n <= v.dimension - 2 for n in range(v.dimension + 1)]
+
+
+def test_witness_walk_stops_once_the_sequences_repeat():
+    assert sd.witness_fails(V("1,1,1,1"), 10**9) is False
+
+
+def test_witness_letter_cap():
+    cap = sd.WITNESS_LETTER_CAP
+    assert len(sd.witness_words(V(f"1,{cap - 1}"))[0].letters) == cap
+    with pytest.raises(CapExceeded, match=f"{cap + 1} letters exceed the witness cap"):
+        sd.witness_words(V(f"1,{cap}"))
+
+
 @pytest.mark.parametrize("text,method", [
     ("1,1,1", sd.EXHAUSTIVE),
     ("2,1,1", sd.EXHAUSTIVE),
