@@ -132,6 +132,8 @@ def _dispatch(args: argparse.Namespace) -> None:
         if args.dot:
             sys.stdout.write(lattice.to_dot())
             return
+        # the scan first, so that its cap refuses before the other analyses run
+        verdict = None if args.sd is None else lattice.sd_holds(args.sd)
         info = {
             "elements": lattice.n,
             "join_irreducibles": len(lattice.join_irreducibles()),
@@ -143,7 +145,6 @@ def _dispatch(args: argparse.Namespace) -> None:
             "bounded": lattice.is_bounded(),
         }
         if args.sd is not None:
-            verdict = lattice.sd_holds(args.sd)
             info["sd_n"] = args.sd
             info["sd_holds"] = verdict is True
             if verdict is not True:
@@ -219,6 +220,8 @@ def _run_sd(v, args) -> None:
             "sd_fails_on_witness": sd_engine.witness_fails(v, n),
         }, indent=2))
         return
+    multinomial.check_size_cap(v)
+    multinomial.check_scan_cap(v, n)
     lattice = multinomial.to_finite_lattice(v)
     if args.dual:
         lattice = lattice.dual()

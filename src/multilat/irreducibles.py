@@ -35,6 +35,7 @@ from itertools import product
 from math import prod
 
 from .errors import CapExceeded, InternalInconsistency, MultilatError
+from .finite_lattice import longest_path
 from .multinomial import MultVector, PathWord, bottom, word_str
 
 JOIN = "join"
@@ -438,33 +439,14 @@ def d_graph(v: MultVector) -> DGraph:
 def longest_simple_path(g: DGraph) -> int:
     """Longest directed path length (edge count) of an acyclic graph.
 
-    A three-colour depth-first search finds the depths; reaching a node
-    still on the search stack means D has a cycle, which the paper's
-    acyclicity excludes, so that raises InternalInconsistency.
+    A cycle in D, which the paper's acyclicity excludes, raises
+    InternalInconsistency naming a node on it.
     """
     succ: list[list[int]] = [[] for _ in g.nodes]
     for s, t, _ in g.edges:
         succ[s].append(t)
-    white, grey, black = 0, 1, 2
-    colour = [white] * len(succ)
-    depth = [0] * len(succ)
-    for root in range(len(succ)):
-        if colour[root] != white:
-            continue
-        colour[root] = grey
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            i, pending = stack[-1]
-            for t in pending:
-                if colour[t] == grey:
-                    raise InternalInconsistency(
-                        f"D-graph of L({g.parent}) has a cycle through ({g.nodes[t]})")
-                if colour[t] == white:
-                    colour[t] = grey
-                    stack.append((t, iter(succ[t])))
-                    break
-            else:
-                stack.pop()
-                colour[i] = black
-                depth[i] = max((1 + depth[t] for t in succ[i]), default=0)
-    return max(depth, default=0)
+    length, on_cycle = longest_path(succ)
+    if on_cycle is not None:
+        raise InternalInconsistency(
+            f"D-graph of L({g.parent}) has a cycle through ({g.nodes[on_cycle]})")
+    return length

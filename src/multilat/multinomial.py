@@ -8,6 +8,7 @@ of {1..k} (k = sum of multiplicities) and the clopen-set calculus.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -94,9 +95,13 @@ class PathWord:
 
 
 def word_str(w: PathWord) -> str:
-    if w.parent.n <= 26:
-        return "".join(_ALPHABET[letter - 1] for letter in w.letters)
-    return " ".join(str(letter) for letter in w.letters)
+    return _letters_str(w.parent.n, w.letters)
+
+
+def _letters_str(n: int, letters) -> str:
+    if n <= 26:
+        return "".join(_ALPHABET[letter - 1] for letter in letters)
+    return " ".join(str(letter) for letter in letters)
 
 
 def parse_word(v: MultVector, text: str) -> PathWord:
@@ -127,20 +132,29 @@ def enumerate_words(v: MultVector, cap: int = DEFAULT_K_CAP):
     """All words of L(v) in lexicographic order."""
     if v.k > cap:
         raise CapExceeded(f"k={v.k} exceeds enumeration cap {cap}")
+    for letters in _letter_tuples(v):
+        yield PathWord(v, letters)
 
-    def rec(remaining: list[int], prefix: list[int]):
-        if not any(remaining):
-            yield PathWord(v, tuple(prefix))
+
+def _letter_tuples(v: MultVector):
+    """The letter tuples of the words of L(v) in lexicographic order.
+
+    Each is the next permutation of the one before: swap the last ascent's
+    lower letter with the last letter above it, then reverse the suffix.
+    """
+    word = list(bottom(v).letters)
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for letter in range(1, v.n + 1):
-            if remaining[letter - 1] > 0:
-                remaining[letter - 1] -= 1
-                prefix.append(letter)
-                yield from rec(remaining, prefix)
-                prefix.pop()
-                remaining[letter - 1] += 1
-
-    yield from rec(list(v.entries), [])
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
 
 
 def pi(w: PathWord, l: int, m: int) -> PathWord:
@@ -242,14 +256,30 @@ def check_size_cap(v: MultVector, cap: int = DEFAULT_SIZE_CAP) -> None:
         raise CapExceeded(f"|L({v})| = {size} exceeds materialization cap {cap}")
 
 
+def check_scan_cap(v: MultVector, n: int) -> None:
+    """Refuse an SD_n(meet) scan of L(v) before materializing it, by the
+    cap that :meth:`FiniteLattice.sd_holds` applies: the longest chain of
+    L(v), bottom to top, has one step per inversion, sum over i < j of
+    v_i v_j, and the scan stops at twice that."""
+    from .finite_lattice import check_sd_scan_cap
+
+    height = sum(a * b for a, b in itertools.combinations(v.entries, 2))
+    check_sd_scan_cap(v.size(), min(n, 2 * height))
+
+
 def to_finite_lattice(v: MultVector, cap: int = DEFAULT_SIZE_CAP):
-    """Materialize L(v) as an explicit lattice with join/meet tables."""
+    """Materialize L(v) as an explicit lattice with join/meet tables.
+
+    The covers of a word swap one ascent a_i a_j (i < j), as in
+    :func:`covers`, and are found by index among the letter tuples.
+    """
     from .finite_lattice import FiniteLattice
 
     check_size_cap(v, cap)
-    words = list(enumerate_words(v, cap=v.k))
+    words = list(_letter_tuples(v))
     index = {w: i for i, w in enumerate(words)}
-    cover_pairs = [
-        (index[w], index[u]) for w in words for u in covers(w)
-    ]
-    return FiniteLattice.from_covers(cover_pairs, labels=[word_str(w) for w in words])
+    cover_pairs = [(i, index[w[:p] + (w[p + 1], w[p]) + w[p + 2:]])
+                   for i, w in enumerate(words)
+                   for p in range(len(w) - 1) if w[p] < w[p + 1]]
+    return FiniteLattice.from_covers(cover_pairs,
+                                     labels=[_letters_str(v.n, w) for w in words])

@@ -163,12 +163,14 @@ def theorem_check(v: MultVector, method: str | None = None,
     if method not in (EXHAUSTIVE, DPATH_BOUND):
         raise MultilatError(f"unknown method {method!r}")
 
-    # refuse before any work: the chosen method's cap first, then the witness's
+    # refuse before any work: the chosen method's cap, the witness's, the scan's
     if method == EXHAUSTIVE:
         multinomial.check_size_cap(v)
     else:
         check_d_graph_cap(v)
     words = witness_words(v)
+    if method == EXHAUSTIVE:
+        multinomial.check_scan_cap(v, n - 1)
     if not _sd_fails_on_words(*words, n - 2):
         raise MultilatError(f"witness triple does not fail SD_{n - 2} in L({v})")
 

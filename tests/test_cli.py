@@ -158,6 +158,52 @@ def test_caps_refuse_before_any_witness_work(capsys, argv, message):
     assert err.startswith(message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sd", "-v", "1,4000", "-n", "1", "--exhaustive"],
+     "error: SD scan of 4001 elements to level 1 takes 128,096,024,002 steps, over the scan cap"),
+    (["sd", "-v", "3,3,3", "-n", "0", "--exhaustive", "--dual"],
+     "error: SD scan of 1680 elements to level 0 takes"),
+    (["theorem", "--method", "exhaustive", "-v", "1,1,1,1,1,1"],
+     "error: SD scan of 720 elements to level 5 takes"),
+])
+def test_sd_scan_cap_refuses_before_materializing(capsys, argv, message):
+    start = time.perf_counter()
+    assert cli.run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_sd_scan_cap_on_cover_files(tmp_path, capsys):
+    path = tmp_path / "chain.cov"
+    path.write_text("".join(f"c{i:04d}<c{i + 1:04d}\n" for i in range(1299)))
+    assert cli.run(["lattice", "--covers", str(path), "--sd", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SD scan of 1300 elements to level 1 takes") and \
+        err.count("\n") == 1
+
+
+def test_huge_sd_levels_are_clamped(tmp_path, capsys):
+    # L(2,2) has a longest chain of 4 steps, n5 one of 3: the scan stops at twice that
+    start = time.perf_counter()
+    huge = json.loads(run_ok(capsys, "sd", "-v", "2,2", "-n", "1000000000", "--exhaustive"))
+    assert time.perf_counter() - start < 1.0
+    assert huge == {**json.loads(run_ok(capsys, "sd", "-v", "2,2", "-n", "8", "--exhaustive")),
+                    "n": 1000000000}
+    run_ok(capsys, "seed-fixtures", str(tmp_path))
+    cov = str(tmp_path / "n5.cov")
+    start = time.perf_counter()
+    huge = json.loads(run_ok(capsys, "lattice", "--covers", cov, "--sd", "1000000000"))
+    assert time.perf_counter() - start < 1.0
+    assert huge == {**json.loads(run_ok(capsys, "lattice", "--covers", cov, "--sd", "6")),
+                    "sd_n": 1000000000}
+
+
+def test_exhaustive_sd_on_a_long_dimension_two_vector(capsys):
+    data = json.loads(run_ok(capsys, "sd", "-v", "1,1000", "-n", "0", "--exhaustive"))
+    assert data["sd_holds"] is False and len(data["failure"]) == 3
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.run(["join", "-v", "2,1", "aab"])  # missing second word

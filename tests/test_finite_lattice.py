@@ -1,13 +1,16 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_sd_holds_on
+from multilat import congruence as cg
 from multilat import finite_lattice as fl
 from multilat import multinomial as mn
-from multilat.errors import MultilatError, NotALattice
+from multilat.errors import CapExceeded, MultilatError, NotALattice
 
 ALL_FIXTURES = {
     "chain3": fl.chain(3),
@@ -59,14 +62,18 @@ def test_from_covers_rejects_missing_bounds():
 
 @st.composite
 def edge_lists(draw):
-    """Edges generating a random order on at most 7 elements, under shuffled
-    indices, with transitive, duplicate and reflexive edges mixed in and,
-    now and then, one edge that may close a cycle."""
-    n = draw(st.integers(1, 7))
+    """Edges generating a random order on at most 12 elements, under shuffled
+    indices, with transitive, duplicate and reflexive edges mixed in, mostly
+    a least and a greatest element, and, now and then, one edge that may
+    close a cycle."""
+    n = draw(st.integers(1, 12))
     perm = draw(st.permutations(range(n)))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = [(perm[min(a, b)], perm[max(a, b)])
              for a, b in draw(st.lists(pairs, max_size=3 * n))]
+    if draw(st.integers(0, 3)):
+        edges += [(perm[0], perm[i]) for i in range(n)]
+        edges += [(perm[i], perm[n - 1]) for i in range(n)]
     edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
     if draw(st.booleans()) and n > 1:
         edges.append(draw(pairs))
@@ -88,8 +95,45 @@ def brute_bound(n, le, i, j):
     return least[0] if len(least) == 1 else None
 
 
-@settings(max_examples=300, deadline=None)
-@given(edge_lists())
+def brute_unbound_pair(n, le, joins):
+    """The pair from_covers names when some pairs lack a join: among the
+    pairs with an element of least height (longest path up to a maximal
+    element), the least one."""
+    height = [0] * n
+    for x in sorted(range(n), key=lambda x: sum(le[x])):  # tops first
+        height[x] = max((1 + height[y] for y in range(n) if y != x and le[x][y]), default=0)
+    unbound = [(i, j) for (i, j), b in joins.items() if i < j and b is None]
+    least = min(min(height[i], height[j]) for i, j in unbound)
+    return min(p for p in unbound if min(height[p[0]], height[p[1]]) == least)
+
+
+@st.composite
+def layered_orders(draw):
+    """A least element, two to four layers with random edges between
+    neighbouring layers, and a greatest element, or the dual of such an
+    order: at most 12 elements under shuffled indices, where pairs without
+    a least or greatest bound are common."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    n = 2 + sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    layers, first = [[0]], 1
+    for size in sizes:
+        layers.append(list(range(first, first + size)))
+        first += size
+    layers.append([n - 1])
+    edges = []
+    for lower, upper in zip(layers, layers[1:]):
+        for a in lower:
+            ups = draw(st.lists(st.sampled_from(upper), min_size=1, unique=True))
+            edges += [(perm[a], perm[b]) for b in ups]
+        edges += [(perm[draw(st.sampled_from(lower))], perm[b]) for b in upper]
+    if draw(st.booleans()):
+        edges = [(b, a) for a, b in edges]
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(edge_lists(), layered_orders()))
 def test_from_covers_matches_bruteforce_on_random_orders(case):
     n, edges = case
     labels = [f"e{i}" for i in range(n)]
@@ -102,12 +146,22 @@ def test_from_covers_matches_bruteforce_on_random_orders(case):
         with pytest.raises(NotALattice, match=f"^cycle through e{i} and e{j}$"):
             fl.FiniteLattice.from_covers(edges, labels=labels)
         return
+    minimal = [i for i in range(n) if sum(ge[i]) == 1]
+    maximal = [i for i in range(n) if sum(le[i]) == 1]
+    for extremes, kind in ((minimal, "minimal"), (maximal, "maximal")):
+        if len(extremes) != 1:
+            names = ", ".join(f"e{i}" for i in extremes)
+            with pytest.raises(NotALattice, match=f"^{len(extremes)} {kind} elements: {names}$"):
+                fl.FiniteLattice.from_covers(edges, labels=labels)
+            return
+    # with a least element, all joins make a lattice, so a meet never fails first
     joins = {(i, j): brute_bound(n, le, i, j) for i, j in pairs}
-    meets = {(i, j): brute_bound(n, ge, i, j) for i, j in pairs}
-    if None in joins.values() or None in meets.values():
-        with pytest.raises(NotALattice):
+    if None in joins.values():
+        i, j = brute_unbound_pair(n, le, joins)
+        with pytest.raises(NotALattice, match=f"^no least upper bound for e{i}, e{j}$"):
             fl.FiniteLattice.from_covers(edges, labels=labels)
         return
+    meets = {(i, j): brute_bound(n, ge, i, j) for i, j in pairs}
     L = fl.FiniteLattice.from_covers(edges, labels=labels)
     assert L.leq_table.tolist() == le
     assert {p: L.join(*p) for p in pairs} == joins
@@ -116,6 +170,14 @@ def test_from_covers_matches_bruteforce_on_random_orders(case):
               and not any(le[i][k] and le[k][j] for k in range(n) if k not in (i, j))]
     assert L.cover_pairs() == covers
     assert L.dual().cover_pairs() == sorted((j, i) for i, j in covers)
+
+
+@pytest.mark.parametrize("L", [fl.chain(1), fl.n5(), fl.benzene(),
+                               mn.to_finite_lattice(mn.parse_vector("2,2,1"))],
+                         ids=lambda L: f"n{L.n}")
+def test_tables_are_int16(L):
+    for table in (L.join_table, L.meet_table, L.dual().join_table):
+        assert table.dtype == np.int16 and table.shape == (L.n, L.n)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
@@ -219,6 +281,121 @@ def test_sd_holds_matches_direct_recursion(name, n):
 def test_sd_holds_first_failing_triple(text, n, triple):
     L = mn.to_finite_lattice(mn.parse_vector(text))
     assert L.sd_holds(n) == tuple(L.index_of(w) for w in triple)
+
+
+def reference_sd_verdicts(L, top):
+    """sd_holds(n) for n = 0..top as the scan stood before the MJ_x tables:
+    y_k stepped per x through the join table (z_k is y_k transposed) and
+    x ^ y_n compared with x ^ (y v z), one walk per x serving every n."""
+    J, M = L.join_table.astype(np.intp), L.meet_table.astype(np.intp)
+    rows = np.arange(0, J.size, L.n)[:, None]
+    y0 = np.broadcast_to(np.arange(L.n)[:, None], (L.n, L.n))
+    verdicts = [True] * (top + 1)
+    for x in L.elements():
+        mx, yk = M[x], y0
+        for n in range(top + 1):
+            if n:
+                yk = J.ravel()[rows + mx[yk.T]]
+            bad = mx[yk] != mx[J]
+            if verdicts[n] is True and bad.any():
+                y, z = np.argwhere(bad)[0]
+                verdicts[n] = (x, int(y), int(z))
+        if True not in verdicts:
+            break
+    return verdicts
+
+
+def shapes(limit, most):
+    """Non-increasing vectors of entries in 1..most, of dimension at least
+    2, with at most ``limit`` words."""
+    out = []
+
+    def extend(v):
+        for e in range(1, (v[-1] if v else most) + 1):
+            w = v + (e,)
+            if mn.MultVector(w).size() > limit:
+                break
+            if len(w) > 1:
+                out.append(w)
+            extend(w)
+
+    extend(())
+    return out
+
+
+def scan_cases():
+    """Every L(v) of at most 180 words with entries up to 6, and its dual;
+    the fixtures; random quotients of small L(v).  Each with the levels
+    to compare, 0 to one past the least holding level."""
+    cases = [pytest.param(L, 5, id=name) for name, L in ALL_FIXTURES.items()]
+    for v in shapes(180, 6):
+        L = mn.to_finite_lattice(mn.MultVector(v))
+        text = ",".join(map(str, v))
+        cases += [pytest.param(L, len(v) + 1, id=text),
+                  pytest.param(L.dual(), len(v) + 1, id=f"{text}-dual")]
+    rng = random.Random(20261018)
+    for text in ("2,1,1", "1,1,1,1", "2,2,1", "3,2,1", "2,1,1,1"):
+        v = mn.parse_vector(text)
+        for s in rng.sample(cg.d_closed_sets(v), 3):
+            cases.append(pytest.param(cg.quotient(v, s), v.dimension + 1, id=f"{text}/{s}"))
+    return cases
+
+
+@pytest.mark.parametrize("L,top", scan_cases())
+def test_sd_holds_matches_reference_kernel(L, top):
+    assert [L.sd_holds(n) for n in range(top + 1)] == reference_sd_verdicts(L, top)
+
+
+@pytest.mark.parametrize("text,top", [("2,2,2,1", 2), ("3,3,2", 1), ("1,1,1,1,2", 4),
+                                      ("6,5", 1)])
+def test_sd_holds_matches_reference_kernel_on_large_lattices(text, top):
+    # every level up to the least holding one (dim - 1) or the failing one
+    L = mn.to_finite_lattice(mn.parse_vector(text))
+    assert [L.sd_holds(n) for n in range(top + 1)] == reference_sd_verdicts(L, top)
+
+
+@pytest.mark.parametrize("L", [fl.chain(4), fl.n5(), fl.m3(), fl.benzene(),
+                               mn.to_finite_lattice(mn.parse_vector("2,1,1"))],
+                         ids=lambda L: f"n{L.n}")
+def test_sd_level_clamps_at_twice_the_longest_chain(L):
+    height = fl.longest_path(L._upper_covers)[0]
+    reference = reference_sd_verdicts(L, 2 * height + 3)
+    for n in range(2 * height, 2 * height + 4):
+        assert L.sd_holds(n) == reference[n]
+    assert L.sd_holds(10 ** 9) == reference[2 * height]
+
+
+def test_sd_scan_cap(monkeypatch):
+    L = fl.n5()
+    monkeypatch.setattr(fl, "SD_SCAN_CAP", 5 ** 3 * 2)
+    assert L.sd_holds(1) == fl.n5().sd_holds(1)
+    with pytest.raises(CapExceeded, match="SD scan of 5 elements to level 2 takes 375 steps"):
+        L.sd_holds(2)
+    # the level is clamped before the cap is applied: the longest chain has 3 steps
+    monkeypatch.setattr(fl, "SD_SCAN_CAP", 5 ** 3 * 7)
+    assert L.sd_holds(10 ** 9) is True
+
+
+def test_longest_path():
+    assert fl.longest_path([]) == (0, None)
+    assert fl.longest_path([[1, 2], [2], []]) == (2, None)
+    assert fl.longest_path([[1], [2], [1], [0]]) == (None, 1)
+
+
+def test_lattice_relations_are_computed_once(monkeypatch):
+    L = fl.benzene()
+    calls = []
+    original = fl.FiniteLattice.arrow_up
+
+    def counted(self, j, m):
+        calls.append((j, m))
+        return original(self, j, m)
+
+    monkeypatch.setattr(fl.FiniteLattice, "arrow_up", counted)
+    assert L.is_bounded() and L.is_semidistributive()
+    once = len(calls)
+    assert L.bruteforce_D() and L.is_bounded() and L.is_semidistributive()
+    assert len(calls) == once
 
 
 def test_sd_eval_trace_consistency():

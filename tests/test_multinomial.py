@@ -44,6 +44,15 @@ def test_enumerate_matches_multinomial_count(text):
     assert words == sorted(words)
 
 
+def test_enumerate_long_words_without_recursion():
+    # 1,500 letters: one recursion level per letter would pass Python's limit
+    v = mn.parse_vector("1,1499")
+    words = list(mn.enumerate_words(v, cap=v.k))
+    assert len(words) == v.size() == 1500
+    assert words[0] == mn.bottom(v) and words[-1] == mn.top(v)
+    assert all(a < b for a, b in zip(words, words[1:]))
+
+
 def test_enumerate_cap():
     with pytest.raises(CapExceeded):
         list(mn.enumerate_words(mn.parse_vector("5,5,5")))
@@ -177,6 +186,16 @@ def test_to_finite_lattice_tables_match_word_operations(text):
             assert lattice.le(i, j) == mn.leq(w, u)
             assert lattice.labels[lattice.join(i, j)] == mn.word_str(mn.mjoin(w, u))
             assert lattice.labels[lattice.meet(i, j)] == mn.word_str(mn.mmeet(w, u))
+
+
+@pytest.mark.parametrize("text", SMALL_VECTORS + ["2,0,2", "3,2,1", "1" + ",0" * 25 + ",2"])
+def test_to_finite_lattice_words_and_covers(text):
+    v = mn.parse_vector(text)
+    lattice = mn.to_finite_lattice(v)
+    words = list(mn.enumerate_words(v, cap=v.k))
+    assert lattice.labels == [mn.word_str(w) for w in words]
+    assert lattice.cover_pairs() == sorted((words.index(w), words.index(u))
+                                           for w in words for u in mn.covers(w))
 
 
 def test_to_finite_lattice_cap():
