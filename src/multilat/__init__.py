@@ -6,7 +6,9 @@ Submodules:
 - ``multinomial``: words of L(v), order, join/meet, the embedding into
   permutations of positions.
 - ``finite_lattice``: a generic finite-lattice engine (tables, irreducibles,
-  arrows, pentagons, congruences, SD_n evaluation, D-path extraction).
+  arrows, pentagons, congruences, SD_n evaluation, D-path extraction), the
+  one walk of the SD_n sequences of a triple (``sd_sequence``) and the one
+  Kahn peel behind every longest-path and cycle question (``dag_heights``).
 - ``irreducibles``: vector-encoded join/meet irreducibles of L(v), the kappa
   pairing, the explicit join-dependency relation and its graph.
 - ``congruence``: congruences of L(v) as D-closed sets of join irreducibles.

@@ -132,7 +132,10 @@ def _dispatch(args: argparse.Namespace) -> None:
         if args.dot:
             sys.stdout.write(lattice.to_dot())
             return
-        # the scan first, so that its cap refuses before the other analyses run
+        # caps before any work: an SD scan over its cap is refused by it first
+        if args.sd is not None:
+            lattice.sd_scan_level(args.sd)
+        finite_lattice.check_analysis_cap(lattice.n)
         verdict = None if args.sd is None else lattice.sd_holds(args.sd)
         info = {
             "elements": lattice.n,

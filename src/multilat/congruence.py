@@ -55,12 +55,6 @@ class Partition:
     parent: MultVector
     blocks: tuple[frozenset[PathWord], ...]
 
-    def block_of(self, w: PathWord) -> frozenset[PathWord]:
-        for block in self.blocks:
-            if w in block:
-                return block
-        raise MultilatError(f"word {word_str(w)} not covered by the partition")
-
     def to_json(self) -> str:
         return json.dumps(
             {"v": list(self.parent.entries),
@@ -71,37 +65,24 @@ class Partition:
 DEFAULT_JI_CAP = 24
 
 
-def d_closed_masks(v: MultVector, cap: int = DEFAULT_JI_CAP) -> tuple[DGraph, list[int]]:
+def d_closed_masks(v: MultVector) -> tuple[DGraph, list[int]]:
     """The D-graph and its forward-closed node sets, i.e. all congruences.
 
-    A set is a bitmask over ``graph.nodes``.  Nodes are taken in reverse
-    topological order and a node may join a set only once all of its
-    direct successors are present.
+    A set is a bitmask over ``graph.nodes``.  Nodes are taken by
+    increasing height (:meth:`DGraph.heights`, which raises on a cycle),
+    so each comes after its direct successors, and a node may join a set
+    only once all of them are present.
     """
     m = irreducibles.count_ji(v)
-    if m > cap:
-        raise CapExceeded(f"{m} join irreducibles exceed cap {cap}")
+    if m > DEFAULT_JI_CAP:
+        raise CapExceeded(f"{m} join irreducibles exceed cap {DEFAULT_JI_CAP}")
     graph = d_graph(v)
-    succ: list[list[int]] = [[] for _ in range(m)]
+    needs = [0] * m
     for s, t, _ in graph.edges:
-        succ[s].append(t)
-    order: list[int] = []
-    seen: set[int] = set()
-
-    def visit(i: int) -> None:
-        if i in seen:
-            return
-        seen.add(i)
-        for t in succ[i]:  # ascending, as d_graph sorts the edges
-            visit(t)
-        order.append(i)  # successors first
-
-    for i in range(m):
-        visit(i)
+        needs[s] |= 1 << t
     masks = [0]
-    for node in order:
-        need = sum(1 << t for t in succ[node])
-        bit = 1 << node
+    for node in sorted(range(m), key=graph.heights().__getitem__):
+        bit, need = 1 << node, needs[node]
         masks.extend([s | bit for s in masks if s & need == need])
     return graph, masks
 
@@ -111,15 +92,16 @@ def mask_members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def d_closed_sets(v: MultVector, cap: int = DEFAULT_JI_CAP) -> list[JiSet]:
+def d_closed_sets(v: MultVector) -> list[JiSet]:
     """All D-closed sets of join irreducibles, i.e. all congruences."""
-    graph, masks = d_closed_masks(v, cap)
+    graph, masks = d_closed_masks(v)
     return [JiSet(v, frozenset(graph.nodes[i] for i in mask_members(mask)))
             for mask in masks]
 
 
-def congruence_from_S(v: MultVector, s: JiSet, verify: bool = True) -> Partition:
-    """Partition of L(v) where words agree on their dominated members of S."""
+def congruence_from_S(v: MultVector, s: JiSet) -> Partition:
+    """Partition of L(v) where words agree on their dominated members of S,
+    checked to be compatible with join and meet."""
     if s.parent != v:
         raise MultilatError("JiSet parent mismatch")
     if not s.is_d_closed():
@@ -133,8 +115,7 @@ def congruence_from_S(v: MultVector, s: JiSet, verify: bool = True) -> Partition
     partition = Partition(
         v, tuple(sorted((frozenset(b) for b in keyed.values()),
                         key=lambda b: min(b).letters)))
-    if verify:
-        _verify_congruence(partition, words)
+    _verify_congruence(partition, words)
     return partition
 
 
@@ -189,8 +170,3 @@ def check_parikh_connectivity(p: Partition) -> bool:
         if len(reached) != len(block):
             return False
     return True
-
-
-def ji_set_to_json(s: JiSet) -> str:
-    return json.dumps({"v": list(s.parent.entries),
-                       "S": sorted(list(j.x) for j in s.members)})

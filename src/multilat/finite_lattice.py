@@ -296,11 +296,12 @@ class FiniteLattice:
 
     # -- pentagons -----------------------------------------------------------
 
-    def pentagon_search(self, nondegenerate_only: bool = True) -> list["Pentagon"]:
+    def pentagon_search(self) -> list["Pentagon"]:
+        """Every nondegenerate pentagon: b < a and c with a v c = b v c, a ^ c = b ^ c."""
         out = []
         for a in self.elements():
             for b in self.elements():
-                if not self.le(b, a) or (nondegenerate_only and a == b):
+                if a == b or not self.le(b, a):
                     continue
                 for c in self.elements():
                     if self.join(a, c) == self.join(b, c) and \
@@ -328,27 +329,19 @@ class FiniteLattice:
     # -- SD_n machinery ------------------------------------------------------
 
     def sd_eval(self, x: int, y: int, z: int, n: int) -> "SdTrace":
-        """The y/z sequences up to index n for one triple, with the verdict."""
+        """The y/z sequences up to index n for one triple, with the verdict.
+
+        ``mu`` is the number of distinct pairs of :func:`sd_sequence`: the
+        least k with (y_k, z_k) = (y_{k-1}, z_{k-1}).
+        """
         if n < 0:
             raise MultilatError("n must be >= 0")
-        y_seq, z_seq = [y], [z]
-        mu = None
-        k = 0
-        while True:
-            y_next = self.join(y, self.meet(x, z_seq[k]))
-            z_next = self.join(z, self.meet(x, y_seq[k]))
-            if mu is None and y_next == y_seq[k] and z_next == z_seq[k]:
-                mu = k + 1
-            y_seq.append(y_next)
-            z_seq.append(z_next)
-            k += 1
-            if k >= n and mu is not None:
-                break
-        x_seq = [self.join(self.meet(x, y_seq[k - 1]), self.meet(x, z_seq[k - 1]))
-                 for k in range(1, n + 1)]
+        pairs = sd_sequence(self.join, self.meet, x, y, z)
+        y_seq, z_seq = zip(*(pairs[min(k, len(pairs) - 1)] for k in range(n + 1)))
+        x_seq = tuple(self.join(self.meet(x, a), self.meet(x, b))
+                      for a, b in zip(y_seq[:n], z_seq[:n]))
         holds = self.meet(x, y_seq[n]) == self.meet(x, self.join(y, z))
-        return SdTrace(self, x, y, z, tuple(y_seq[: n + 1]), tuple(z_seq[: n + 1]),
-                       tuple(x_seq), mu, holds)
+        return SdTrace(self, x, y, z, y_seq, z_seq, x_seq, len(pairs), holds)
 
     def sd_holds(self, n: int):
         """True if SD_n(meet) holds for all triples, else the first failing triple.
@@ -358,14 +351,9 @@ class FiniteLattice:
         steps a_k(y, z) = x ^ y_k over all (y, z) through one table,
         MJ_x[y, t] = x ^ (y v t): since z_k(y, z) = y_k(z, y),
         a_{k+1}(y, z) = MJ_x[y, a_k(z, y)], and the triple fails exactly
-        where a_n != MJ_x.  y_k and z_k only climb, so the pair is
-        stationary after 2h steps, h the length of the longest chain, and
-        the scan stops there.  Refused with :class:`CapExceeded` above
-        SD_SCAN_CAP.
+        where a_n != MJ_x, at the level of :meth:`sd_scan_level`.
         """
-        if n > 2:  # below that 2h >= n unless the lattice is one element
-            n = min(n, 2 * longest_path(self._upper_covers)[0])
-        check_sd_scan_cap(self.n, n)
+        n = self.sd_scan_level(n)
         # batches of x double up to _SCAN_BATCH entries, so an early
         # failure costs little and a full scan makes few numpy calls
         lo, per, most = 0, 1, max(1, _SCAN_BATCH // self.n ** 2)
@@ -379,6 +367,16 @@ class FiniteLattice:
                 return (lo + x, y, z)
             lo, per = hi, min(2 * per, most)
         return True
+
+    def sd_scan_level(self, n: int) -> int:
+        """The level that ``sd_holds(n)`` scans at, refused with
+        :class:`CapExceeded` above SD_SCAN_CAP.  y_k and z_k only climb, so
+        the pair is stationary after 2h steps, h the length of the longest
+        chain, and the scan stops there."""
+        if n > 2:  # below that 2h >= n unless the lattice is one element
+            n = min(n, 2 * longest_path(self._upper_covers)[0])
+        check_sd_scan_cap(self.n, n)
+        return n
 
     def sd_mu(self) -> int:
         """max over triples of the least n with y_{n-1} = y_n and z_{n-1} = z_n."""
@@ -456,8 +454,8 @@ class FiniteLattice:
 
     # -- export --------------------------------------------------------------
 
-    def to_dot(self, name: str = "hasse") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    def to_dot(self) -> str:
+        lines = ["digraph hasse {", "  rankdir=BT;"]
         for i in self.elements():
             lines.append(f'  "{self.labels[i]}";')
         for lo, hi in self.cover_pairs():
@@ -637,9 +635,9 @@ class _Ranked:
 
 def _cycle_pair(succ, pred, left: set[int]) -> tuple[int, int]:
     """The least element on a cycle and the least other element of its
-    strongly connected component, both among the elements ``left``
-    unplaced by Kahn's algorithm (every cycle lies there): the first
-    pair x < y with x <= y <= x in index order."""
+    strongly connected component (itself for a self-loop), both among the
+    elements ``left`` unplaced by Kahn's algorithm (every cycle lies
+    there): the first pair x < y with x <= y <= x in index order."""
     def reach(x, nbrs):
         seen, stack = {x}, [x]
         while stack:
@@ -650,6 +648,8 @@ def _cycle_pair(succ, pred, left: set[int]) -> tuple[int, int]:
         return seen
 
     for a in sorted(left):
+        if a in succ[a]:
+            return a, a
         component = reach(a, succ) & reach(a, pred)
         if len(component) > 1:
             return a, min(component - {a})
@@ -726,36 +726,47 @@ def _same_block(theta, a: int, b: int) -> bool:
     return any(a in block and b in block for block in theta)
 
 
-def longest_path(succ) -> tuple[int | None, int | None]:
-    """The longest path of the digraph with edges i -> j for j in succ[i].
+def dag_heights(succ) -> tuple[list[int], int | None]:
+    """Kahn's peel (:func:`_heights`) of the digraph with edges i -> j for
+    j in succ[i]: each node's height, the length of the longest path from
+    it to a node without successors (-1 for the nodes that reach a
+    cycle), and the least node on a cycle (a self-loop counts), or None
+    when the graph is acyclic."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for i, targets in enumerate(succ):
+        for t in targets:
+            pred[t].append(i)
+    height = _heights(succ, pred)
+    left = {i for i, h in enumerate(height) if h < 0}
+    return height, _cycle_pair(succ, pred, left)[0] if left else None
 
-    Returns (edge count of the longest path, None) when the graph is
-    acyclic, else (None, a node on a cycle).  An iterative three-colour
-    depth-first search from each node in index order finds the depths;
-    the node named is the first one reached while still on the stack.
+
+def longest_path(succ) -> tuple[int | None, int | None]:
+    """(edge count of the longest path, None) when the digraph with edges
+    i -> j for j in succ[i] is acyclic, else (None, the least node on a
+    cycle), read off :func:`dag_heights`."""
+    height, on_cycle = dag_heights(succ)
+    return (None, on_cycle) if on_cycle is not None else (max(height, default=0), None)
+
+
+def sd_sequence(join, meet, x, y, z, n: int | None = None) -> list[tuple]:
+    """The pairs (y_k, z_k) of the SD_n(meet) sequences of (x, y, z), from k = 0.
+
+    y_0 = y, z_0 = z, y_{k+1} = y v (x ^ z_k) and z_{k+1} = z v (x ^ y_k)
+    (Jipsen and Rose, *Varieties of Lattices*), for any ``join`` and
+    ``meet``.  The walk stops at k = n, or before the first step that
+    gives the pair back: the step depends on (y_k, z_k) alone, so the last
+    pair holds at every later k.  With n None it walks to that fixed
+    point, which a finite lattice reaches since both sequences climb.
     """
-    white, grey, black = 0, 1, 2
-    colour = [white] * len(succ)
-    depth = [0] * len(succ)
-    for root in range(len(succ)):
-        if colour[root] != white:
-            continue
-        colour[root] = grey
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            i, pending = stack[-1]
-            for t in pending:
-                if colour[t] == grey:
-                    return None, t
-                if colour[t] == white:
-                    colour[t] = grey
-                    stack.append((t, iter(succ[t])))
-                    break
-            else:
-                stack.pop()
-                colour[i] = black
-                depth[i] = max((1 + depth[t] for t in succ[i]), default=0)
-    return max(depth, default=0), None
+    pairs = [(y, z)]
+    while n is None or len(pairs) <= n:
+        yk, zk = pairs[-1]
+        step = (join(y, meet(x, zk)), join(z, meet(x, yk)))
+        if step == pairs[-1]:
+            break
+        pairs.append(step)
+    return pairs
 
 
 # Set from the scan of sd_holds on a 2-vCPU Xeon, Python 3.11, numpy 2.4,
@@ -772,6 +783,21 @@ def check_sd_scan_cap(size: int, level: int) -> None:
     if work > SD_SCAN_CAP:
         raise CapExceeded(f"SD scan of {size} elements to level {level} takes "
                           f"{work:,} steps, over the scan cap {SD_SCAN_CAP:,}")
+
+
+# Set from `lattice --covers` (in-process) on chain files, the worst case
+# for N elements on a 2-vCPU Xeon, Python 3.11, numpy 2.4: every element
+# but the bottom is join and meet irreducible, so the arrow relations
+# behind the join dependency and semidistributivity cover (N-1)^2 pairs,
+# and the distributive law holds, so all N^3 triples are checked.  800
+# elements take 3.1 s, 900 3.8 s, 1,000 6.2 s and 1,300 14 s.
+ANALYSIS_CAP = 900
+
+
+def check_analysis_cap(size: int) -> None:
+    """Refuse the table analyses of a lattice of more than ANALYSIS_CAP elements."""
+    if size > ANALYSIS_CAP:
+        raise CapExceeded(f"{size} elements exceed the lattice analysis cap {ANALYSIS_CAP}")
 
 
 # -- fixtures ----------------------------------------------------------------

@@ -35,7 +35,7 @@ from itertools import product
 from math import prod
 
 from .errors import CapExceeded, InternalInconsistency, MultilatError
-from .finite_lattice import longest_path
+from .finite_lattice import dag_heights
 from .multinomial import MultVector, PathWord, bottom, word_str
 
 JOIN = "join"
@@ -385,6 +385,21 @@ class DGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
+    def heights(self) -> list[int]:
+        """Each node's longest D-path down to a node without D-successors.
+
+        A cycle in D, which the paper's acyclicity excludes, raises
+        InternalInconsistency naming its least node.
+        """
+        succ: list[list[int]] = [[] for _ in self.nodes]
+        for s, t, _ in self.edges:
+            succ[s].append(t)
+        height, on_cycle = dag_heights(succ)
+        if on_cycle is not None:
+            raise InternalInconsistency(
+                f"D-graph of L({self.parent}) has a cycle through ({self.nodes[on_cycle]})")
+        return height
+
     def to_json(self) -> str:
         """``json.dumps`` of v, nodes and edges with ``indent=2``, byte for byte.
 
@@ -437,16 +452,5 @@ def d_graph(v: MultVector) -> DGraph:
 
 
 def longest_simple_path(g: DGraph) -> int:
-    """Longest directed path length (edge count) of an acyclic graph.
-
-    A cycle in D, which the paper's acyclicity excludes, raises
-    InternalInconsistency naming a node on it.
-    """
-    succ: list[list[int]] = [[] for _ in g.nodes]
-    for s, t, _ in g.edges:
-        succ[s].append(t)
-    length, on_cycle = longest_path(succ)
-    if on_cycle is not None:
-        raise InternalInconsistency(
-            f"D-graph of L({g.parent}) has a cycle through ({g.nodes[on_cycle]})")
-    return length
+    """Longest directed path length (edge count) of the acyclic D-graph."""
+    return max(g.heights(), default=0)

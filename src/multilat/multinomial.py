@@ -15,6 +15,7 @@ from functools import reduce
 
 from . import perm_core
 from .errors import CapExceeded, MultilatError
+from .finite_lattice import FiniteLattice, check_sd_scan_cap
 from .perm_core import InversionSet, Permutation
 
 DEFAULT_K_CAP = 10
@@ -128,10 +129,10 @@ def top(v: MultVector) -> PathWord:
     return PathWord(v, tuple(i for i in range(v.n, 0, -1) for _ in range(v.entries[i - 1])))
 
 
-def enumerate_words(v: MultVector, cap: int = DEFAULT_K_CAP):
-    """All words of L(v) in lexicographic order."""
-    if v.k > cap:
-        raise CapExceeded(f"k={v.k} exceeds enumeration cap {cap}")
+def enumerate_words(v: MultVector):
+    """All words of L(v) in lexicographic order, refused above DEFAULT_K_CAP letters."""
+    if v.k > DEFAULT_K_CAP:
+        raise CapExceeded(f"k={v.k} exceeds enumeration cap {DEFAULT_K_CAP}")
     for letters in _letter_tuples(v):
         yield PathWord(v, letters)
 
@@ -249,11 +250,11 @@ def mmeet(w: PathWord, u: PathWord) -> PathWord:
     return iota_inv(w.parent, perm_core.clopen_to_perm(x))
 
 
-def check_size_cap(v: MultVector, cap: int = DEFAULT_SIZE_CAP) -> None:
-    """Refuse to materialize an L(v) of more than ``cap`` elements."""
+def check_size_cap(v: MultVector) -> None:
+    """Refuse to materialize an L(v) of more than DEFAULT_SIZE_CAP elements."""
     size = v.size()
-    if size > cap:
-        raise CapExceeded(f"|L({v})| = {size} exceeds materialization cap {cap}")
+    if size > DEFAULT_SIZE_CAP:
+        raise CapExceeded(f"|L({v})| = {size} exceeds materialization cap {DEFAULT_SIZE_CAP}")
 
 
 def check_scan_cap(v: MultVector, n: int) -> None:
@@ -261,21 +262,17 @@ def check_scan_cap(v: MultVector, n: int) -> None:
     cap that :meth:`FiniteLattice.sd_holds` applies: the longest chain of
     L(v), bottom to top, has one step per inversion, sum over i < j of
     v_i v_j, and the scan stops at twice that."""
-    from .finite_lattice import check_sd_scan_cap
-
     height = sum(a * b for a, b in itertools.combinations(v.entries, 2))
     check_sd_scan_cap(v.size(), min(n, 2 * height))
 
 
-def to_finite_lattice(v: MultVector, cap: int = DEFAULT_SIZE_CAP):
+def to_finite_lattice(v: MultVector) -> FiniteLattice:
     """Materialize L(v) as an explicit lattice with join/meet tables.
 
     The covers of a word swap one ascent a_i a_j (i < j), as in
     :func:`covers`, and are found by index among the letter tuples.
     """
-    from .finite_lattice import FiniteLattice
-
-    check_size_cap(v, cap)
+    check_size_cap(v)
     words = list(_letter_tuples(v))
     index = {w: i for i, w in enumerate(words)}
     cover_pairs = [(i, index[w[:p] + (w[p + 1], w[p]) + w[p + 2:]])

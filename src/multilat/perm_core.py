@@ -54,14 +54,6 @@ def identity(k: int) -> Permutation:
     return Permutation(tuple(range(1, k + 1)))
 
 
-def parse_perm(text: str) -> Permutation:
-    try:
-        images = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise MultilatError(f"cannot parse permutation {text!r}") from exc
-    return Permutation(images)
-
-
 @dataclass(frozen=True)
 class InversionSet:
     """A set of pairs a\\b with 1 <= a < b <= size."""
@@ -94,32 +86,11 @@ def inv_set(k: int, pairs) -> InversionSet:
     return InversionSet(k, frozenset(pairs))
 
 
-def full_inversions(k: int) -> InversionSet:
-    return inv_set(k, all_pairs(k))
-
-
-def parse_inv_set(k: int, text: str) -> InversionSet:
-    if text == "-":
-        return inv_set(k, ())
-    pairs = []
-    for chunk in text.split(";"):
-        a, _, b = chunk.partition("\\")
-        try:
-            pairs.append((int(a), int(b)))
-        except ValueError as exc:
-            raise MultilatError(f"cannot parse inversion {chunk!r}") from exc
-    return inv_set(k, pairs)
-
-
 def inversions(sigma: Permutation) -> InversionSet:
     """The disagreements of sigma: pairs a < b with sigma^-1(a) > sigma^-1(b)."""
     pos = sigma.inverse().images
     return inv_set(sigma.size, ((a, b) for a, b in all_pairs(sigma.size)
                                 if pos[a - 1] > pos[b - 1]))
-
-
-def agreements(sigma: Permutation) -> InversionSet:
-    return inversions(sigma).complement()
 
 
 def closure(x: InversionSet) -> InversionSet:

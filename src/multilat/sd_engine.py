@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from . import multinomial, perm_core
 from .errors import CapExceeded, MultilatError
+from .finite_lattice import sd_sequence
 from .irreducibles import check_d_graph_cap, d_graph, longest_simple_path
 from .multinomial import MultVector, PathWord, mjoin, mmeet, word_str
 from .perm_core import InversionSet, Permutation, inv_set
@@ -64,16 +65,13 @@ def wk_ladder_check(n: int) -> bool:
     if n >= WK_LADDER_CAP:
         raise CapExceeded(f"materialization cap exceeded (n >= {WK_LADDER_CAP})")
     wit = perm_witness(n)
-    x, yk, zk = wit.x, wit.y, wit.z
+    pairs = sd_sequence(perm_core.perm_join, perm_core.perm_meet, wit.x, wit.y, wit.z, n - 1)
     for k in range(n):
-        if k > 0:
-            yk, zk = (perm_core.perm_join(wit.y, perm_core.perm_meet(x, zk)),
-                      perm_core.perm_join(wit.z, perm_core.perm_meet(x, yk)))
-        side = yk if k % 2 == 0 else zk
-        if perm_core.perm_meet(x, side) != _wk(n, k):
+        yk, zk = pairs[min(k, len(pairs) - 1)]
+        if perm_core.perm_meet(wit.x, yk if k % 2 == 0 else zk) != _wk(n, k):
             return False
     full = perm_core.perm_join(wit.y, wit.z)
-    return perm_core.perm_meet(x, full) == x == _wk(n, n - 1)
+    return perm_core.perm_meet(wit.x, full) == wit.x == _wk(n, n - 1)
 
 
 def psi(v: MultVector, sigma: Permutation) -> PathWord:
@@ -98,22 +96,15 @@ def witness_words(v: MultVector) -> tuple[PathWord, PathWord, PathWord]:
 
 
 def _sd_fails_on_words(x: PathWord, y: PathWord, z: PathWord, n: int) -> bool:
-    """Whether SD_n(meet) fails on (x,y,z) or on (x,z,y), from one pass.
+    """Whether SD_n(meet) fails on (x,y,z) or on (x,z,y), from one walk.
 
-    With y_0 = y, z_0 = z, y_k = y v (x ^ z_{k-1}) and z_k = z v (x ^ y_{k-1}),
-    swapping y and z swaps the two sequences (y'_k = z_k by induction), so
-    (x,y,z) fails iff x ^ y_n != x ^ (y v z) and (x,z,y) fails iff
-    x ^ z_n != x ^ (y v z).  The step depends on (y_k, z_k) alone, so the
-    walk stops once the pair repeats.
+    Swapping y and z swaps the two sequences of :func:`sd_sequence`
+    (y'_k = z_k by induction), so (x,y,z) fails iff x ^ y_n != x ^ (y v z)
+    and (x,z,y) fails iff x ^ z_n != x ^ (y v z).
     """
-    yk, zk = y, z
-    for _ in range(n):
-        step = (mjoin(y, mmeet(x, zk)), mjoin(z, mmeet(x, yk)))
-        if step == (yk, zk):
-            break
-        yk, zk = step
+    yn, zn = sd_sequence(mjoin, mmeet, x, y, z, n)[-1]
     top = mmeet(x, mjoin(y, z))
-    return mmeet(x, yk) != top or mmeet(x, zk) != top
+    return mmeet(x, yn) != top or mmeet(x, zn) != top
 
 
 def witness_fails(v: MultVector, n: int) -> bool:
@@ -147,11 +138,10 @@ class TheoremReport:
         }, indent=2)
 
 
-def theorem_check(v: MultVector, method: str | None = None,
-                  exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP) -> TheoremReport:
+def theorem_check(v: MultVector, method: str | None = None) -> TheoremReport:
     """Confirm that L(v) of dimension n fails SD_{n-2} and satisfies SD_{n-1}.
 
-    ``exhaustive_cap`` only picks the method when none is given; an
+    DEFAULT_EXHAUSTIVE_CAP only picks the method when none is given; an
     exhaustive check materializes up to the cap of ``to_finite_lattice``,
     as ``sd --exhaustive`` does.
     """
@@ -159,7 +149,7 @@ def theorem_check(v: MultVector, method: str | None = None,
     if n < 2:
         raise MultilatError(f"dimension of v={v} must be >= 2")
     if method is None:
-        method = EXHAUSTIVE if v.size() <= exhaustive_cap else DPATH_BOUND
+        method = EXHAUSTIVE if v.size() <= DEFAULT_EXHAUSTIVE_CAP else DPATH_BOUND
     if method not in (EXHAUSTIVE, DPATH_BOUND):
         raise MultilatError(f"unknown method {method!r}")
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from multilat import cli
+from multilat import cli, finite_lattice
 
 
 def run_ok(capsys, *argv):
@@ -181,6 +181,21 @@ def test_sd_scan_cap_on_cover_files(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: SD scan of 1300 elements to level 1 takes") and \
         err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sd", [[], ["--sd", "0"]])
+def test_analysis_cap_on_cover_files(tmp_path, capsys, sd):
+    # one element over the cap; an SD_0 scan of it is under the scan cap,
+    # so the analysis cap refuses it, before the scan runs
+    size = finite_lattice.ANALYSIS_CAP + 1
+    path = tmp_path / "chain.cov"
+    path.write_text("".join(f"c{i:04d}<c{i + 1:04d}\n" for i in range(size - 1)))
+    start = time.perf_counter()
+    assert cli.run(["lattice", "--covers", str(path), *sd]) == 1
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err == f"error: {size} elements exceed the lattice analysis cap " \
+        f"{finite_lattice.ANALYSIS_CAP}\n"
 
 
 def test_huge_sd_levels_are_clamped(tmp_path, capsys):

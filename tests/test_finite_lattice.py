@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -323,21 +322,46 @@ def shapes(limit, most):
     return out
 
 
+# Three D-closed sets of each vector, once drawn at random from its
+# congruences; kept as text so that the cases do not depend on the order
+# in which d_closed_sets lists the sets.
+QUOTIENT_SETS = {
+    "2,1,1": ["0,1,0;0,1,1;1,0,1;1,1,0;1,1,1;2,0,1",
+              "0,1,0;1,0,1;1,1,0;1,1,1;2,0,1",
+              "0,0,1;0,1,0;0,1,1;2,0,1"],
+    "1,1,1,1": ["0,0,1,0;0,0,1,1;0,1,0,0;1,0,1,0;1,0,1,1;1,1,0,1",
+                "0,1,0,0;0,1,1,0;0,1,1,1;1,0,0,1;1,0,1,0;1,0,1,1;1,1,0,1",
+                "0,0,1,0;0,1,0,0;1,0,1,0"],
+    "2,2,1": ["0,2,0;1,1,0;1,1,1;1,2,0;1,2,1;2,0,1;2,1,1",
+              "0,1,0;1,0,1;1,1,0;2,0,1",
+              "0,2,0;1,1,0;1,2,0;2,0,1"],
+    "3,2,1": ["0,1,0;0,1,1;0,2,0;0,2,1;1,0,1;1,1,0;1,2,0;1,2,1;3,0,1;3,1,1",
+              "0,0,1;0,1,0;0,2,0;2,0,1;2,1,0;2,1,1;2,2,0;2,2,1;3,0,1;3,1,1",
+              "0,0,1;0,1,0;0,2,0;1,0,1;1,1,0;1,2,0;2,1,0;2,2,0;3,0,1"],
+    "2,1,1,1": ["0,0,1,0;0,0,1,1;0,1,0,0;0,1,0,1;0,1,1,0;1,0,0,1;1,0,1,0;1,0,1,1;"
+                "1,1,0,0;2,0,0,1;2,0,1,0;2,0,1,1;2,1,0,1",
+                "0,0,0,1;0,0,1,0;0,1,0,0;0,1,0,1;0,1,1,0;0,1,1,1;1,0,0,1;1,0,1,0;"
+                "1,1,0,0;1,1,0,1;1,1,1,0;2,0,0,1;2,0,1,0;2,0,1,1;2,1,0,1",
+                "0,0,0,1;0,0,1,0;0,0,1,1;0,1,0,0;0,1,0,1;0,1,1,0;1,0,0,1;1,0,1,0;"
+                "1,1,0,0;1,1,0,1;1,1,1,0;1,1,1,1;2,0,0,1;2,0,1,0;2,0,1,1;2,1,0,1"],
+}
+
+
 def scan_cases():
     """Every L(v) of at most 180 words with entries up to 6, and its dual;
-    the fixtures; random quotients of small L(v).  Each with the levels
-    to compare, 0 to one past the least holding level."""
+    the fixtures; quotients of small L(v).  Each with the levels to
+    compare, 0 to one past the least holding level."""
     cases = [pytest.param(L, 5, id=name) for name, L in ALL_FIXTURES.items()]
     for v in shapes(180, 6):
         L = mn.to_finite_lattice(mn.MultVector(v))
         text = ",".join(map(str, v))
         cases += [pytest.param(L, len(v) + 1, id=text),
                   pytest.param(L.dual(), len(v) + 1, id=f"{text}-dual")]
-    rng = random.Random(20261018)
-    for text in ("2,1,1", "1,1,1,1", "2,2,1", "3,2,1", "2,1,1,1"):
+    for text, sets in QUOTIENT_SETS.items():
         v = mn.parse_vector(text)
-        for s in rng.sample(cg.d_closed_sets(v), 3):
-            cases.append(pytest.param(cg.quotient(v, s), v.dimension + 1, id=f"{text}/{s}"))
+        for s in sets:
+            q = cg.quotient(v, cg.parse_ji_set(v, s))  # refuses a set that is not D-closed
+            cases.append(pytest.param(q, v.dimension + 1, id=f"{text}/{s}"))
     return cases
 
 
@@ -380,6 +404,63 @@ def test_longest_path():
     assert fl.longest_path([]) == (0, None)
     assert fl.longest_path([[1, 2], [2], []]) == (2, None)
     assert fl.longest_path([[1], [2], [1], [0]]) == (None, 1)
+
+
+@st.composite
+def digraphs(draw):
+    """Successor lists of a digraph on at most 7 nodes, cycles and self-loops included."""
+    n = draw(st.integers(0, 7))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.sets(st.tuples(node, node), max_size=3 * n)) if n else set()
+    return [sorted(t for s, t in edges if s == i) for i in range(n)]
+
+
+def simple_paths(succ, path):
+    """Every simple path that extends ``path``, by enumeration."""
+    yield path
+    for t in succ[path[-1]]:
+        if t not in path:
+            yield from simple_paths(succ, path + [t])
+
+
+@given(digraphs())
+@settings(max_examples=300)
+def test_longest_path_matches_simple_path_enumeration(succ):
+    length, on_cycle = fl.longest_path(succ)
+    paths = [p for i in range(len(succ)) for p in simple_paths(succ, [i])]
+    # i lies on a cycle iff some simple path from i ends next to i (i itself for a self-loop)
+    cyclic = sorted({p[0] for p in paths if p[0] in succ[p[-1]]})
+    if cyclic:
+        assert length is None and on_cycle == cyclic[0]
+    else:
+        assert on_cycle is None
+        assert length == max((len(p) - 1 for p in paths), default=0)
+
+
+SD_SEQUENCE_LATTICES = {"n5": fl.n5(), "m3": fl.m3(), "benzene": fl.benzene(),
+                        "1,1,1": mn.to_finite_lattice(mn.parse_vector("1,1,1")),
+                        "2,2": mn.to_finite_lattice(mn.parse_vector("2,2"))}
+
+
+@pytest.mark.parametrize("name", SD_SEQUENCE_LATTICES)
+def test_sd_sequence_matches_the_plain_recursion(name):
+    L = SD_SEQUENCE_LATTICES[name]
+    for x, y, z in itertools.product(L.elements(), repeat=3):
+        plain = [(y, z)]  # y_{k+1} = y v (x ^ z_k), z_{k+1} = z v (x ^ y_k), past the fixed point
+        for _ in range(2 * L.n):
+            yk, zk = plain[-1]
+            plain.append((L.join(y, L.meet(x, zk)), L.join(z, L.meet(x, yk))))
+        full = fl.sd_sequence(L.join, L.meet, x, y, z)
+        mu = len(full)  # the least k with (y_k, z_k) = (y_{k-1}, z_{k-1})
+        assert full == plain[:mu] and plain[mu] == plain[mu - 1]
+        assert all(plain[k] != plain[k - 1] for k in range(1, mu))
+        for n in range(7):
+            pairs = fl.sd_sequence(L.join, L.meet, x, y, z, n)
+            assert pairs == plain[:min(n, mu - 1) + 1]
+            yn, zn = pairs[-1]
+            assert (L.meet(x, yn) == L.meet(x, L.join(y, z))) == oracle_sd_holds_on(L, x, y, z, n)
+            trace = L.sd_eval(x, y, z, n)
+            assert trace.mu == mu and (trace.y_seq[n], trace.z_seq[n]) == plain[n]
 
 
 def test_lattice_relations_are_computed_once(monkeypatch):

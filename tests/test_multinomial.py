@@ -44,10 +44,11 @@ def test_enumerate_matches_multinomial_count(text):
     assert words == sorted(words)
 
 
-def test_enumerate_long_words_without_recursion():
+def test_enumerate_long_words_without_recursion(monkeypatch):
     # 1,500 letters: one recursion level per letter would pass Python's limit
     v = mn.parse_vector("1,1499")
-    words = list(mn.enumerate_words(v, cap=v.k))
+    monkeypatch.setattr(mn, "DEFAULT_K_CAP", v.k)
+    words = list(mn.enumerate_words(v))
     assert len(words) == v.size() == 1500
     assert words[0] == mn.bottom(v) and words[-1] == mn.top(v)
     assert all(a < b for a, b in zip(words, words[1:]))
@@ -189,15 +190,17 @@ def test_to_finite_lattice_tables_match_word_operations(text):
 
 
 @pytest.mark.parametrize("text", SMALL_VECTORS + ["2,0,2", "3,2,1", "1" + ",0" * 25 + ",2"])
-def test_to_finite_lattice_words_and_covers(text):
+def test_to_finite_lattice_words_and_covers(text, monkeypatch):
     v = mn.parse_vector(text)
     lattice = mn.to_finite_lattice(v)
-    words = list(mn.enumerate_words(v, cap=v.k))
+    monkeypatch.setattr(mn, "DEFAULT_K_CAP", v.k)
+    words = list(mn.enumerate_words(v))
     assert lattice.labels == [mn.word_str(w) for w in words]
     assert lattice.cover_pairs() == sorted((words.index(w), words.index(u))
                                            for w in words for u in mn.covers(w))
 
 
-def test_to_finite_lattice_cap():
-    with pytest.raises(CapExceeded):
-        mn.to_finite_lattice(mn.parse_vector("2,2"), cap=5)
+def test_to_finite_lattice_cap(monkeypatch):
+    monkeypatch.setattr(mn, "DEFAULT_SIZE_CAP", 5)
+    with pytest.raises(CapExceeded, match=r"\|L\(2,2\)\| = 6 exceeds materialization cap 5"):
+        mn.to_finite_lattice(mn.parse_vector("2,2"))

@@ -19,12 +19,10 @@ def test_identity():
     assert e.inverse() == e
 
 
-def test_parse_and_str_roundtrip():
-    s = pc.parse_perm("2,1,3")
-    assert s.images == (2, 1, 3)
-    assert pc.parse_perm(str(s)) == s
-    with pytest.raises(MultilatError):
-        pc.parse_perm("2,2,3")
+def test_perm_str_and_validation():
+    assert str(pc.Permutation((2, 1, 3))) == "2,1,3"
+    with pytest.raises(MultilatError, match="not a permutation of 1..3"):
+        pc.Permutation((2, 2, 3))
 
 
 @given(perms)
@@ -39,7 +37,7 @@ def test_inverse_laws(s):
 def test_inversions_extremes():
     assert pc.inversions(pc.identity(4)).pairs == frozenset()
     rev = pc.Permutation((4, 3, 2, 1))
-    assert pc.inversions(rev) == pc.full_inversions(4)
+    assert pc.inversions(rev) == pc.inv_set(4, pc.all_pairs(4))
 
 
 @given(perms)
@@ -48,16 +46,11 @@ def test_inversions_definition(s):
     expected = {(i, j) for i, j in pc.all_pairs(s.size)
                 if s.inverse()(i) > s.inverse()(j)}
     assert got == expected
-    assert pc.agreements(s).pairs == set(pc.all_pairs(s.size)) - expected
 
 
-def test_parse_inv_set_roundtrip():
-    x = pc.parse_inv_set(4, "1\\2;1\\3")
-    assert x.pairs == {(1, 2), (1, 3)}
-    assert pc.parse_inv_set(4, str(x)) == x
-    empty = pc.parse_inv_set(3, "-")
-    assert empty.pairs == frozenset()
-    assert str(empty) == "-"
+def test_inversion_set_str():
+    assert str(pc.inv_set(4, [(1, 3), (1, 2)])) == "1\\2;1\\3"
+    assert str(pc.inv_set(3, ())) == "-"
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

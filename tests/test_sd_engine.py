@@ -38,9 +38,9 @@ def test_wk_ladder_cap():
 def test_psi_blocks():
     v = V("2,1,3")
     assert mn.word_str(sd.psi(v, pc.identity(3))) == "aabccc"
-    assert mn.word_str(sd.psi(v, pc.parse_perm("3,1,2"))) == "cccaab"
+    assert mn.word_str(sd.psi(v, pc.Permutation((3, 1, 2)))) == "cccaab"
     skipped = V("2,0,3")  # letter 2 missing: support is (1, 3)
-    assert sd.psi(skipped, pc.parse_perm("2,1")).letters == (3, 3, 3, 1, 1)
+    assert sd.psi(skipped, pc.Permutation((2, 1))).letters == (3, 3, 3, 1, 1)
     with pytest.raises(MultilatError):
         sd.psi(v, pc.identity(4))
 
