@@ -2,9 +2,9 @@
 
 Submodules:
 
-- ``perm_core``: permutations, inversion sets, the clopen join/meet calculus.
-- ``multinomial``: words of L(v), order, join/meet, the embedding into
-  permutations of positions.
+- ``perm_core``: permutations, inversion sets as bit rows, the clopen calculus.
+- ``multinomial``: words of L(v), order, join/meet on the inversion-set
+  rows of a word's letter positions, read straight back to a word.
 - ``finite_lattice``: a generic finite-lattice engine (tables, irreducibles,
   arrows, pentagons, congruences, SD_n evaluation, D-path extraction), the
   one walk of the SD_n sequences of a triple (``sd_sequence``) and the one

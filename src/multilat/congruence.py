@@ -63,6 +63,10 @@ class Partition:
 
 
 DEFAULT_JI_CAP = 24
+# Set from `classes -S -` (in-process) on a 2-vCPU Xeon, Python 3.11: the
+# empty S puts all N words in one block, checked by 4 N^2 word joins and
+# meets.  N = 90 (2,2,2) takes 0.8-1.4 s, 140 (3,3,1) 2.1-3.6 s, 210 (3,2,2) 5.1-7.4 s.
+CLASSES_CAP = 210
 
 
 def d_closed_masks(v: MultVector) -> tuple[DGraph, list[int]]:
@@ -100,10 +104,13 @@ def d_closed_sets(v: MultVector) -> list[JiSet]:
 
 
 def congruence_from_S(v: MultVector, s: JiSet) -> Partition:
-    """Partition of L(v) where words agree on their dominated members of S,
-    checked to be compatible with join and meet."""
+    """Partition of L(v), refused above CLASSES_CAP words, where words agree
+    on their dominated members of S, checked to be compatible with join and meet."""
     if s.parent != v:
         raise MultilatError("JiSet parent mismatch")
+    size = v.size()
+    if size > CLASSES_CAP:
+        raise CapExceeded(f"|L({v})| = {size} exceeds the congruence classes cap {CLASSES_CAP}")
     if not s.is_d_closed():
         raise MultilatError(f"set {{{s}}} is not closed under the join dependency")
     words = list(multinomial.enumerate_words(v))

@@ -13,12 +13,6 @@ z_f in {x_f, x_f + 1}; the rest of z is forced.  Each node has O(n^2)
 candidates, so the D-graph on m join irreducibles costs O(m*n^2)
 candidates instead of the m^2 pair tests of ``d_rel``.  ``dbullet``,
 ``d_rel`` and ``cover_type`` stay as the arrow-based reference.
-``d_graph`` starts each node's successors from the plan found while
-enumerating the node, so no plan is computed twice.
-
-``DGraph.to_json`` writes the reply of ``json.dumps(..., indent=2)``
-itself: each node's text is rendered once at each of the two depths it
-appears at, and the edge records are joined from those strings.
 
 The meet side is not written out again.  Word reversal is an
 anti-automorphism of L(v) that sends <x> to [v - x], so meet irreducibles,

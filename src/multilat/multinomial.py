@@ -1,9 +1,12 @@
 """Multinomial lattices: words with prescribed letter multiplicities.
 
 Elements of L(v) are words over {1..n} in which letter i occurs v[i]
-times, ordered by the rewrite a_i a_j -> a_j a_i for i < j.  Joins and
-meets are computed through the order embedding into the permutations
-of {1..k} (k = sum of multiplicities) and the clopen-set calculus.
+times, ordered by the rewrite a_i a_j -> a_j a_i for i < j.  Numbering
+the positions of each letter's occurrences in increasing order embeds
+L(v) in the permutations of {1..k} (k = sum of multiplicities), so a word
+is ordered by its inversion set, held as bit rows: the join is the
+closure of the union and the meet the interior of the intersection,
+read straight back to a word.
 """
 
 from __future__ import annotations
@@ -13,13 +16,12 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from . import perm_core
+from . import finite_lattice, perm_core
 from .errors import CapExceeded, MultilatError
 from .finite_lattice import FiniteLattice, check_sd_scan_cap
-from .perm_core import InversionSet, Permutation
+from .perm_core import InversionSet
 
 DEFAULT_K_CAP = 10
-DEFAULT_SIZE_CAP = 5000
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -186,51 +188,37 @@ def leq(w: PathWord, u: PathWord) -> bool:
     return all(_leq2(pi(w, l, m), pi(u, l, m)) for l in range(1, n) for m in range(l + 1, n + 1))
 
 
+def _swaps(x: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The letter tuples one swap of adjacent letters a_i a_j, i < j, above x."""
+    return [x[:p] + (x[p + 1], x[p]) + x[p + 2:] for p in range(len(x) - 1) if x[p] < x[p + 1]]
+
+
 def covers(w: PathWord) -> list[PathWord]:
     """Upper covers: one swap of adjacent letters a_i a_j with i < j."""
-    out = []
-    letters = list(w.letters)
-    for p in range(len(letters) - 1):
-        if letters[p] < letters[p + 1]:
-            swapped = letters[:]
-            swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-            out.append(PathWord(w.parent, tuple(swapped)))
-    return out
-
-
-def mu_star(v: MultVector) -> tuple[int, ...]:
-    """The non-decreasing word of L(v), as a function {1..k} -> {1..n}."""
-    return bottom(v).letters
-
-
-def iota(w: PathWord) -> Permutation:
-    """The unique permutation with w = mu_star o sigma, increasing on each fiber."""
-    v = w.parent
-    offsets = [0] * (v.n + 1)
-    for i in range(1, v.n):
-        offsets[i + 1] = offsets[i] + v.entries[i - 1]
-    seen = [0] * (v.n + 1)
-    images = []
-    for letter in w.letters:
-        seen[letter] += 1
-        images.append(offsets[letter] + seen[letter])
-    return Permutation(tuple(images))
-
-
-def iota_inv(v: MultVector, sigma: Permutation) -> PathWord:
-    """Left inverse of iota; rejects permutations outside the embedded ideal."""
-    if sigma.size != v.k:
-        raise MultilatError(f"permutation size {sigma.size} != k={v.k}")
-    mu = mu_star(v)
-    letters = tuple(mu[sigma(j) - 1] for j in range(1, v.k + 1))
-    w = PathWord(v, letters)
-    if iota(w) != sigma:
-        raise MultilatError(f"permutation {sigma} is not in the image of L({v})")
-    return w
+    return [PathWord(w.parent, x) for x in _swaps(w.letters)]
 
 
 def word_inversions(w: PathWord) -> InversionSet:
-    return perm_core.inversions(iota(w))
+    """The inversion set of w's letter positions: the i-th occurrence of
+    letter l is value i + #{letters < l}, so each fiber increases."""
+    v = w.parent
+    next_value = list(itertools.accumulate(v.entries, initial=1))
+    values = []
+    for letter in w.letters:
+        values.append(next_value[letter - 1])
+        next_value[letter - 1] += 1
+    return perm_core.sequence_inversions(v.k, values)
+
+
+def inversions_word(v: MultVector, x: InversionSet) -> PathWord:
+    """The word of L(v) with inversion set x, refused if there is none: the
+    letter of value a in the non-decreasing word stands where x lays a out."""
+    if x.size == v.k:
+        letters = bottom(v).letters
+        w = PathWord(v, tuple(letters[a - 1] for a in perm_core.clopen_sequence(x)))
+        if word_inversions(w) == x:
+            return w
+    raise MultilatError(f"inversion set {x} is not that of a word of L({v})")
 
 
 def _check_same_parent(w: PathWord, u: PathWord) -> None:
@@ -239,22 +227,22 @@ def _check_same_parent(w: PathWord, u: PathWord) -> None:
 
 
 def mjoin(w: PathWord, u: PathWord) -> PathWord:
+    """The closure of the union of the inversion sets."""
     _check_same_parent(w, u)
-    x = perm_core.perm_join(word_inversions(w), word_inversions(u))
-    return iota_inv(w.parent, perm_core.clopen_to_perm(x))
+    return inversions_word(w.parent, perm_core.closure(word_inversions(w) | word_inversions(u)))
 
 
 def mmeet(w: PathWord, u: PathWord) -> PathWord:
+    """The interior of the intersection of the inversion sets."""
     _check_same_parent(w, u)
-    x = perm_core.perm_meet(word_inversions(w), word_inversions(u))
-    return iota_inv(w.parent, perm_core.clopen_to_perm(x))
+    return inversions_word(w.parent, perm_core.interior(word_inversions(w) & word_inversions(u)))
 
 
 def check_size_cap(v: MultVector) -> None:
-    """Refuse to materialize an L(v) of more than DEFAULT_SIZE_CAP elements."""
-    size = v.size()
-    if size > DEFAULT_SIZE_CAP:
-        raise CapExceeded(f"|L({v})| = {size} exceeds materialization cap {DEFAULT_SIZE_CAP}")
+    """Refuse to materialize an L(v) above ``finite_lattice.DEFAULT_SIZE_CAP``."""
+    size, cap = v.size(), finite_lattice.DEFAULT_SIZE_CAP
+    if size > cap:
+        raise CapExceeded(f"|L({v})| = {size} exceeds materialization cap {cap}")
 
 
 def check_scan_cap(v: MultVector, n: int) -> None:
@@ -267,16 +255,11 @@ def check_scan_cap(v: MultVector, n: int) -> None:
 
 
 def to_finite_lattice(v: MultVector) -> FiniteLattice:
-    """Materialize L(v) as an explicit lattice with join/meet tables.
-
-    The covers of a word swap one ascent a_i a_j (i < j), as in
-    :func:`covers`, and are found by index among the letter tuples.
-    """
+    """Materialize L(v) as an explicit lattice with join/meet tables, from
+    the covers of :func:`covers` found by index among the letter tuples."""
     check_size_cap(v)
     words = list(_letter_tuples(v))
     index = {w: i for i, w in enumerate(words)}
-    cover_pairs = [(i, index[w[:p] + (w[p + 1], w[p]) + w[p + 2:]])
-                   for i, w in enumerate(words)
-                   for p in range(len(w) - 1) if w[p] < w[p + 1]]
+    cover_pairs = [(i, index[u]) for i, w in enumerate(words) for u in _swaps(w)]
     return FiniteLattice.from_covers(cover_pairs,
                                      labels=[_letters_str(v.n, w) for w in words])

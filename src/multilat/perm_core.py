@@ -1,15 +1,13 @@
 """Permutations under the weak Bruhat order, via inversion-set calculus.
 
-A permutation on {1..k} is ordered by containment of its inversion set.
-The inversion sets that occur are exactly the *clopen* subsets of the
-k(k-1)/2 possible pairs, and joins/meets are computed by a closure
-(resp. interior) operator on these sets.
-
-A clopen set is the inversion set of exactly one permutation, and that
-permutation is read straight off the set: value a stands at position
-1 + #{b > a : a\\b in x} + #{c < a : c\\a not in x}.  ``clopen_to_perm``
-reads the positions and checks the round trip ``inversions(sigma) == x``,
-which fails exactly when x is not clopen.
+A permutation on {1..k} is ordered by containment of its inversion set,
+held as k bit rows: row a is the bitmask {b > a : a\\b in x}.  The sets
+that occur are exactly the *clopen* ones, and joins/meets are the closure
+of the union (one Warshall pass on the rows) and the interior of the
+intersection.  The permutation of a clopen set is read straight off the
+rows: among the values >= a, value a comes after exactly the popcount of
+row a.  ``clopen_to_perm`` checks the round trip ``inversions(sigma) ==
+x``, which fails exactly when x is not clopen.
 """
 
 from __future__ import annotations
@@ -18,9 +16,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import MultilatError
-
-Pair = tuple[int, int]
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -56,61 +51,71 @@ def identity(k: int) -> Permutation:
 
 @dataclass(frozen=True)
 class InversionSet:
-    """A set of pairs a\\b with 1 <= a < b <= size."""
+    """A set of pairs a\\b with 1 <= a < b <= size: bit b-1 of rows[a-1]
+    is set when a\\b is in the set."""
 
     size: int
-    pairs: frozenset[Pair]
-
-    def __post_init__(self) -> None:
-        for a, b in self.pairs:
-            if not 1 <= a < b <= self.size:
-                raise MultilatError(f"bad inversion pair {a}\\{b} for size {self.size}")
+    rows: tuple[int, ...]
 
     def complement(self) -> "InversionSet":
-        return InversionSet(self.size, frozenset(all_pairs(self.size)) - self.pairs)
+        k = self.size
+        return InversionSet(k, tuple(~r & (1 << k) - (2 << a) for a, r in enumerate(self.rows)))
+
+    def __or__(self, other: "InversionSet") -> "InversionSet":
+        return InversionSet(self.size, tuple(r | s for r, s in zip(self.rows, other.rows)))
+
+    def __and__(self, other: "InversionSet") -> "InversionSet":
+        return InversionSet(self.size, tuple(r & s for r, s in zip(self.rows, other.rows)))
 
     def __le__(self, other: "InversionSet") -> bool:
-        return self.pairs <= other.pairs
+        return all(not r & ~s for r, s in zip(self.rows, other.rows))
 
     def __str__(self) -> str:
-        if not self.pairs:
-            return "-"
-        return ";".join(f"{a}\\{b}" for a, b in sorted(self.pairs))
+        pairs = [f"{a + 1}\\{b + 1}" for a, r in enumerate(self.rows)
+                 for b in range(a + 1, self.size) if r >> b & 1]
+        return ";".join(pairs) or "-"
 
 
-def all_pairs(k: int) -> list[Pair]:
+def all_pairs(k: int) -> list[tuple[int, int]]:
     return list(combinations(range(1, k + 1), 2))
 
 
 def inv_set(k: int, pairs) -> InversionSet:
-    return InversionSet(k, frozenset(pairs))
+    rows = [0] * k
+    for a, b in pairs:
+        if not 1 <= a < b <= k:
+            raise MultilatError(f"bad inversion pair {a}\\{b} for size {k}")
+        rows[a - 1] |= 1 << (b - 1)
+    return InversionSet(k, tuple(rows))
+
+
+def sequence_inversions(k: int, values) -> InversionSet:
+    """The pairs a < b of the values 1..k, listed once each, with b before a."""
+    rows = [0] * k
+    seen = 0
+    for a in values:
+        rows[a - 1] = seen >> a << a
+        seen |= 1 << (a - 1)
+    return InversionSet(k, tuple(rows))
 
 
 def inversions(sigma: Permutation) -> InversionSet:
     """The disagreements of sigma: pairs a < b with sigma^-1(a) > sigma^-1(b)."""
-    pos = sigma.inverse().images
-    return inv_set(sigma.size, ((a, b) for a, b in all_pairs(sigma.size)
-                                if pos[a - 1] > pos[b - 1]))
+    return sequence_inversions(sigma.size, sigma.images)
 
 
 def closure(x: InversionSet) -> InversionSet:
-    """Least superset closed under a\\b, b\\c => a\\c; x itself if already closed.
-
-    One Warshall pass over the middle b, on bitmask rows succ[a] = {c : a\\c}.
-    """
-    k = x.size
-    succ = [0] * (k + 1)
-    for a, c in x.pairs:
-        succ[a] |= 1 << c
-    before = succ[:]
-    for b in range(2, k):
-        for a in range(1, b):
-            if succ[a] >> b & 1:
-                succ[a] |= succ[b]
-    if succ == before:
-        return x
-    return inv_set(k, ((a, c) for a in range(1, k) for c in range(a + 1, k + 1)
-                       if succ[a] >> c & 1))
+    """Least superset closed under a\\b, b\\c => a\\c, by one Warshall pass
+    over the middle b; x itself if already closed."""
+    rows = list(x.rows)
+    for b in range(1, x.size - 1):
+        row, bit = rows[b], 1 << b
+        if row:
+            for a in range(b):
+                if rows[a] & bit:
+                    rows[a] |= row
+    closed = tuple(rows)
+    return x if closed == x.rows else InversionSet(x.size, closed)
 
 
 def interior(x: InversionSet) -> InversionSet:
@@ -131,23 +136,22 @@ def is_clopen(x: InversionSet) -> bool:
     return is_open(x) and is_closed(x)
 
 
-def clopen_to_perm(x: InversionSet) -> Permutation:
-    """The unique permutation whose inversion set is the given clopen set.
+def clopen_sequence(x: InversionSet) -> list[int]:
+    """The values 1..k laid out with value a after popcount(row a) of the
+    larger ones: the permutation of x in one-line order, if x is clopen."""
+    order: list[int] = []
+    for a in range(x.size, 0, -1):
+        order.insert(x.rows[a - 1].bit_count(), a)
+    return order
 
-    Value a stands at position a + #{b : a\\b in x} - #{c : c\\a in x};
-    the set is clopen exactly when these positions form a permutation
-    whose inversion set is x again.
-    """
-    k = x.size
-    position = list(range(1, k + 1))
-    for a, b in x.pairs:
-        position[a - 1] += 1
-        position[b - 1] -= 1
-    if sorted(position) == list(range(1, k + 1)):
-        sigma = Permutation(tuple(position)).inverse()
-        if inversions(sigma) == x:
-            return sigma
-    raise MultilatError(f"not clopen: {x}")
+
+def clopen_to_perm(x: InversionSet) -> Permutation:
+    """The unique permutation whose inversion set is the given clopen set;
+    x is clopen exactly when the laid-out values give x back."""
+    sigma = Permutation(tuple(clopen_sequence(x)))
+    if inversions(sigma) != x:
+        raise MultilatError(f"not clopen: {x}")
+    return sigma
 
 
 def _check_clopen_args(x: InversionSet, y: InversionSet) -> None:
@@ -160,13 +164,13 @@ def _check_clopen_args(x: InversionSet, y: InversionSet) -> None:
 def perm_join(x: InversionSet, y: InversionSet) -> InversionSet:
     """Join in the weak Bruhat order: the closure of the union."""
     _check_clopen_args(x, y)
-    return closure(inv_set(x.size, x.pairs | y.pairs))
+    return closure(x | y)
 
 
 def perm_meet(x: InversionSet, y: InversionSet) -> InversionSet:
     """Meet in the weak Bruhat order: the interior of the intersection."""
     _check_clopen_args(x, y)
-    return interior(inv_set(x.size, x.pairs & y.pairs))
+    return interior(x & y)
 
 
 def all_perms(k: int):

@@ -66,15 +66,13 @@ def all_inversion_sets(k: int) -> tuple[pc.InversionSet, ...]:
 
 
 def oracle_clopen_join(x: pc.InversionSet, y: pc.InversionSet) -> pc.InversionSet:
-    ubs = [d for d in all_inversion_sets(x.size)
-           if x.pairs <= d.pairs and y.pairs <= d.pairs]
-    return _unique_extreme(ubs, lambda a, b: a.pairs <= b.pairs)
+    ubs = [d for d in all_inversion_sets(x.size) if x <= d and y <= d]
+    return _unique_extreme(ubs, lambda a, b: a <= b)
 
 
 def oracle_clopen_meet(x: pc.InversionSet, y: pc.InversionSet) -> pc.InversionSet:
-    lbs = [d for d in all_inversion_sets(x.size)
-           if d.pairs <= x.pairs and d.pairs <= y.pairs]
-    return _unique_extreme(lbs, lambda a, b: b.pairs <= a.pairs)
+    lbs = [d for d in all_inversion_sets(x.size) if d <= x and d <= y]
+    return _unique_extreme(lbs, lambda a, b: b <= a)
 
 
 def oracle_sd_holds_on(lattice, x: int, y: int, z: int, n: int) -> bool:

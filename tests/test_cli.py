@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from multilat import cli, finite_lattice
+from multilat import cli, congruence, finite_lattice
 
 
 def run_ok(capsys, *argv):
@@ -196,6 +196,33 @@ def test_analysis_cap_on_cover_files(tmp_path, capsys, sd):
     err = capsys.readouterr().err
     assert err == f"error: {size} elements exceed the lattice analysis cap " \
         f"{finite_lattice.ANALYSIS_CAP}\n"
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]])
+def test_size_cap_on_cover_files(tmp_path, capsys, dot):
+    # one label over the materialization cap: refused before any table is built
+    size = finite_lattice.DEFAULT_SIZE_CAP + 1
+    path = tmp_path / "chain.cov"
+    path.write_text("".join(f"c{i:04d}<c{i + 1:04d}\n" for i in range(size - 1)))
+    start = time.perf_counter()
+    assert cli.run(["lattice", "--covers", str(path), *dot]) == 1
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cover file has {size} elements, over the " \
+        f"materialization cap {finite_lattice.DEFAULT_SIZE_CAP}\n"
+
+
+@pytest.mark.parametrize("verb", ["classes", "quotient"])
+@pytest.mark.parametrize("text,size", [("3,3,2", 560), ("2,2,2,2,2", 113400)])
+def test_classes_cap_refuses_before_enumerating(capsys, verb, text, size):
+    start = time.perf_counter()
+    assert cli.run([verb, "-v", text, "-S", "-"]) == 1
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: |L({text})| = {size} exceeds the congruence classes " \
+        f"cap {congruence.CLASSES_CAP}\n"
 
 
 def test_huge_sd_levels_are_clamped(tmp_path, capsys):

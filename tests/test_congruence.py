@@ -44,6 +44,14 @@ def test_cap(monkeypatch):
         cg.d_closed_sets(V("1,1,1,1"))
 
 
+def test_classes_cap(monkeypatch):
+    monkeypatch.setattr(cg, "CLASSES_CAP", 6)
+    assert len(cg.congruence_from_S(V("2,2"), cg.parse_ji_set(V("2,2"), "-")).blocks) == 1
+    v = V("3,2")
+    with pytest.raises(CapExceeded, match=r"\|L\(3,2\)\| = 10 exceeds the congruence classes cap 6"):
+        cg.congruence_from_S(v, cg.parse_ji_set(v, "-"))
+
+
 def test_masks_refuse_a_cyclic_d_graph(monkeypatch):
     v = V("1,1,1")
     nodes = tuple(ir.enumerate_ji(v))

@@ -1,10 +1,13 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_join, oracle_leq, oracle_meet, word_universe
+from multilat import finite_lattice
 from multilat import multinomial as mn
 from multilat import perm_core as pc
 from multilat.errors import CapExceeded, MultilatError
@@ -117,9 +120,14 @@ def test_pi_projection():
 def test_iota_is_order_embedding(text):
     v = mn.parse_vector(text)
     for w in words_of(text):
-        sigma = mn.iota(w)
-        assert mn.iota_inv(v, sigma) == w
-        assert mn.word_inversions(w) == pc.inversions(sigma)
+        # position p holds value 1 + the rank of (letter, p) among all positions;
+        # a\b is an inversion when the larger value b stands before a
+        ranked = sorted(range(v.k), key=lambda p: (w.letters[p], p))
+        value = {p: r + 1 for r, p in enumerate(ranked)}
+        expected = [(value[p], value[q]) for p in range(v.k) for q in range(p)
+                    if value[q] > value[p]]
+        assert mn.word_inversions(w) == pc.inv_set(v.k, expected)
+        assert mn.inversions_word(v, mn.word_inversions(w)) == w
     for w in words_of(text):
         for u in words_of(text):
             assert mn.leq(w, u) == (mn.word_inversions(w) <= mn.word_inversions(u))
@@ -128,22 +136,25 @@ def test_iota_is_order_embedding(text):
 def test_iota_fibers_increase():
     v = mn.parse_vector("2,2")
     for w in word_universe(v):
-        sigma = mn.iota(w)
-        inv = sigma.inverse()
+        values = pc.clopen_sequence(mn.word_inversions(w))
         offset = 0
         for letter in (1, 2):
             count = v.entries[letter - 1]
-            positions = [inv(offset + r) for r in range(1, count + 1)]
-            assert positions == sorted(positions)
+            fiber = [a for a in values if offset < a <= offset + count]
+            assert fiber == sorted(fiber)
+            assert [w.letters[values.index(a)] for a in fiber] == [letter] * count
             offset += count
 
 
 def test_iota_inv_rejects_outside_image():
     v = mn.parse_vector("2,1")
     # fiber of letter 1 occupies ranks 1,2; decreasing fiber is outside the image
-    bad = pc.Permutation((2, 1, 3))
-    with pytest.raises(MultilatError):
-        mn.iota_inv(v, bad)
+    bad = pc.inversions(pc.Permutation((2, 1, 3)))
+    with pytest.raises(MultilatError, match=r"inversion set 1\\2 is not that of a word of L\(2,1\)"):
+        mn.inversions_word(v, bad)
+    for x in (pc.inv_set(3, [(1, 3)]), pc.inv_set(4, ())):  # not clopen; wrong size
+        with pytest.raises(MultilatError, match="is not that of a word"):
+            mn.inversions_word(v, x)
 
 
 @pytest.mark.parametrize("text", SMALL_VECTORS)
@@ -166,6 +177,32 @@ def test_lattice_laws(w, rng):
     assert mn.mmeet(w, mn.mmeet(u, t)) == mn.mmeet(mn.mmeet(w, u), t)
     assert mn.mjoin(w, mn.mmeet(w, u)) == w
     assert mn.mmeet(w, mn.mjoin(w, u)) == w
+
+
+def _check_against_tables(lattice, words, pairs):
+    """mjoin/mmeet/leq against the tables that from_covers fills from the
+    swap covers alone, apart from the clopen calculus."""
+    for i, j in pairs:
+        w, u = words[i], words[j]
+        assert mn.leq(w, u) == lattice.le(i, j)
+        assert mn.mjoin(w, u) == words[lattice.join(i, j)]
+        assert mn.mmeet(w, u) == words[lattice.meet(i, j)]
+
+
+def test_word_operations_against_tables_every_pair_of_222():
+    v = mn.parse_vector("2,2,2")
+    lattice = mn.to_finite_lattice(v)
+    words = list(mn.enumerate_words(v))
+    _check_against_tables(lattice, words, itertools.product(range(lattice.n), repeat=2))
+
+
+def test_word_operations_against_tables_random_pairs_of_2222():
+    v = mn.parse_vector("2,2,2,2")
+    lattice = mn.to_finite_lattice(v)
+    words = list(mn.enumerate_words(v))
+    rng = random.Random(2222)
+    _check_against_tables(lattice, words, [(rng.randrange(lattice.n), rng.randrange(lattice.n))
+                                           for _ in range(2000)])
 
 
 def test_parent_mismatch_rejected():
@@ -201,6 +238,6 @@ def test_to_finite_lattice_words_and_covers(text, monkeypatch):
 
 
 def test_to_finite_lattice_cap(monkeypatch):
-    monkeypatch.setattr(mn, "DEFAULT_SIZE_CAP", 5)
+    monkeypatch.setattr(finite_lattice, "DEFAULT_SIZE_CAP", 5)
     with pytest.raises(CapExceeded, match=r"\|L\(2,2\)\| = 6 exceeds materialization cap 5"):
         mn.to_finite_lattice(mn.parse_vector("2,2"))

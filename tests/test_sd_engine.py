@@ -16,9 +16,9 @@ def V(text):
 
 def test_perm_witness_shapes():
     wit = sd.perm_witness(4)
-    assert wit.x.pairs == {(1, 2), (1, 3), (1, 4)}
-    assert wit.y.pairs == {(2, 3)}
-    assert wit.z.pairs == {(1, 2), (3, 4)}
+    assert wit.x == pc.inv_set(4, [(1, 2), (1, 3), (1, 4)])
+    assert wit.y == pc.inv_set(4, [(2, 3)])
+    assert wit.z == pc.inv_set(4, [(1, 2), (3, 4)])
     for part in (wit.x, wit.y, wit.z):
         assert pc.is_clopen(part)
     with pytest.raises(MultilatError):
@@ -49,7 +49,7 @@ def test_psi_is_order_embedding_of_permutations():
     v = V("2,1,1")
     for s in pc.all_perms(3):
         for t in pc.all_perms(3):
-            weak = pc.inversions(s).pairs <= pc.inversions(t).pairs
+            weak = pc.inversions(s) <= pc.inversions(t)
             assert weak == mn.leq(sd.psi(v, s), sd.psi(v, t))
 
 
