@@ -136,7 +136,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         if args.sd is not None:
             lattice.sd_scan_level(args.sd)
         finite_lattice.check_analysis_cap(lattice.n)
-        verdict = None if args.sd is None else lattice.sd_holds(args.sd)
+        verdict = None if args.sd is None else lattice.sd_verdict(args.sd)
         info = {
             "elements": lattice.n,
             "join_irreducibles": len(lattice.join_irreducibles()),
@@ -212,8 +212,7 @@ def _dispatch(args: argparse.Namespace) -> None:
 
 def _run_sd(v, args) -> None:
     n = args.n
-    if n < 0:
-        raise MultilatError("n must be >= 0")
+    finite_lattice.check_sd_level(n)
     if args.witness:
         if args.dual:
             raise MultilatError("--dual applies to exhaustive mode only")

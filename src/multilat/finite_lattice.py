@@ -18,8 +18,17 @@ SD_n(meet) is scanned one batch of x at a time through the table
 MJ_x[y, t] = x ^ (y v t).  The z sequence is the transpose of the y
 sequence, z_k(y, z) = y_k(z, y), so a_k(y, z) = x ^ y_k obeys
 a_0(y, z) = x ^ y and a_{k+1}(y, z) = MJ_x[y, a_k(z, y)], and SD_n fails
-at (x, y, z) exactly where a_n(y, z) != MJ_x[y, z]: one gather over the
-pairs per step.
+at (x, y, z) exactly where a_n(y, z) != MJ_x[y, z].  The first step is one
+gather over all pairs; later steps gather only the unsettled pairs, where
+a_k != MJ_x: a_k only climbs towards MJ_x, so a settled value is final.
+
+The arrow relations, the join dependency D, kappa and semidistributivity
+are boolean operations on rows of the order indexed by the join and meet
+irreducibles and their unique covers.  They also give the SD level of a
+meet-semidistributive lattice without a scan: an SD_n failure there yields
+a simple D-path of n edges (:meth:`FiniteLattice.dpath_from_sd_failure`),
+so when D is acyclic with longest path l, SD_n holds for every n > l
+(:meth:`FiniteLattice.sd_verdict`).
 """
 
 from __future__ import annotations
@@ -172,74 +181,82 @@ class FiniteLattice:
     def meet_irreducibles(self) -> list[int]:
         return list(self._mis)
 
-    def j_star(self, j: int) -> int:
-        (lower,) = self.lower_covers(j)
-        return lower
-
-    def m_star(self, m: int) -> int:
-        (upper,) = self.upper_covers(m)
-        return upper
-
     def arrow_up(self, j: int, m: int) -> bool:
         """j not below m, but below the unique upper cover of m."""
-        return not self.le(j, m) and self.le(j, self.m_star(m))
+        return bool(self._arrows[0][self._jis.index(j), self._mis.index(m)])
 
     def arrow_down(self, m: int, j: int) -> bool:
         """j not below m, but its unique lower cover is."""
-        return not self.le(j, m) and self.le(self.j_star(j), m)
+        return bool(self._arrows[1][self._jis.index(j), self._mis.index(m)])
 
     def bruteforce_D(self) -> set[tuple[int, int]]:
         """Join dependency: j D j' iff j != j' and j up-arrow m down-arrow j'."""
-        return set(self._d_relation)
+        jis = np.array(self._jis, dtype=np.intp)
+        a, b = np.nonzero(self._d_matrix)
+        return set(zip(jis[a].tolist(), jis[b].tolist()))
 
     @cached_property
-    def _d_relation(self) -> frozenset[tuple[int, int]]:
-        # found once per lattice: the tables never change
-        rel = set()
-        for j in self._jis:
-            ups = [m for m in self._mis if self.arrow_up(j, m)]
-            for j2 in self._jis:
-                if j2 != j and any(self.arrow_down(m, j2) for m in ups):
-                    rel.add((j, j2))
-        return frozenset(rel)
+    def _arrows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(up, down), |J| x |M| tables over the join irreducibles J and the
+        meet irreducibles M in index order: up[a, b] = J[a] up-arrow M[b]
+        and down[a, b] = M[b] down-arrow J[a].  Both need J[a] not below
+        M[b]; up adds J[a] <= M[b]*, down adds J[a]_* <= M[b]."""
+        leq, jis, mis = self.leq_table, self._jis, self._mis
+        j_star = [self._lower_covers[j][0] for j in jis]
+        m_star = [self._upper_covers[m][0] for m in mis]
+        outside = ~leq[np.ix_(jis, mis)]
+        return outside & leq[np.ix_(jis, m_star)], outside & leq[np.ix_(j_star, mis)]
+
+    @cached_property
+    def _d_matrix(self) -> np.ndarray:
+        """D over J x J: j D j' iff some m has j up-arrow m down-arrow j'."""
+        up, down = self._arrows
+        d = _bool_product(up, down.T)
+        np.fill_diagonal(d, False)
+        return d
+
+    @cached_property
+    def _double_arrows(self) -> np.ndarray:
+        """|J| x |M|: j up-arrow m and m down-arrow j."""
+        up, down = self._arrows
+        return up & down
 
     def kappa_of(self, j: int) -> int | None:
         """The unique m with j up-arrow m down-arrow j, if it exists."""
-        found = [m for m in self._mis
-                 if self.arrow_up(j, m) and self.arrow_down(m, j)]
-        return found[0] if len(found) == 1 else None
+        row = self._double_arrows[self._jis.index(j)]
+        return self._mis[int(row.argmax())] if row.sum() == 1 else None
 
     def is_meet_semidistributive(self) -> bool:
-        return all(self.kappa_of(j) is not None for j in self._jis)
+        """Every join irreducible has exactly one double-arrow partner."""
+        return bool((self._double_arrows.sum(axis=1) == 1).all())
 
     def is_join_semidistributive(self) -> bool:
-        return self.dual().is_meet_semidistributive()
+        """Every meet irreducible has exactly one double-arrow partner."""
+        return bool((self._double_arrows.sum(axis=0) == 1).all())
 
     def is_semidistributive(self) -> bool:
-        return self._semidistributive
+        return self.is_meet_semidistributive() and self.is_join_semidistributive()
 
     @cached_property
-    def _semidistributive(self) -> bool:
-        return self.is_meet_semidistributive() and self.is_join_semidistributive()
+    def _d_longest(self) -> int | None:
+        """The edge count of the longest D-path, None when D has a cycle."""
+        succ = [np.flatnonzero(row).tolist() for row in self._d_matrix]
+        return longest_path(succ)[0]
 
     def is_bounded(self) -> bool:
         """Semidistributive with an acyclic join dependency relation."""
-        if not self.is_semidistributive():
-            return False
-        succ: list[list[int]] = [[] for _ in self.elements()]
-        for a, b in self._d_relation:
-            succ[a].append(b)
-        return longest_path(succ)[1] is None
+        return self.is_semidistributive() and self._d_longest is not None
 
     def is_distributive(self) -> bool:
-        """The distributive law on all triples, vectorized per x."""
-        J, M = self.join_table, self.meet_table
-        joins = J.astype(np.intp)  # an int16 index would be converted per x
-        for x in self.elements():
-            a = M[x]
-            if not np.array_equal(np.take(a, joins), J[a][:, a]):
-                return False
-        return True
+        """Every join irreducible j is join prime: j <= x v y implies j <= x
+        or j <= y, that is, the elements not above j are closed under
+        joins.  They always form a down-set, so j is join prime iff they
+        are the ideal below some m, found by matching packed rows of the
+        order.  Such an m is meet irreducible: the elements above m lie
+        above j, and so does the meet of any two of them."""
+        leq = self.leq_table
+        ideals = {row.tobytes() for row in np.packbits(leq[:, self._mis].T, axis=1)}
+        return all(row.tobytes() in ideals for row in np.packbits(~leq[self._jis], axis=1))
 
     # -- congruences --------------------------------------------------------
 
@@ -334,8 +351,7 @@ class FiniteLattice:
         ``mu`` is the number of distinct pairs of :func:`sd_sequence`: the
         least k with (y_k, z_k) = (y_{k-1}, z_{k-1}).
         """
-        if n < 0:
-            raise MultilatError("n must be >= 0")
+        check_sd_level(n)
         pairs = sd_sequence(self.join, self.meet, x, y, z)
         y_seq, z_seq = zip(*(pairs[min(k, len(pairs) - 1)] for k in range(n + 1)))
         x_seq = tuple(self.join(self.meet(x, a), self.meet(x, b))
@@ -348,10 +364,11 @@ class FiniteLattice:
 
         Iterates x in index order; within an x-slice the least (y, z) is
         reported, so the witness is deterministic.  For each x the scan
-        steps a_k(y, z) = x ^ y_k over all (y, z) through one table,
+        steps a_k(y, z) = x ^ y_k through one table,
         MJ_x[y, t] = x ^ (y v t): since z_k(y, z) = y_k(z, y),
         a_{k+1}(y, z) = MJ_x[y, a_k(z, y)], and the triple fails exactly
-        where a_n != MJ_x, at the level of :meth:`sd_scan_level`.
+        where a_n != MJ_x, at the level of :meth:`sd_scan_level`.  After the
+        first step only the unsettled pairs, a_k != MJ_x, are stepped.
         """
         n = self.sd_scan_level(n)
         # batches of x double up to _SCAN_BATCH entries, so an early
@@ -361,22 +378,44 @@ class FiniteLattice:
         while lo < self.n:
             hi = min(lo + per, self.n)
             mj, steps = scan.climb(lo, hi)
-            bad = next(itertools.islice(steps, max(n, 0), None)) != mj
-            if bad.any():
-                x, y, z = np.argwhere(bad)[0].tolist()
-                return (lo + x, y, z)
+            a, bad = next(itertools.islice(steps, n, None))
+            if bad is None:
+                bad = np.flatnonzero(a != mj)
+            if bad.size:
+                x, y, z = np.unravel_index(bad[0], mj.shape)
+                return (lo + int(x), int(y), int(z))
             lo, per = hi, min(2 * per, most)
         return True
 
+    def sd_verdict(self, n: int):
+        """``sd_holds(n)``, certified without a scan where a D-path bound
+        decides it.  In a meet-semidistributive lattice an SD_n failure
+        yields a simple D-path of n edges (:meth:`dpath_from_sd_failure`),
+        so when D is acyclic with longest path l, SD_n holds for n > l
+        (Jipsen and Rose, *Varieties of Lattices*; Freese, Jezek and
+        Nation, *Free Lattices*, ch. 2).  The refusals are the scan's."""
+        self.sd_scan_level(n)
+        if self.is_meet_semidistributive() and self._d_longest is not None \
+                and n > self._d_longest:
+            return True
+        return self.sd_holds(n)
+
     def sd_scan_level(self, n: int) -> int:
         """The level that ``sd_holds(n)`` scans at, refused with
-        :class:`CapExceeded` above SD_SCAN_CAP.  y_k and z_k only climb, so
-        the pair is stationary after 2h steps, h the length of the longest
+        :class:`CapExceeded` above SD_SCAN_CAP and with
+        :class:`MultilatError` below 0.  y_k and z_k only climb, so the
+        pair is stationary after 2h steps, h the length of the longest
         chain, and the scan stops there."""
+        check_sd_level(n)
         if n > 2:  # below that 2h >= n unless the lattice is one element
-            n = min(n, 2 * longest_path(self._upper_covers)[0])
+            n = min(n, 2 * self._height)
         check_sd_scan_cap(self.n, n)
         return n
+
+    @cached_property
+    def _height(self) -> int:
+        """The length of the longest chain."""
+        return longest_path(self._upper_covers)[0]
 
     def sd_mu(self) -> int:
         """max over triples of the least n with y_{n-1} = y_n and z_{n-1} = z_n."""
@@ -386,7 +425,7 @@ class FiniteLattice:
         worst = 1
         for x in self.elements():
             yk = np.broadcast_to(ys, (self.n, self.n))
-            for k, a in enumerate(scan.climb(x, x + 1)[1]):
+            for k, (a, _) in enumerate(scan.climb(x, x + 1)[1]):
                 yn = J[ys, a[0].T]  # y_{k+1} = y v (x ^ z_k), z_k = y_k transposed
                 if np.array_equal(yn, yk):
                     worst = max(worst, k + 1)
@@ -497,10 +536,11 @@ class SdTrace:
     holds: bool
 
 
-# Entries gathered at once by the table fill and by the SD scan: enough
-# that numpy calls stay few on small lattices, few enough that the
-# temporaries stay small on large ones.  The scan steps its arrays
-# several times, so its batches are kept small enough to stay in cache.
+# Entries gathered at once by the table fill, the D product and the SD
+# scan: enough that numpy calls stay few on small lattices, few enough
+# that the temporaries stay small on large ones.  The scan steps its
+# arrays several times, so its batches are kept small enough to stay in
+# cache.
 _BATCH = 1 << 18
 _SCAN_BATCH = 1 << 15
 
@@ -661,29 +701,41 @@ class _SdScan:
     are reused from batch to batch (see :meth:`FiniteLattice.sd_holds`)."""
 
     def __init__(self, J: np.ndarray, M: np.ndarray, most: int):
-        n = len(J)
         self.J, self.M = J.astype(np.intp), M
-        self.mj = np.empty((most, n, n), dtype=M.dtype)
+        self.mj = np.empty((most,) + J.shape, dtype=M.dtype)
         self.a = np.empty_like(self.mj)
-        self.idx = np.empty(self.mj.shape, dtype=np.intp)
-        self.rows = np.arange(0, self.mj.size, n).reshape(most, n, 1)
 
     def climb(self, lo: int, hi: int):
         """MJ[i, y, t] = x_i ^ (y v t) for the x_i in [lo, hi), and an
-        iterator over a_0, a_1, ...; each a_k is overwritten by the next."""
-        c = hi - lo
+        iterator over (a_k, unsettled_k) for k = 0, 1, ...: a_k is
+        overwritten by the next, and unsettled_k holds the flat indices
+        where a_k != MJ in increasing order (None for k = 0)."""
+        c, n = hi - lo, len(self.M)
         mx = self.M[lo:hi]
-        mj, a, idx, rows = self.mj[:c], self.a[:c], self.idx[:c], self.rows[:c]
+        mj, a = self.mj[:c], self.a[:c]
         np.take(mx, self.J, axis=1, out=mj, mode="clip")
 
         def steps():
-            yield np.broadcast_to(mx[:, :, None], mj.shape)
-            flat, before = mj.reshape(-1), mx[:, None, :]  # a_0(z, y) = x ^ z
+            yield np.broadcast_to(mx[:, :, None], mj.shape), None
+            for i in range(c):  # a_1(y, z) = MJ[y, a_0(z, y)] = MJ[y, x ^ z]
+                np.take(mj[i], mx[i], axis=1, out=a[i], mode="clip")
+            act = np.flatnonzero(a != mj)
+            yield a, act
+            # an unsettled entry (i, y, z) reads MJ at i n^2 + y n + a(i, z, y)
+            flat_mj, flat_a = mj.reshape(-1), a.reshape(-1)
+            z = act % n
+            base = act - z
+            tr = base // n % n
+            np.subtract(z, tr, out=tr)
+            tr *= n - 1
+            tr += act
+            top = flat_mj[act]
             while True:
-                # a_{k+1}(y, z) = MJ[y, a_k(z, y)], indexed into the flat table
-                np.add(rows, before, out=idx)
-                yield np.take(flat, idx, out=a, mode="clip")
-                before = a.transpose(0, 2, 1)
+                new = flat_mj.take(base + flat_a[tr], mode="clip")
+                flat_a[act] = new
+                keep = new != top
+                act, base, tr, top = act[keep], base[keep], tr[keep], top[keep]
+                yield a, act
 
         return mj, steps()
 
@@ -724,6 +776,21 @@ def join_partitions(n: int, p1, p2) -> tuple[frozenset[int], ...]:
 
 def _same_block(theta, a: int, b: int) -> bool:
     return any(a in block and b in block for block in theta)
+
+
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The boolean matrix product, out[i, k] = any over j of a[i, j] & b[j, k]:
+    row i is the OR of the rows of b that row i of a selects, packed eight
+    columns to a byte and gathered a few rows of a at a time."""
+    packed = np.packbits(b, axis=1)
+    out = np.zeros((len(a), packed.shape[1]), dtype=np.uint8)
+    per = max(1, _BATCH // max(1, a.shape[1] * packed.shape[1]))
+    for lo in range(0, len(a), per):
+        rows, cols = np.nonzero(a[lo:lo + per])
+        if rows.size:
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            out[lo + rows[starts]] = np.bitwise_or.reduceat(packed[cols], starts)
+    return np.unpackbits(out, axis=1, count=b.shape[1]).astype(bool)
 
 
 def dag_heights(succ) -> tuple[list[int], int | None]:
@@ -770,11 +837,18 @@ def sd_sequence(join, meet, x, y, z, n: int | None = None) -> list[tuple]:
 
 
 # Set from the scan of sd_holds on a 2-vCPU Xeon, Python 3.11, numpy 2.4,
-# which takes 2-8 ns per unit of N^3 (level + 1), N elements stepped to
-# `level` (more for larger N): L(2,2,2,1), N = 630, takes 5.7 s to level 4;
-# L(1^6), N = 720, 5.6 s to level 4; the 1001-element chain L(1,1000)
-# 9.8 s to level 1.  The cap admits the first two and refuses the third.
+# which takes 0.3-1.5 ns per unit of N^3 (level + 1), N elements stepped
+# to `level` (more for larger N): L(2,2,2,1), N = 630, takes 1.3 s to
+# level 4; L(1^6), N = 720, 0.5 s to its failure at level 4 (x = 153); the
+# 1001-element chain L(1,1000) 2.9 s to level 1.  The cap admits the first
+# two and refuses the third.
 SD_SCAN_CAP = 2_000_000_000
+
+
+def check_sd_level(n: int) -> None:
+    """Refuse a negative SD_n level."""
+    if n < 0:
+        raise MultilatError("n must be >= 0")
 
 
 def check_sd_scan_cap(size: int, level: int) -> None:
@@ -790,12 +864,13 @@ def check_sd_scan_cap(size: int, level: int) -> None:
 DEFAULT_SIZE_CAP = 5000
 
 
-# Set from `lattice --covers` (in-process) on chain files, the worst case
-# for N elements on a 2-vCPU Xeon, Python 3.11, numpy 2.4: every element
-# but the bottom is join and meet irreducible, so the arrow relations
-# behind the join dependency and semidistributivity cover (N-1)^2 pairs,
-# and the distributive law holds, so all N^3 triples are checked.  800
-# elements take 3.1 s, 900 3.8 s, 1,000 6.2 s and 1,300 14 s.
+# Timed by `lattice --covers` (in-process) on a 2-vCPU Xeon, Python 3.11,
+# numpy 2.4.  The analyses cost about N (|J| + |M|) for the arrow relations
+# and distributivity plus the D product and listing: chain files, where
+# all but the bottom are join and meet irreducible, take 0.17 s at 900
+# elements, 0.7 s at 2,000 and 1.7 s at 3,000.  The worst case is a
+# lattice with about N^2 D edges, M_{N-2} (N - 2 atoms), where printing
+# them takes 9.7 s, 484 MB RSS and 35 MB of JSON at 900 elements.
 ANALYSIS_CAP = 900
 
 

@@ -3,8 +3,9 @@
 For a lattice L(v) whose multiplicity vector has n positive entries,
 SD_{n-1}(meet) holds and SD_{n-2}(meet) fails.  The failing side is
 witnessed by an explicit triple of clopen sets pushed from the
-permutations of {1..n} into L(v); the holding side is checked either
-exhaustively or through the bound given by the longest simple D-path.
+permutations of {1..n} into L(v); the holding side is decided either on
+the materialized lattice (certified from its tables, or scanned) or
+through the bound given by the longest simple D-path of the D-graph.
 
 SD_n is tested on both orderings (x,y,z) and (x,z,y) of the triple, but
 one walk of the sequences decides both: swapping y and z swaps the
@@ -141,9 +142,15 @@ class TheoremReport:
 def theorem_check(v: MultVector, method: str | None = None) -> TheoremReport:
     """Confirm that L(v) of dimension n fails SD_{n-2} and satisfies SD_{n-1}.
 
-    DEFAULT_EXHAUSTIVE_CAP only picks the method when none is given; an
-    exhaustive check materializes up to the cap of ``to_finite_lattice``,
-    as ``sd --exhaustive`` does.
+    The failing side is the witness triple, walked on words.  The
+    exhaustive method materializes L(v), up to the cap of
+    ``to_finite_lattice`` and after the scan cap, and decides the holding
+    side with :meth:`FiniteLattice.sd_verdict`: certified from the arrow
+    relations of the tables when the lattice is meet semidistributive and
+    its D is acyclic with longest path below n - 1, scanned otherwise.
+    The dpath-bound method reads the longest simple D-path off the
+    vector-coded D-graph instead.  DEFAULT_EXHAUSTIVE_CAP only picks the
+    method when none is given.
     """
     n = v.dimension
     if n < 2:
@@ -166,7 +173,7 @@ def theorem_check(v: MultVector, method: str | None = None) -> TheoremReport:
 
     if method == EXHAUSTIVE:
         lattice = multinomial.to_finite_lattice(v)
-        if lattice.sd_holds(n - 1) is not True:
+        if lattice.sd_verdict(n - 1) is not True:
             raise MultilatError(f"SD_{n - 1} unexpectedly fails in L({v})")
     else:
         length = longest_simple_path(d_graph(v))

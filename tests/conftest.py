@@ -9,6 +9,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+from hypothesis import strategies as st
+
+from multilat import congruence as cg
+from multilat import irreducibles as ir
 from multilat import multinomial as mn
 from multilat import perm_core as pc
 
@@ -82,3 +87,81 @@ def oracle_sd_holds_on(lattice, x: int, y: int, z: int, n: int) -> bool:
         yk, zk = (lattice.join(y, lattice.meet(x, zk)),
                   lattice.join(z, lattice.meet(x, yk)))
     return lattice.meet(x, yk) == lattice.meet(x, lattice.join(y, z))
+
+
+def oracle_arrows(lattice):
+    """(up, down, D, kappa) of a finite lattice, pair by pair from the
+    definitions on the order table and the cover lists: j up-arrow m iff
+    j is not below m but below its upper cover m*; m down-arrow j iff j is
+    not below m but its lower cover j_* is; j D j' iff j != j' and
+    j up-arrow m down-arrow j' for some m; kappa(j) is the unique m with
+    j up-arrow m down-arrow j, or None."""
+    le = lattice.leq_table.tolist()
+    n = len(le)
+    jis = [x for x in range(n) if len(lattice.lower_covers(x)) == 1]
+    mis = [x for x in range(n) if len(lattice.upper_covers(x)) == 1]
+    up = {(j, m) for j in jis for m in mis
+          if not le[j][m] and le[j][lattice.upper_covers(m)[0]]}
+    down = {(m, j) for j in jis for m in mis
+            if not le[j][m] and le[lattice.lower_covers(j)[0]][m]}
+    d = {(j, k) for j in jis for k in jis
+         if j != k and any((j, m) in up and (m, k) in down for m in mis)}
+    kappa = {}
+    for j in jis:
+        both = [m for m in mis if (j, m) in up and (m, j) in down]
+        kappa[j] = both[0] if len(both) == 1 else None
+    return up, down, d, kappa
+
+
+def oracle_distributive(lattice) -> bool:
+    """The distributive law x ^ (y v z) = (x ^ y) v (x ^ z) on every
+    triple, one x at a time."""
+    J, M = lattice.join_table.astype(np.intp), lattice.meet_table.astype(np.intp)
+    return all(np.array_equal(M[x][J], J[M[x]][:, M[x]]) for x in lattice.elements())
+
+
+def multinomial_vectors(limit: int, top: int = 6) -> list[tuple[int, ...]]:
+    """Every vector of dimension at least 2 with entries in 1..top whose
+    L(v) has at most ``limit`` words."""
+    out, stack = [], [()]
+    while stack:
+        v = stack.pop()
+        for e in range(1, top + 1):  # the size grows with e and with each new entry
+            w = v + (e,)
+            if mn.MultVector(w).size() > limit:
+                break
+            if len(w) > 1:
+                out.append(w)
+            stack.append(w)
+    return sorted(out)
+
+
+# Small L(v) whose quotients are cheap to build: congruence.quotient
+# checks the partition with about 4 N^2 word joins and meets.
+QUOTIENT_VECTORS = ("2,1", "1,1,1", "2,2", "3,1", "2,1,1", "1,2,1", "1,1,2",
+                    "3,1,1", "2,2,1", "1,1,1,1")
+
+
+@lru_cache(maxsize=None)
+def quotient_by(text: str, members: frozenset[int]):
+    """The quotient of L(v) by the D-closed set of the d_graph nodes ``members``."""
+    v = mn.parse_vector(text)
+    nodes = ir.d_graph(v).nodes
+    return cg.quotient(v, cg.JiSet(v, frozenset(nodes[i] for i in members)))
+
+
+@st.composite
+def d_closed_quotients(draw):
+    """A quotient of a small L(v) by the D-closure of a random set of its
+    join irreducibles."""
+    text = draw(st.sampled_from(QUOTIENT_VECTORS))
+    graph = ir.d_graph(mn.parse_vector(text))
+    succ = [[t for s, t, _ in graph.edges if s == i] for i in range(len(graph.nodes))]
+    stack = sorted(draw(st.sets(st.integers(0, len(graph.nodes) - 1))))
+    members: set[int] = set()
+    while stack:
+        i = stack.pop()
+        if i not in members:
+            members.add(i)
+            stack.extend(succ[i])
+    return quotient_by(text, frozenset(members))

@@ -279,3 +279,62 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
         assert captured.err == "", line
         if "# ->" in line:
             assert captured.out.strip() == line.split("# ->")[1].strip(), line
+
+
+@pytest.mark.parametrize("argv", [["sd", "-v", "1,1,1", "-n", "-1", "--exhaustive"],
+                                  ["sd", "-v", "1,1,1", "-n", "-1", "--witness"],
+                                  ["lattice", "--covers", "{n5}", "--sd", "-5"]])
+def test_negative_sd_level_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "n5.cov"
+    path.write_text(finite_lattice.n5().to_cover_file())
+    assert cli.run([a.replace("{n5}", str(path)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: n must be >= 0\n")
+
+
+def record_scans(monkeypatch):
+    """The x stepped by each SD scan, one list per sd_holds call."""
+    scans = []
+    holds, climb = finite_lattice.FiniteLattice.sd_holds, finite_lattice._SdScan.climb
+
+    def counted_holds(self, n):
+        scans.append([])
+        return holds(self, n)
+
+    def counted_climb(self, lo, hi):
+        scans[-1].extend(range(lo, hi))
+        return climb(self, lo, hi)
+
+    monkeypatch.setattr(finite_lattice.FiniteLattice, "sd_holds", counted_holds)
+    monkeypatch.setattr(finite_lattice._SdScan, "climb", counted_climb)
+    return scans
+
+
+def test_sd_exhaustive_scans_every_triple(monkeypatch, capsys):
+    def certificate(self, n):
+        raise AssertionError("sd --exhaustive took the D-path certificate")
+
+    monkeypatch.setattr(finite_lattice.FiniteLattice, "sd_verdict", certificate)
+    scans = record_scans(monkeypatch)
+    for n in (2, 3, 10):  # above the longest D-path, 1, of L(2,1,1)
+        data = json.loads(run_ok(capsys, "sd", "-v", "2,1,1", "-n", str(n), "--exhaustive"))
+        assert data["sd_holds"] is True
+    assert scans == [list(range(12))] * 3
+
+
+def test_theorem_exhaustive_certifies_the_holding_side(monkeypatch, capsys):
+    scans = record_scans(monkeypatch)
+    data = json.loads(run_ok(capsys, "theorem", "-v", "1,1,1,1", "--method", "exhaustive"))
+    assert (data["sd_fail_level"], data["sd_hold_level"]) == (2, 3)
+    assert scans == []
+
+
+def test_lattice_sd_scans_only_up_to_the_longest_d_path(tmp_path, monkeypatch, capsys):
+    # benzene: meet semidistributive, longest D-path 1, SD_1 fails and SD_2 holds
+    path = tmp_path / "benzene.cov"
+    path.write_text(finite_lattice.benzene().to_cover_file())
+    scans = record_scans(monkeypatch)
+    holds = [json.loads(run_ok(capsys, "lattice", "--covers", str(path), "--sd", str(n)))
+             ["sd_holds"] for n in range(5)]
+    assert holds == [False, False, True, True, True]
+    assert len(scans) == 2

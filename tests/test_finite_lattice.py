@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_sd_holds_on
+from conftest import (d_closed_quotients, multinomial_vectors, oracle_arrows,
+                      oracle_distributive, oracle_sd_holds_on)
 from multilat import congruence as cg
 from multilat import finite_lattice as fl
 from multilat import multinomial as mn
@@ -304,24 +306,6 @@ def reference_sd_verdicts(L, top):
     return verdicts
 
 
-def shapes(limit, most):
-    """Non-increasing vectors of entries in 1..most, of dimension at least
-    2, with at most ``limit`` words."""
-    out = []
-
-    def extend(v):
-        for e in range(1, (v[-1] if v else most) + 1):
-            w = v + (e,)
-            if mn.MultVector(w).size() > limit:
-                break
-            if len(w) > 1:
-                out.append(w)
-            extend(w)
-
-    extend(())
-    return out
-
-
 # Three D-closed sets of each vector, once drawn at random from its
 # congruences; kept as text so that the cases do not depend on the order
 # in which d_closed_sets lists the sets.
@@ -348,11 +332,13 @@ QUOTIENT_SETS = {
 
 
 def scan_cases():
-    """Every L(v) of at most 180 words with entries up to 6, and its dual;
-    the fixtures; quotients of small L(v).  Each with the levels to
-    compare, 0 to one past the least holding level."""
+    """Every L(v) of at most 180 words with v non-increasing and entries
+    up to 6, and its dual; the fixtures; quotients of small L(v).  Each
+    with the levels to compare, 0 to one past the least holding level."""
     cases = [pytest.param(L, 5, id=name) for name, L in ALL_FIXTURES.items()]
-    for v in shapes(180, 6):
+    for v in multinomial_vectors(180):
+        if list(v) != sorted(v, reverse=True):
+            continue
         L = mn.to_finite_lattice(mn.MultVector(v))
         text = ",".join(map(str, v))
         cases += [pytest.param(L, len(v) + 1, id=text),
@@ -466,17 +452,17 @@ def test_sd_sequence_matches_the_plain_recursion(name):
 def test_lattice_relations_are_computed_once(monkeypatch):
     L = fl.benzene()
     calls = []
-    original = fl.FiniteLattice.arrow_up
+    original = fl._bool_product
 
-    def counted(self, j, m):
-        calls.append((j, m))
-        return original(self, j, m)
+    def counted(a, b):
+        calls.append(a.shape)
+        return original(a, b)
 
-    monkeypatch.setattr(fl.FiniteLattice, "arrow_up", counted)
+    monkeypatch.setattr(fl, "_bool_product", counted)
     assert L.is_bounded() and L.is_semidistributive()
-    once = len(calls)
     assert L.bruteforce_D() and L.is_bounded() and L.is_semidistributive()
-    assert len(calls) == once
+    assert L.sd_verdict(2) is True and L.kappa_of(L.join_irreducibles()[0]) is not None
+    assert calls == [(4, 4)]  # the D product, once
 
 
 def test_sd_eval_trace_consistency():
@@ -559,3 +545,113 @@ def test_against_materialized_multinomial_lattice():
     assert len(L.join_irreducibles()) == 4
     assert L.sd_holds(2) is True
     assert L.sd_holds(1) is not True
+
+
+# -- arrow relations, distributivity and the D-path certificate ---------------
+
+def small_multinomial_lattices():
+    """The fixtures and every L(v) of at most 210 words (entries up to 6)."""
+    cases = [pytest.param(L, id=name) for name, L in ALL_FIXTURES.items()]
+    cases += [pytest.param(mn.to_finite_lattice(mn.MultVector(v)), id=",".join(map(str, v)))
+              for v in multinomial_vectors(210)]
+    return cases
+
+
+SMALL_LATTICES = small_multinomial_lattices()
+
+
+def check_arrows(L):
+    up, down, d, kappa = oracle_arrows(L)
+    jis, mis = L.join_irreducibles(), L.meet_irreducibles()
+    arrow_up, arrow_down = L._arrows
+    assert {(jis[a], mis[b]) for a, b in zip(*np.nonzero(arrow_up))} == up
+    assert {(mis[b], jis[a]) for a, b in zip(*np.nonzero(arrow_down))} == down
+    assert L.bruteforce_D() == d
+    assert {j: L.kappa_of(j) for j in jis} == kappa
+    assert L.is_meet_semidistributive() == (None not in kappa.values())
+    partners = [sum((j, m) in up and (m, j) in down for j in jis) for m in mis]
+    assert L.is_join_semidistributive() == all(p == 1 for p in partners)
+    assert L.is_join_semidistributive() == L.dual().is_meet_semidistributive()
+    succ = [[b for a, b in d if a == i] for i in L.elements()]
+    assert L.is_bounded() == (L.is_semidistributive() and fl.longest_path(succ)[1] is None)
+
+
+@pytest.mark.parametrize("L", SMALL_LATTICES)
+def test_arrow_relations_match_the_pairwise_oracle(L):
+    check_arrows(L)
+
+
+@given(d_closed_quotients())
+@settings(max_examples=40, deadline=None)
+def test_arrow_relations_match_the_pairwise_oracle_on_quotients(L):
+    check_arrows(L)
+
+
+DISTRIBUTIVE_CASES = SMALL_LATTICES + [
+    pytest.param(L, id=f"{name}{k}") for name, make, ks in
+    (("chain", fl.chain, range(1, 9)), ("boolean", fl.boolean_lattice, range(5)))
+    for k in ks for L in (make(k),)]
+
+
+@pytest.mark.parametrize("L", DISTRIBUTIVE_CASES)
+def test_distributive_by_join_primes_matches_the_law(L):
+    assert L.is_distributive() == oracle_distributive(L)
+
+
+@given(d_closed_quotients())
+@settings(max_examples=40, deadline=None)
+def test_distributive_by_join_primes_matches_the_law_on_quotients(L):
+    assert L.is_distributive() == oracle_distributive(L)
+
+
+def check_certificate(L, monkeypatch):
+    """sd_verdict(n) == sd_holds(n) for n = 0..l+2, with no scan above l
+    when L is meet semidistributive and D is acyclic with longest path l,
+    and sd_holds(n) against the plain recursion."""
+    succ = [[b for a, b in L.bruteforce_D() if a == i] for i in L.elements()]
+    longest = fl.longest_path(succ)[0]
+    certified = L.is_meet_semidistributive() and longest is not None
+    top = longest + 2 if longest is not None else 4
+    scanned = [L.sd_holds(n) for n in range(top + 1)]
+    calls = []
+    scan = fl.FiniteLattice.sd_holds
+    monkeypatch.setattr(fl.FiniteLattice, "sd_holds",
+                        lambda self, n: calls.append(n) or scan(self, n))
+    assert [L.sd_verdict(n) for n in range(top + 1)] == scanned
+    assert calls == (list(range(longest + 1)) if certified else list(range(top + 1)))
+    # the reported triple fails, and seeded triples hold unless they come after it
+    rng = random.Random(L.n)
+    for n, verdict in enumerate(scanned):
+        if verdict is not True:
+            assert not oracle_sd_holds_on(L, *verdict, n)
+        for _ in range(100):
+            t = tuple(rng.randrange(L.n) for _ in range(3))
+            if verdict is True or t < verdict:
+                assert oracle_sd_holds_on(L, *t, n), (n, t)
+
+
+@pytest.mark.parametrize("L", SMALL_LATTICES)
+def test_sd_verdict_matches_the_scan(L, monkeypatch):
+    check_certificate(L, monkeypatch)
+
+
+@given(d_closed_quotients())
+@settings(max_examples=40, deadline=None)
+def test_sd_verdict_matches_the_scan_on_quotients(L):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_certificate(L, monkeypatch)
+
+
+@given(d_closed_quotients(), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_settled_triple_scan_matches_the_oracle_on_quotients(L, n):
+    failing = (t for t in itertools.product(L.elements(), repeat=3)
+               if not oracle_sd_holds_on(L, *t, n))
+    assert L.sd_holds(n) == next(failing, True)
+
+
+def test_negative_sd_levels_are_refused():
+    L = fl.n5()
+    for call in (L.sd_holds, L.sd_verdict, L.sd_scan_level):
+        with pytest.raises(MultilatError, match="n must be >= 0"):
+            call(-1)
