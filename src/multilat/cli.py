@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
-from . import congruence, finite_lattice, irreducibles, multinomial, sd_engine
+from . import congruence, irreducibles, multinomial, order, sd_engine
 from .errors import MultilatError
 from .multinomial import parse_vector, parse_word, word_str
 
@@ -114,13 +115,19 @@ def run(argv: list[str]) -> int:
 
 def _dispatch(args: argparse.Namespace) -> None:
     verb = args.verb
+    if verb in ("seed-fixtures", "lattice"):
+        from . import finite_lattice  # loads numpy, which no other verb needs
     if verb == "seed-fixtures":
         directory = Path(args.directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, make in finite_lattice.FIXTURES.items():
-            path = directory / f"{name}.cov"
-            path.write_text(f"# fixture {name}\n" + make().to_cover_file())
-            print(path)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            for name, make in finite_lattice.FIXTURES.items():
+                path = directory / f"{name}.cov"
+                path.write_text(f"# fixture {name}\n" + make().to_cover_file())
+                print(path)
+        except OSError as exc:
+            raise MultilatError(f"cannot write fixtures to {args.directory}: "
+                                f"{exc.strerror or exc}") from exc
         return
     if verb == "lattice":
         try:
@@ -135,7 +142,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         # caps before any work: an SD scan over its cap is refused by it first
         if args.sd is not None:
             lattice.sd_scan_level(args.sd)
-        finite_lattice.check_analysis_cap(lattice.n)
+        order.check_analysis_cap(lattice.n)
         verdict = None if args.sd is None else lattice.sd_verdict(args.sd)
         info = {
             "elements": lattice.n,
@@ -184,18 +191,17 @@ def _dispatch(args: argparse.Namespace) -> None:
     elif verb == "dgraph":
         graph = irreducibles.d_graph(v)
         sys.stdout.write(graph.to_dot() if args.dot else graph.to_json() + "\n")
+    elif verb == "congruences" and args.count:
+        print(congruence.count_d_closed(v))
     elif verb == "congruences":
         graph, masks = congruence.d_closed_masks(v)
-        if args.count:
-            print(len(masks))
-        else:
-            # node indices ascend with the vectors, so each set comes out sorted
-            print(json.dumps(
-                {"v": list(v.entries),
-                 "congruences": sorted([list(graph.nodes[i].x)
-                                        for i in congruence.mask_members(mask)]
-                                       for mask in masks)},
-                indent=2))
+        # node indices ascend with the vectors, so each set comes out sorted
+        print(json.dumps(
+            {"v": list(v.entries),
+             "congruences": sorted([list(graph.nodes[i].x)
+                                    for i in congruence.mask_members(mask)]
+                                   for mask in masks)},
+            indent=2))
     elif verb == "classes":
         s = congruence.parse_ji_set(v, args.S)
         print(congruence.congruence_from_S(v, s).to_json())
@@ -212,7 +218,7 @@ def _dispatch(args: argparse.Namespace) -> None:
 
 def _run_sd(v, args) -> None:
     n = args.n
-    finite_lattice.check_sd_level(n)
+    order.check_sd_level(n)
     if args.witness:
         if args.dual:
             raise MultilatError("--dual applies to exhaustive mode only")
@@ -237,7 +243,15 @@ def _run_sd(v, args) -> None:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`multilat elements ... | head`): stop without
+        # a traceback, and keep the interpreter's final flush off the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import prod
+from typing import TYPE_CHECKING
 
 from . import irreducibles, multinomial
 from .errors import CapExceeded, MultilatError
-from .finite_lattice import FiniteLattice
 from .irreducibles import DGraph, IrrVector, d_graph, ji_word
 from .multinomial import MultVector, PathWord, leq, mjoin, mmeet, word_str
+from .order import _blocks, _union
+
+if TYPE_CHECKING:
+    from .finite_lattice import FiniteLattice
 
 
 @dataclass(frozen=True)
@@ -67,28 +72,67 @@ DEFAULT_JI_CAP = 24
 # empty S puts all N words in one block, checked by 4 N^2 word joins and
 # meets.  N = 90 (2,2,2) takes 0.8-1.4 s, 140 (3,3,1) 2.1-3.6 s, 210 (3,2,2) 5.1-7.4 s.
 CLASSES_CAP = 210
+# Set from `congruences` (in-process, JSON reply) on a 2-vCPU Xeon, Python
+# 3.11: 22,873 sets (1,4,2) take 0.9 s and 132 MB, 31,409 (1,2,4) 1.7 s and
+# 191 MB, 57,808 (1,3,3) 3.9 s and 366 MB, 289,747 (3,1,3) 30 s and 2 GB.
+# The cap admits (1,2,4) and refuses (1,3,3); --count has no such cap.
+LISTING_CAP = 32_768
 
 
 def d_closed_masks(v: MultVector) -> tuple[DGraph, list[int]]:
-    """The D-graph and its forward-closed node sets, i.e. all congruences.
+    """The D-graph and its forward-closed node sets, i.e. all congruences,
+    refused above LISTING_CAP sets once they are counted.
 
-    A set is a bitmask over ``graph.nodes``.  Nodes are taken by
-    increasing height (:meth:`DGraph.heights`, which raises on a cycle),
-    so each comes after its direct successors, and a node may join a set
-    only once all of them are present.
+    A set is a bitmask over ``graph.nodes``, listed by :func:`_closed_masks`.
     """
+    graph = _capped_d_graph(v)
+    count = _count_closed(graph)
+    if count > LISTING_CAP:
+        raise CapExceeded(f"{count} congruences exceed the listing cap {LISTING_CAP}")
+    return graph, _closed_masks(graph, [range(len(graph.nodes))])[0]
+
+
+def count_d_closed(v: MultVector) -> int:
+    """The number of D-closed sets, i.e. of congruences, without listing them."""
+    return _count_closed(_capped_d_graph(v))
+
+
+def _count_closed(graph: DGraph) -> int:
+    """A set is closed iff its part in each weakly connected component of
+    the D-graph is, so the count is the product over the components of
+    their closed sets, each listed by :func:`_closed_masks`."""
+    parent = list(range(len(graph.nodes)))
+    for s, t, _ in graph.edges:
+        _union(parent, s, t)
+    return prod(len(masks) for masks in _closed_masks(graph, _blocks(parent)))
+
+
+def _capped_d_graph(v: MultVector) -> DGraph:
+    """The D-graph, refused above DEFAULT_JI_CAP join irreducibles before it is built."""
     m = irreducibles.count_ji(v)
     if m > DEFAULT_JI_CAP:
         raise CapExceeded(f"{m} join irreducibles exceed cap {DEFAULT_JI_CAP}")
-    graph = d_graph(v)
-    needs = [0] * m
+    return d_graph(v)
+
+
+def _closed_masks(graph: DGraph, groups) -> list[list[int]]:
+    """For each group of nodes with no D-edge leaving it, its subsets closed
+    under D-successors as bitmasks over ``graph.nodes``.  Nodes are taken
+    by increasing height (:meth:`DGraph.heights`, which raises on a cycle),
+    so each comes after its direct successors, and a node may join a set
+    only once all of them are present."""
+    heights = graph.heights()
+    needs = [0] * len(graph.nodes)
     for s, t, _ in graph.edges:
         needs[s] |= 1 << t
-    masks = [0]
-    for node in sorted(range(m), key=graph.heights().__getitem__):
-        bit, need = 1 << node, needs[node]
-        masks.extend([s | bit for s in masks if s & need == need])
-    return graph, masks
+    out = []
+    for group in groups:
+        masks = [0]
+        for node in sorted(group, key=heights.__getitem__):
+            bit, need = 1 << node, needs[node]
+            masks.extend([s | bit for s in masks if s & need == need])
+        out.append(masks)
+    return out
 
 
 def mask_members(mask: int) -> list[int]:
@@ -141,6 +185,8 @@ def _verify_congruence(p: Partition, words: list[PathWord]) -> None:
 
 def quotient(v: MultVector, s: JiSet) -> FiniteLattice:
     """The quotient lattice on the blocks of congruence_from_S."""
+    from .finite_lattice import FiniteLattice
+
     p = congruence_from_S(v, s)
     block_id = {w: i for i, block in enumerate(p.blocks) for w in block}
     labels = ["{" + ",".join(sorted(word_str(w) for w in block)) + "}"

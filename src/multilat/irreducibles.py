@@ -29,8 +29,8 @@ from itertools import product
 from math import prod
 
 from .errors import CapExceeded, InternalInconsistency, MultilatError
-from .finite_lattice import dag_heights
 from .multinomial import MultVector, PathWord, bottom, word_str
+from .order import dag_heights
 
 JOIN = "join"
 MEET = "meet"
@@ -102,7 +102,13 @@ def _dual(j: IrrVector) -> IrrVector:
 
 
 def _ji_plans(v: MultVector):
-    """Yield (x, plan) for every join irreducible <x>, lexicographic on x."""
+    """Yield (x, plan) for every join irreducible <x>, lexicographic on x.
+
+    The 1 + k vectors without a plan are skipped, so the walk costs at most
+    four times the output, except in dimension below 2, where nothing is
+    join irreducible and no vector is walked."""
+    if v.dimension < 2:
+        return
     for x in product(*(range(e + 1) for e in v.entries)):
         plan = _plan(v.entries, x, JOIN)
         if plan is not None:

@@ -14,12 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from typing import TYPE_CHECKING
 
-from . import finite_lattice, perm_core
+from . import order, perm_core
 from .errors import CapExceeded, MultilatError
-from .finite_lattice import FiniteLattice, check_sd_scan_cap
 from .perm_core import InversionSet
+
+if TYPE_CHECKING:
+    from .finite_lattice import FiniteLattice
 
 DEFAULT_K_CAP = 10
 
@@ -55,10 +57,14 @@ class MultVector:
         return tuple(i for i, e in enumerate(self.entries, start=1) if e > 0)
 
     def size(self) -> int:
-        """Number of elements of L(v): the multinomial coefficient."""
-        return math.factorial(self.k) // reduce(
-            lambda acc, e: acc * math.factorial(e), self.entries, 1
-        )
+        """Number of elements of L(v): the multinomial coefficient, as the
+        product over i of C(v_1 + ... + v_i, v_i), which needs no factorial
+        of k (a single letter repeated 10^6 times has one word)."""
+        size, places = 1, 0
+        for e in self.entries:
+            places += e
+            size *= math.comb(places, e)
+        return size
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.entries)
@@ -239,10 +245,14 @@ def mmeet(w: PathWord, u: PathWord) -> PathWord:
 
 
 def check_size_cap(v: MultVector) -> None:
-    """Refuse to materialize an L(v) above ``finite_lattice.DEFAULT_SIZE_CAP``."""
-    size, cap = v.size(), finite_lattice.DEFAULT_SIZE_CAP
+    """Refuse to materialize an L(v) above ``order.DEFAULT_SIZE_CAP`` words,
+    or with words of more letters, which only a one-word L(v) can have:
+    an L(v) of dimension 2 or more has at least k words."""
+    size, cap = v.size(), order.DEFAULT_SIZE_CAP
     if size > cap:
         raise CapExceeded(f"|L({v})| = {size} exceeds materialization cap {cap}")
+    if v.k > cap:
+        raise CapExceeded(f"{v.k} letters exceed materialization cap {cap}")
 
 
 def check_scan_cap(v: MultVector, n: int) -> None:
@@ -251,12 +261,14 @@ def check_scan_cap(v: MultVector, n: int) -> None:
     L(v), bottom to top, has one step per inversion, sum over i < j of
     v_i v_j, and the scan stops at twice that."""
     height = sum(a * b for a, b in itertools.combinations(v.entries, 2))
-    check_sd_scan_cap(v.size(), min(n, 2 * height))
+    order.check_sd_scan_cap(v.size(), min(n, 2 * height))
 
 
 def to_finite_lattice(v: MultVector) -> FiniteLattice:
     """Materialize L(v) as an explicit lattice with join/meet tables, from
     the covers of :func:`covers` found by index among the letter tuples."""
+    from .finite_lattice import FiniteLattice
+
     check_size_cap(v)
     words = list(_letter_tuples(v))
     index = {w: i for i, w in enumerate(words)}

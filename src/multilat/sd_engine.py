@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from . import multinomial, perm_core
 from .errors import CapExceeded, MultilatError
-from .finite_lattice import sd_sequence
 from .irreducibles import check_d_graph_cap, d_graph, longest_simple_path
 from .multinomial import MultVector, PathWord, mjoin, mmeet, word_str
+from .order import sd_sequence
 from .perm_core import InversionSet, Permutation, inv_set
 
 EXHAUSTIVE = "exhaustive"

@@ -1,11 +1,22 @@
+import contextlib
+import io
 import json
+import os
+import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multilat import cli, congruence, finite_lattice
+import multilat
+from multilat import cli, congruence, finite_lattice, order
+from multilat import irreducibles as ir
+from multilat import multinomial as mn
 
 
 def run_ok(capsys, *argv):
@@ -65,6 +76,17 @@ def test_congruences(capsys):
     assert len(data["congruences"]) == 7
 
 
+def test_congruence_count_lists_no_sets(capsys):
+    # 24 join irreducibles and no D edge: 2^24 sets, counted per component
+    start = time.perf_counter()
+    assert run_ok(capsys, "congruences", "-v", "4,6", "--count") == "16777216\n"
+    assert time.perf_counter() - start < 1.0
+    assert run_ok(capsys, "congruences", "-v", "1,3,3", "--count") == "57808\n"
+    assert cli.run(["congruences", "-v", "1,3,3"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: 57808 congruences exceed the listing cap {congruence.LISTING_CAP}\n"
+
+
 def test_classes_and_quotient(capsys):
     out = json.loads(run_ok(capsys, "classes", "-v", "3,3", "-S", "0,3;1,2"))
     assert len(out["blocks"]) == 3
@@ -120,6 +142,36 @@ def test_unreadable_cover_file(tmp_path, capsys, name):
     assert cli.run(["lattice", "--covers", str(tmp_path / name)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read cover file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["taken", "taken/sub"])
+def test_unwritable_fixture_directory(tmp_path, capsys, name):
+    (tmp_path / "taken").write_text("a file, not a directory\n")
+    assert cli.run(["seed-fixtures", str(tmp_path / name)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write fixtures to") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["ji", "-v", "100000000"], ["mi", "-v", "0,100000000"],
+                                  ["dgraph", "-v", "100000000,0"],
+                                  ["congruences", "-v", "100000000"]])
+def test_one_letter_vectors_have_no_irreducibles_to_walk(capsys, argv):
+    # L(v) of dimension below 2 is one word, whatever its length
+    start = time.perf_counter()
+    assert cli.run(argv) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == ""
+
+
+def test_one_word_lattices_refuse_words_over_the_size_cap(capsys):
+    k = order.DEFAULT_SIZE_CAP + 1
+    start = time.perf_counter()
+    assert cli.run(["sd", "-v", f"0,{k}", "-n", "1", "--exhaustive"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == \
+        f"error: {k} letters exceed materialization cap {order.DEFAULT_SIZE_CAP}\n"
+    data = json.loads(run_ok(capsys, "sd", "-v", f"{k - 1}", "-n", "1", "--exhaustive"))
+    assert data["sd_holds"] is True
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -187,7 +239,7 @@ def test_sd_scan_cap_on_cover_files(tmp_path, capsys):
 def test_analysis_cap_on_cover_files(tmp_path, capsys, sd):
     # one element over the cap; an SD_0 scan of it is under the scan cap,
     # so the analysis cap refuses it, before the scan runs
-    size = finite_lattice.ANALYSIS_CAP + 1
+    size = order.ANALYSIS_CAP + 1
     path = tmp_path / "chain.cov"
     path.write_text("".join(f"c{i:04d}<c{i + 1:04d}\n" for i in range(size - 1)))
     start = time.perf_counter()
@@ -195,13 +247,13 @@ def test_analysis_cap_on_cover_files(tmp_path, capsys, sd):
     assert time.perf_counter() - start < 2.0
     err = capsys.readouterr().err
     assert err == f"error: {size} elements exceed the lattice analysis cap " \
-        f"{finite_lattice.ANALYSIS_CAP}\n"
+        f"{order.ANALYSIS_CAP}\n"
 
 
 @pytest.mark.parametrize("dot", [[], ["--dot"]])
 def test_size_cap_on_cover_files(tmp_path, capsys, dot):
     # one label over the materialization cap: refused before any table is built
-    size = finite_lattice.DEFAULT_SIZE_CAP + 1
+    size = order.DEFAULT_SIZE_CAP + 1
     path = tmp_path / "chain.cov"
     path.write_text("".join(f"c{i:04d}<c{i + 1:04d}\n" for i in range(size - 1)))
     start = time.perf_counter()
@@ -210,7 +262,7 @@ def test_size_cap_on_cover_files(tmp_path, capsys, dot):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: cover file has {size} elements, over the " \
-        f"materialization cap {finite_lattice.DEFAULT_SIZE_CAP}\n"
+        f"materialization cap {order.DEFAULT_SIZE_CAP}\n"
 
 
 @pytest.mark.parametrize("verb", ["classes", "quotient"])
@@ -338,3 +390,184 @@ def test_lattice_sd_scans_only_up_to_the_longest_d_path(tmp_path, monkeypatch, c
              ["sd_holds"] for n in range(5)]
     assert holds == [False, False, True, True, True]
     assert len(scans) == 2
+
+
+# A child interpreter that imports this checkout's package.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(multilat.__file__).resolve().parents[1])}
+
+# Verbs that answer from words, vectors and the vector-coded D-graph alone.
+NUMPY_FREE_ARGVS = [
+    ["join", "-v", "2,1", "aba", "aab"], ["meet", "-v", "2,1", "aba", "baa"],
+    ["order", "-v", "2,1", "aab", "aba"], ["elements", "-v", "1,1,1"],
+    ["ji", "-v", "3,3"], ["mi", "-v", "3,3", "--vectors"], ["kappa", "-v", "3,3", "aabbab"],
+    ["dgraph", "-v", "1,1,1"], ["congruences", "-v", "2,2", "--count"],
+    ["congruences", "-v", "1,1,1"], ["classes", "-v", "3,3", "-S", "0,3;1,2"],
+    ["sd", "-v", "1,1,1", "-n", "1", "--witness"],
+    ["theorem", "-v", "1,1,2,1,1", "--method", "dpath-bound"],
+]
+
+
+def test_numpy_stays_out_of_startup():
+    script = f"""
+import contextlib, io, sys
+import multilat
+import multilat.cli as cli
+assert "numpy" not in sys.modules, "import"
+for argv in {NUMPY_FREE_ARGVS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert not hasattr(multilat, "no_such_name")
+from multilat import *
+assert FiniteLattice is multilat.FiniteLattice is multilat.finite_lattice.FiniteLattice
+assert "numpy" in sys.modules
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=SRC_ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # 40,320 lines, far more than a pipe buffers, so the writer meets the closed pipe
+    proc = subprocess.Popen([sys.executable, "-c", "from multilat.cli import main; main()",
+                             "elements", "-v", "1,1,1,1,1,1,1,1"], env=SRC_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"abcdefgh\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
+VERBS = ("elements", "order", "join", "meet", "ji", "mi", "kappa", "dgraph", "congruences",
+         "classes", "quotient", "sd", "theorem", "lattice", "seed-fixtures")
+ODD_TEXTS = ["", ",", "1,,1", "-1,2", "3,-1", "2,x", " 2 , 1", "0", "0,0", "1,0,0,2",
+             "100000000", "0,100000000", "1,1000", "1" * 40]
+LEVELS = st.one_of(st.integers(-2, 6).map(str),
+                   st.sampled_from(["1000000000", str(10 ** 30), "-1000000000", "x", ""]))
+
+
+def small_vectors():
+    """Small multiplicity vectors with zeros, or a text that may not parse."""
+    entries = st.lists(st.integers(0, 3), min_size=1, max_size=4)
+    return st.one_of(entries, entries, st.sampled_from(ODD_TEXTS), st.text(max_size=6))
+
+
+@st.composite
+def words_of(draw, entries):
+    """A word of L(entries), often a join or meet irreducible one, a long
+    word, or a text that may not be a word."""
+    if isinstance(entries, list) and draw(st.integers(0, 3)):
+        v = mn.MultVector(tuple(entries))
+        irreducible = ir.enumerate_ji(v) + ir.enumerate_mi(v)
+        if irreducible and draw(st.booleans()):
+            j = draw(st.sampled_from(irreducible))
+            return mn.word_str(ir.ji_word(j) if j.kind == ir.JOIN else ir.mi_word(j))
+        return "".join(draw(st.permutations(mn.word_str(mn.bottom(v)))))
+    return draw(st.one_of(st.text("abcdz ", max_size=8), st.just("ab" * 500)))
+
+
+@st.composite
+def ji_sets_of(draw, entries):
+    """A set of join irreducibles of L(entries) as -S text, often D-closed."""
+    if isinstance(entries, list) and draw(st.integers(0, 2)):
+        graph = ir.d_graph(mn.MultVector(tuple(entries)))
+        members = set(draw(st.sets(st.integers(0, len(graph.nodes) - 1), max_size=4))
+                      if graph.nodes else ())
+        while draw(st.integers(0, 3)):  # close under D, mostly completely
+            grown = members | {t for s, t, _ in graph.edges if s in members}
+            if grown == members:
+                break
+            members = grown
+        return ";".join(str(graph.nodes[i]) for i in sorted(members)) or "-"
+    return draw(st.one_of(
+        st.sampled_from(["-", "", "0,3;1,2", "1,x", "9,9", "1,0;0,1"]),
+        st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=4)
+                 .map(lambda x: ",".join(map(str, x))), max_size=3).map(";".join)))
+
+
+@st.composite
+def cli_argvs(draw, files):
+    verb = draw(st.sampled_from(VERBS))
+    flags = []
+    if verb == "seed-fixtures":
+        return [verb, draw(st.sampled_from(files["directories"]))]
+    if verb == "lattice":
+        argv = [verb, "--covers", draw(st.sampled_from(files["covers"]))]
+        if draw(st.booleans()):
+            argv += ["--sd", draw(LEVELS)]
+        return argv + draw(st.lists(st.just("--dot"), max_size=1))
+    if verb in ("join", "meet", "order") and draw(st.integers(0, 4)) == 0:
+        # long words: m copies of two letters, in two random orders
+        m = draw(st.integers(20, 300))
+        rng = draw(st.randoms(use_true_random=False))
+        pair = [rng.sample("ab" * m, 2 * m) for _ in range(2)]
+        return [verb, "-v", f"{m},{m}", *("".join(w) for w in pair)]
+    entries = draw(small_vectors())
+    vector = ",".join(map(str, entries)) if isinstance(entries, list) else entries
+    argv = [verb, "-v", vector]
+    if verb in ("join", "meet", "order"):
+        argv += [draw(words_of(entries)), draw(words_of(entries))]
+    elif verb == "kappa":
+        argv.append(draw(words_of(entries)))
+        flags = ["--dual"]
+    elif verb in ("ji", "mi"):
+        flags = ["--count", "--vectors"]
+    elif verb == "dgraph":
+        flags = ["--dot"]
+    elif verb == "congruences":
+        flags = ["--count"]
+    elif verb in ("classes", "quotient"):
+        argv += ["-S", draw(ji_sets_of(entries))]
+    elif verb == "sd":
+        argv += ["-n", draw(LEVELS), *draw(st.sampled_from(
+            [["--witness"], ["--exhaustive"], ["--exhaustive", "--dual"], ["--witness", "--dual"],
+             [], ["--witness", "--exhaustive"]]))]
+    elif verb == "theorem":
+        argv += draw(st.sampled_from([[], ["--method", "exhaustive"],
+                                      ["--method", "dpath-bound"], ["--method", "bogus"]]))
+    return argv + (draw(st.lists(st.sampled_from(flags), unique=True)) if flags else [])
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory) -> dict:
+    """Cover files, good and bad, and fixture directories, writable or not."""
+    root = tmp_path_factory.mktemp("fuzz")
+    covers = {"n5.cov": finite_lattice.n5().to_cover_file(),
+              "m3.cov": finite_lattice.m3().to_cover_file(),
+              "cycle.cov": "a<b\nb<a\n", "garbage.cov": "a<b\nnonsense\n",
+              "empty.cov": "", "two_tops.cov": "0<a\n0<b\n"}
+    for name, text in covers.items():
+        (root / name).write_text(text)
+    (root / "latin1.cov").write_bytes(b"\xff<\xfe\n")
+    return {"covers": [str(root / name) for name in [*covers, "latin1.cov", "missing.cov"]]
+            + [str(root)],
+            "directories": [str(root / "fixtures"), str(root / "n5.cov"),
+                            str(root / "n5.cov" / "sub")]}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_argv_exits_cleanly(fuzz_paths, data):
+    """Exit 0, 1 or 2 in bounded time, with no traceback: stderr is empty,
+    one ``error:`` line, or argparse usage ending in its error line."""
+    argv = data.draw(cli_argvs(fuzz_paths), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.run(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert time.perf_counter() - start < 20.0
+    text = err.getvalue()
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert text == ""
+    elif rc == 1:
+        assert re.fullmatch(r"error: [^\n]*\n", text), text
+    else:
+        assert text.startswith("usage: multilat"), text
+        assert re.search(r"\nmultilat[^\n]*: error: [^\n]*\n\Z", text), text

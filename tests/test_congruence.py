@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multilat import congruence as cg
 from multilat import finite_lattice as fl
@@ -40,8 +42,19 @@ def test_counts_match_independent_lattice_enumeration(text):
 def test_cap(monkeypatch):
     monkeypatch.setattr(cg, "DEFAULT_JI_CAP", 4)
     assert len(cg.d_closed_sets(V("1,1,1"))) == 7  # four join irreducibles
+    assert cg.count_d_closed(V("1,1,1")) == 7
     with pytest.raises(CapExceeded, match="11 join irreducibles exceed cap 4"):
         cg.d_closed_sets(V("1,1,1,1"))
+    with pytest.raises(CapExceeded, match="11 join irreducibles exceed cap 4"):
+        cg.count_d_closed(V("1,1,1,1"))
+
+
+def test_listing_cap(monkeypatch):
+    monkeypatch.setattr(cg, "LISTING_CAP", 7)
+    assert len(cg.d_closed_sets(V("1,1,1"))) == 7
+    with pytest.raises(CapExceeded, match="16 congruences exceed the listing cap 7"):
+        cg.d_closed_sets(V("2,2"))
+    assert cg.count_d_closed(V("2,2")) == 16
 
 
 def test_classes_cap(monkeypatch):
@@ -60,6 +73,8 @@ def test_masks_refuse_a_cyclic_d_graph(monkeypatch):
     monkeypatch.setattr(cg, "d_graph", lambda v: ir.DGraph(v, nodes, edges))
     with pytest.raises(InternalInconsistency, match=rf"cycle through \({nodes[1]}\)"):
         cg.d_closed_masks(v)
+    with pytest.raises(InternalInconsistency, match=rf"cycle through \({nodes[1]}\)"):
+        cg.count_d_closed(v)
 
 
 @pytest.mark.parametrize("text", ["1,1,1,1", "2,0,1,1", "1,2,1"])
@@ -70,6 +85,33 @@ def test_masks_are_distinct_forward_closed_sets(text):
         members = set(cg.mask_members(mask))
         assert all(t in members for s, t, _ in graph.edges if s in members)
     assert cg.mask_members(0b10110) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("text", ["2,2", "1,1,1", "2,1", "0", "3,0", "0,2,0", "1,0,1",
+                                  "2,0,1,1", "1,0,2,1", "0,1,1,1,0", "3,0,2", "2,2,2", "1,2,0,2"])
+def test_count_is_the_product_over_components(text):
+    v = V(text)
+    assert cg.count_d_closed(v) == len(cg.d_closed_masks(v)[1])
+
+
+@st.composite
+def vectors_with_few_irreducibles(draw, most=16):
+    """Vectors with entries 0..3, zeros included, and at most ``most`` join irreducibles."""
+    entries = [draw(st.integers(0, 3))]
+    while len(entries) < 6 and draw(st.booleans()):
+        e = draw(st.integers(0, 3))
+        if ir.count_ji(mn.MultVector(tuple(entries + [e]))) > most:
+            break
+        entries.append(e)
+    return mn.MultVector(tuple(entries))
+
+
+@given(vectors_with_few_irreducibles())
+@settings(max_examples=60, deadline=None)
+def test_count_is_the_product_over_components_on_random_vectors(v):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cg, "LISTING_CAP", 1 << 16)  # 16 irreducibles
+        assert cg.count_d_closed(v) == len(cg.d_closed_masks(v)[1])
 
 
 @pytest.mark.parametrize("text", ["1,1,1,1", "2,1,1", "1,0,2,1", "1,1,1,1,1"])

@@ -11,6 +11,7 @@ from conftest import (d_closed_quotients, multinomial_vectors, oracle_arrows,
 from multilat import congruence as cg
 from multilat import finite_lattice as fl
 from multilat import multinomial as mn
+from multilat import order
 from multilat.errors import CapExceeded, MultilatError, NotALattice
 
 ALL_FIXTURES = {
@@ -368,7 +369,7 @@ def test_sd_holds_matches_reference_kernel_on_large_lattices(text, top):
                                mn.to_finite_lattice(mn.parse_vector("2,1,1"))],
                          ids=lambda L: f"n{L.n}")
 def test_sd_level_clamps_at_twice_the_longest_chain(L):
-    height = fl.longest_path(L._upper_covers)[0]
+    height = order.longest_path(L._upper_covers)[0]
     reference = reference_sd_verdicts(L, 2 * height + 3)
     for n in range(2 * height, 2 * height + 4):
         assert L.sd_holds(n) == reference[n]
@@ -377,19 +378,19 @@ def test_sd_level_clamps_at_twice_the_longest_chain(L):
 
 def test_sd_scan_cap(monkeypatch):
     L = fl.n5()
-    monkeypatch.setattr(fl, "SD_SCAN_CAP", 5 ** 3 * 2)
+    monkeypatch.setattr(order, "SD_SCAN_CAP", 5 ** 3 * 2)
     assert L.sd_holds(1) == fl.n5().sd_holds(1)
     with pytest.raises(CapExceeded, match="SD scan of 5 elements to level 2 takes 375 steps"):
         L.sd_holds(2)
     # the level is clamped before the cap is applied: the longest chain has 3 steps
-    monkeypatch.setattr(fl, "SD_SCAN_CAP", 5 ** 3 * 7)
+    monkeypatch.setattr(order, "SD_SCAN_CAP", 5 ** 3 * 7)
     assert L.sd_holds(10 ** 9) is True
 
 
 def test_longest_path():
-    assert fl.longest_path([]) == (0, None)
-    assert fl.longest_path([[1, 2], [2], []]) == (2, None)
-    assert fl.longest_path([[1], [2], [1], [0]]) == (None, 1)
+    assert order.longest_path([]) == (0, None)
+    assert order.longest_path([[1, 2], [2], []]) == (2, None)
+    assert order.longest_path([[1], [2], [1], [0]]) == (None, 1)
 
 
 @st.composite
@@ -412,7 +413,7 @@ def simple_paths(succ, path):
 @given(digraphs())
 @settings(max_examples=300)
 def test_longest_path_matches_simple_path_enumeration(succ):
-    length, on_cycle = fl.longest_path(succ)
+    length, on_cycle = order.longest_path(succ)
     paths = [p for i in range(len(succ)) for p in simple_paths(succ, [i])]
     # i lies on a cycle iff some simple path from i ends next to i (i itself for a self-loop)
     cyclic = sorted({p[0] for p in paths if p[0] in succ[p[-1]]})
@@ -436,12 +437,12 @@ def test_sd_sequence_matches_the_plain_recursion(name):
         for _ in range(2 * L.n):
             yk, zk = plain[-1]
             plain.append((L.join(y, L.meet(x, zk)), L.join(z, L.meet(x, yk))))
-        full = fl.sd_sequence(L.join, L.meet, x, y, z)
+        full = order.sd_sequence(L.join, L.meet, x, y, z)
         mu = len(full)  # the least k with (y_k, z_k) = (y_{k-1}, z_{k-1})
         assert full == plain[:mu] and plain[mu] == plain[mu - 1]
         assert all(plain[k] != plain[k - 1] for k in range(1, mu))
         for n in range(7):
-            pairs = fl.sd_sequence(L.join, L.meet, x, y, z, n)
+            pairs = order.sd_sequence(L.join, L.meet, x, y, z, n)
             assert pairs == plain[:min(n, mu - 1) + 1]
             yn, zn = pairs[-1]
             assert (L.meet(x, yn) == L.meet(x, L.join(y, z))) == oracle_sd_holds_on(L, x, y, z, n)
@@ -573,7 +574,7 @@ def check_arrows(L):
     assert L.is_join_semidistributive() == all(p == 1 for p in partners)
     assert L.is_join_semidistributive() == L.dual().is_meet_semidistributive()
     succ = [[b for a, b in d if a == i] for i in L.elements()]
-    assert L.is_bounded() == (L.is_semidistributive() and fl.longest_path(succ)[1] is None)
+    assert L.is_bounded() == (L.is_semidistributive() and order.longest_path(succ)[1] is None)
 
 
 @pytest.mark.parametrize("L", SMALL_LATTICES)
@@ -609,7 +610,7 @@ def check_certificate(L, monkeypatch):
     when L is meet semidistributive and D is acyclic with longest path l,
     and sd_holds(n) against the plain recursion."""
     succ = [[b for a, b in L.bruteforce_D() if a == i] for i in L.elements()]
-    longest = fl.longest_path(succ)[0]
+    longest = order.longest_path(succ)[0]
     certified = L.is_meet_semidistributive() and longest is not None
     top = longest + 2 if longest is not None else 4
     scanned = [L.sd_holds(n) for n in range(top + 1)]

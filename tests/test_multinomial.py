@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_join, oracle_leq, oracle_meet, word_universe
-from multilat import finite_lattice
 from multilat import multinomial as mn
+from multilat import order
 from multilat import perm_core as pc
 from multilat.errors import CapExceeded, MultilatError
 
@@ -238,6 +238,6 @@ def test_to_finite_lattice_words_and_covers(text, monkeypatch):
 
 
 def test_to_finite_lattice_cap(monkeypatch):
-    monkeypatch.setattr(finite_lattice, "DEFAULT_SIZE_CAP", 5)
+    monkeypatch.setattr(order, "DEFAULT_SIZE_CAP", 5)
     with pytest.raises(CapExceeded, match=r"\|L\(2,2\)\| = 6 exceeds materialization cap 5"):
         mn.to_finite_lattice(mn.parse_vector("2,2"))
