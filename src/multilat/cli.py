@@ -176,6 +176,7 @@ def _dispatch(args: argparse.Namespace) -> None:
     elif verb in ("ji", "mi") and args.count:
         print(irreducibles.count_ji(v))  # x -> v - x pairs the two kinds
     elif verb in ("ji", "mi"):
+        irreducibles.check_listing_cap(v, "join" if verb == "ji" else "meet", not args.vectors)
         items = irreducibles.enumerate_ji(v) if verb == "ji" else irreducibles.enumerate_mi(v)
         to_word = irreducibles.ji_word if verb == "ji" else irreducibles.mi_word
         for j in items:

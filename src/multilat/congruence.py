@@ -152,9 +152,7 @@ def congruence_from_S(v: MultVector, s: JiSet) -> Partition:
     on their dominated members of S, checked to be compatible with join and meet."""
     if s.parent != v:
         raise MultilatError("JiSet parent mismatch")
-    size = v.size()
-    if size > CLASSES_CAP:
-        raise CapExceeded(f"|L({v})| = {size} exceeds the congruence classes cap {CLASSES_CAP}")
+    multinomial.check_words_cap(v, CLASSES_CAP, f"the congruence classes cap {CLASSES_CAP}")
     if not s.is_d_closed():
         raise MultilatError(f"set {{{s}}} is not closed under the join dependency")
     words = list(multinomial.enumerate_words(v))

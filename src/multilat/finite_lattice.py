@@ -15,8 +15,11 @@ Nation, *Free Lattices*, ch. 11): each row ``leq[x]`` is the union of the
 rows of its successors, and ``x v y`` for incomparable x, y is the least of
 the joins ``c v y`` over the successors ``c`` of x.  Rows are filled one
 height level at a time from the top, all rows of a level in a few array
-operations.  The meet table is the join table of the dual order.  Tables
-hold int16 indices (int32 above 32,767 elements).
+operations.  The meet table is the join table of the dual order, filled
+the same way from the bottom, unless an order-reversing involution r is
+known (word reversal in L(v)): then x ^ y = r(r x v r y), read off the
+join table once r is certified.  Tables hold int16 indices (int32 above
+32,767 elements).
 
 SD_n(meet) is scanned one batch of x at a time through the table
 MJ_x[y, t] = x ^ (y v t).  The z sequence is the transpose of the y
@@ -37,6 +40,7 @@ so when D is acyclic with longest path l, SD_n holds for every n > l
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,7 +57,8 @@ Quotient = tuple[int, int]  # (upper, lower) with lower <= upper
 class FiniteLattice:
     """A finite lattice given by its cover relation.
 
-    Construct through :meth:`from_covers`, which validates that the
+    Construct through :meth:`from_covers`, or :meth:`from_self_dual_covers`
+    given an order-reversing involution, which validate that the
     transitive closure of the covers is a lattice order.
     """
 
@@ -82,54 +87,37 @@ class FiniteLattice:
         The pairs need only generate the order: duplicate, transitive and
         reflexive pairs are allowed, and the true covers are recovered.
 
-        Peeling the maximal elements level by level (Kahn's algorithm on
-        the reversed order) gives each element's height; elements never
-        peeled lie on or below a cycle.  :class:`_Ranked` then fills
-        ``leq``, the covers and the join table level by level from the
-        top, and the meet table as the join table of the dual order.
-        Raises :class:`NotALattice` on a cycle, on more than one minimal or
-        maximal element, and on a pair without a least upper bound (the
-        least such pair among those with an element of least height).
+        :func:`_order_and_joins` fills ``leq``, the covers and the join
+        table; the meet table is the join table of the dual order, filled
+        the same way from the bottom.  Raises :class:`NotALattice` on a
+        cycle, on more than one minimal or maximal element, and on a pair
+        without a least upper bound (the least such pair among those with
+        an element of least height).
         """
-        covers = list(covers)
-        if labels is None:
-            names = sorted({x for pair in covers for x in pair})
-            index = {name: i for i, name in enumerate(names)}
-            edges = [(index[lo], index[hi]) for lo, hi in covers]
-            labels = [str(name) for name in names]
-        else:
-            edges = [(int(lo), int(hi)) for lo, hi in covers]
-        n = len(labels)
-        if n == 0:
-            raise NotALattice("empty element set")
-
-        succ_sets: list[set[int]] = [set() for _ in range(n)]
-        pred_sets: list[set[int]] = [set() for _ in range(n)]
-        for lo, hi in edges:
-            if lo != hi:
-                succ_sets[lo].add(hi)
-                pred_sets[hi].add(lo)
-        succ = [sorted(s) for s in succ_sets]
-        pred = [sorted(s) for s in pred_sets]
-
-        height = _heights(succ, pred)
-        if -1 in height:
-            a, b = _cycle_pair(succ, pred, {i for i in range(n) if height[i] < 0})
-            raise NotALattice(f"cycle through {labels[a]} and {labels[b]}")
-        bottoms = [i for i in range(n) if not pred[i]]
-        tops = [i for i in range(n) if not succ[i]]
-        if len(bottoms) != 1:
-            raise NotALattice(f"{len(bottoms)} minimal elements: "
-                              + ", ".join(labels[i] for i in bottoms))
-        if len(tops) != 1:
-            raise NotALattice(f"{len(tops)} maximal elements: "
-                              + ", ".join(labels[i] for i in tops))
-
-        up = _Ranked(succ, height)
-        leq, upper_covers = up.order_and_covers()
-        join = up.join_table(leq, labels, "least upper")
+        labels, succ, pred, leq, join, upper_covers = _order_and_joins(covers, labels)
         down = _Ranked(pred, _heights(pred, succ))
         meet = down.join_table(leq.T, labels, "greatest lower")
+        return cls(labels, leq, join, meet, upper_covers)
+
+    @classmethod
+    def from_self_dual_covers(cls, covers, labels, flip) -> "FiniteLattice":
+        """:meth:`from_covers` for a lattice with a known order-reversing
+        involution, ``flip[i]`` the image of element i: the meet table is
+        read off the join table, x ^ y = flip(flip x v flip y), instead of
+        a second pass over the dual order.  The map is certified in
+        O(N^2) first, as an involution with x <= y iff flip y <= flip x;
+        :class:`InternalInconsistency` if it is not one.  No meet needs
+        checking: a finite order with a least element and all binary joins
+        is a lattice.
+        """
+        labels, _, _, leq, join, upper_covers = _order_and_joins(covers, labels)
+        n = len(labels)
+        r = np.asarray(flip, dtype=np.intp)
+        if r.shape != (n,) or not ((r >= 0) & (r < n)).all() \
+                or not np.array_equal(r[r], np.arange(n)) \
+                or not np.array_equal(leq[r][:, r], leq.T):
+            raise InternalInconsistency("the map given is not an order-reversing involution")
+        meet = np.take(r.astype(join.dtype), join[r][:, r])
         return cls(labels, leq, join, meet, upper_covers)
 
     # -- basic structure ---------------------------------------------------
@@ -551,6 +539,59 @@ _BATCH = 1 << 18
 _SCAN_BATCH = 1 << 15
 
 
+def _order_and_joins(covers, labels):
+    """The primal half of a build from cover pairs, shared by
+    :meth:`FiniteLattice.from_covers` and
+    :meth:`FiniteLattice.from_self_dual_covers`: (labels, successors,
+    predecessors, ``leq``, join table, upper covers).
+
+    Peeling the maximal elements level by level (Kahn's algorithm on the
+    reversed order) gives each element's height; elements never peeled
+    lie on or below a cycle.  :class:`_Ranked` then fills ``leq``, the
+    covers and the join table level by level from the top.  Raises
+    :class:`NotALattice` on a cycle, on more than one minimal or maximal
+    element, and on a pair without a least upper bound.
+    """
+    covers = list(covers)
+    if labels is None:
+        names = sorted({x for pair in covers for x in pair})
+        index = {name: i for i, name in enumerate(names)}
+        edges = [(index[lo], index[hi]) for lo, hi in covers]
+        labels = [str(name) for name in names]
+    else:
+        edges = [(int(lo), int(hi)) for lo, hi in covers]
+    n = len(labels)
+    if n == 0:
+        raise NotALattice("empty element set")
+
+    succ_sets: list[set[int]] = [set() for _ in range(n)]
+    pred_sets: list[set[int]] = [set() for _ in range(n)]
+    for lo, hi in edges:
+        if lo != hi:
+            succ_sets[lo].add(hi)
+            pred_sets[hi].add(lo)
+    succ = [sorted(s) for s in succ_sets]
+    pred = [sorted(s) for s in pred_sets]
+
+    height = _heights(succ, pred)
+    if -1 in height:
+        a, b = _cycle_pair(succ, pred, {i for i in range(n) if height[i] < 0})
+        raise NotALattice(f"cycle through {labels[a]} and {labels[b]}")
+    bottoms = [i for i in range(n) if not pred[i]]
+    tops = [i for i in range(n) if not succ[i]]
+    if len(bottoms) != 1:
+        raise NotALattice(f"{len(bottoms)} minimal elements: "
+                          + ", ".join(labels[i] for i in bottoms))
+    if len(tops) != 1:
+        raise NotALattice(f"{len(tops)} maximal elements: "
+                          + ", ".join(labels[i] for i in tops))
+
+    up = _Ranked(succ, height)
+    leq, upper_covers = up.order_and_covers()
+    join = up.join_table(leq, labels, "least upper")
+    return labels, succ, pred, leq, join, upper_covers
+
+
 class _Ranked:
     """The elements of an order with one maximal element, renumbered by
     decreasing height, and their successors in that numbering.
@@ -563,7 +604,8 @@ class _Ranked:
     by their number of successors, are cut into batches of about _BATCH
     gathered entries, and each batch gathers its successors' rows as one
     rows-by-d-by-columns array (a row with fewer than d successors
-    repeats its last) and reduces over d.
+    repeats its last) and reduces over d.  The batches' rows-by-d
+    successor blocks are all cut from one padded array, set up once.
     """
 
     def __init__(self, succ, height):
@@ -578,20 +620,39 @@ class _Ranked:
         flat = np.fromiter(itertools.chain.from_iterable(succ[x] for x in self.order.tolist()),
                            np.intp, int(self.indptr[-1]))
         self.succ = self.pos[flat]
-        # (end of the level, [(first row, end row, rows-by-d successors)]),
-        # from the level below the top downwards
-        starts = n - np.cumsum(np.bincount(height))
-        self.levels = [(hi, list(self._batches(lo, hi, n)))
-                       for lo, hi in zip(starts[1:].tolist(), starts[:-1].tolist())]
-
-    def _batches(self, lo: int, hi: int, n: int):
-        degree = self.degree[lo:hi]
-        while lo < hi:
-            cost = np.arange(1, len(degree) + 1) * degree * n
-            end = max(1, int(np.searchsorted(cost, _BATCH, "right")))
-            slots = np.minimum(np.arange(degree[end - 1]), degree[:end, None] - 1)
-            yield lo, lo + end, self.succ[self.indptr[lo:lo + end, None] + slots]
-            lo, degree = lo + end, degree[end:]
+        # Each level, from the one below the top downwards, is cut into
+        # batches of rows [r0, r1) with d = degree[r1 - 1] successors each
+        # (the largest in the batch) and (r1 - r0) d n <= _BATCH unless
+        # r1 = r0 + 1, in Python ints: within a level the cost grows with r1.
+        deg, most = self.degree.tolist(), _BATCH // n
+        sizes = np.bincount(height).tolist()
+        cuts, hi = [], n - sizes[0]
+        for size in sizes[1:]:
+            r0, batches = hi - size, []
+            while r0 < hi:
+                fit = bisect.bisect_right(range(r0 + 1, hi + 1), most,
+                                          key=lambda r1, r0=r0: (r1 - r0) * deg[r1 - 1])
+                batches.append((r0, r0 + max(1, fit)))
+                r0 = batches[-1][1]
+            cuts.append((hi, batches))
+            hi -= size
+        # One gather lays every batch out as a rows-by-d block, the rows
+        # below the top in order: a row with fewer than d successors
+        # repeats its last.  The blocks add up to the entries the batches
+        # gather at once anyway.
+        spans = sorted(b for _, batches in cuts for b in batches)
+        width = np.repeat(np.array([deg[r1 - 1] for _, r1 in spans], dtype=np.intp),
+                          [r1 - r0 for r0, r1 in spans])
+        start = np.zeros(n, dtype=np.intp)
+        np.cumsum(width, out=start[1:])
+        first = np.repeat(self.indptr[:n - 1] - start[:n - 1], width)
+        last = np.repeat(self.indptr[1:n] - 1, width)
+        padded = self.succ[np.minimum(np.arange(int(start[-1])) + first, last)]
+        at = start.tolist()
+        # (end of the level, [(first row, end row, rows-by-d successors)])
+        self.levels = [(hi, [(r0, r1, padded[at[r0]:at[r1]].reshape(r1 - r0, deg[r1 - 1]))
+                             for r0, r1 in batches])
+                       for hi, batches in cuts]
 
     def order_and_covers(self):
         """``leq`` in element numbering, and each element's upper covers.

@@ -28,6 +28,7 @@ from functools import cached_property
 from itertools import product
 from math import prod
 
+from . import order
 from .errors import CapExceeded, InternalInconsistency, MultilatError
 from .multinomial import MultVector, PathWord, bottom, word_str
 from .order import dag_heights
@@ -439,6 +440,19 @@ def check_d_graph_cap(v: MultVector) -> None:
     m = count_ji(v)
     if m > D_GRAPH_CAP:
         raise CapExceeded(f"{m} join irreducibles exceed the D-graph cap {D_GRAPH_CAP}")
+
+
+def check_listing_cap(v: MultVector, kind: str, words: bool) -> None:
+    """Refuse a listing of the join (or meet) irreducibles of L(v), as words
+    of k letters or as vectors of n entries, of more lines than
+    ``order.listing_cap`` allows, counted by :func:`count_ji` before any is
+    enumerated."""
+    m = count_ji(v)
+    letters, unit, part = (v.k, "words", "letters") if words else (v.n, "vectors", "entries")
+    cap = order.listing_cap(letters)
+    if m > cap:
+        raise CapExceeded(f"{m} {kind} irreducibles exceed the listing cap of "
+                          f"{cap} {unit} of {letters} {part}")
 
 
 def d_graph(v: MultVector) -> DGraph:

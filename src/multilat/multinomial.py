@@ -23,7 +23,8 @@ from .perm_core import InversionSet
 if TYPE_CHECKING:
     from .finite_lattice import FiniteLattice
 
-DEFAULT_K_CAP = 10
+# |L(v)| is named in a refusal up to this size; larger ones are not computed.
+_SHOWN_SIZE = 10 ** 18
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -65,6 +66,23 @@ class MultVector:
             places += e
             size *= math.comb(places, e)
         return size
+
+    def size_up_to(self, bound: int) -> int | None:
+        """|L(v)| if it is at most ``bound``, else None, without computing
+        a larger size.  Each binomial C(m + k, k) of :meth:`size`, k the
+        smaller part, is built up as C(m + 1, 1), C(m + 2, 2), ...: every
+        step multiplies by (m + i) / i >= 2, so the walk passes ``bound``
+        within about log2(bound) steps, however large the entries."""
+        size, places = 1, 0
+        for e in self.entries:
+            places += e
+            k, part = min(e, places - e), 1
+            for i in range(1, k + 1):
+                part = part * (places - k + i) // i
+                if size * part > bound:
+                    return None
+            size *= part
+        return size if size <= bound else None
 
     def __str__(self) -> str:
         return ",".join(str(e) for e in self.entries)
@@ -138,9 +156,10 @@ def top(v: MultVector) -> PathWord:
 
 
 def enumerate_words(v: MultVector):
-    """All words of L(v) in lexicographic order, refused above DEFAULT_K_CAP letters."""
-    if v.k > DEFAULT_K_CAP:
-        raise CapExceeded(f"k={v.k} exceeds enumeration cap {DEFAULT_K_CAP}")
+    """All words of L(v) in lexicographic order, refused before the first
+    when more than ``order.listing_cap`` words of k letters."""
+    cap = order.listing_cap(v.k)
+    check_words_cap(v, cap, f"the listing cap of {cap} words of {v.k} letters")
     for letters in _letter_tuples(v):
         yield PathWord(v, letters)
 
@@ -244,20 +263,29 @@ def mmeet(w: PathWord, u: PathWord) -> PathWord:
     return inversions_word(w.parent, perm_core.interior(word_inversions(w) & word_inversions(u)))
 
 
+def check_words_cap(v: MultVector, cap: int, what: str) -> None:
+    """Refuse an L(v) of more than ``cap`` words by :meth:`MultVector.size_up_to`,
+    naming |L(v)| up to 10^18: "|L(v)| = N exceeds <what>"."""
+    size = v.size_up_to(max(cap, _SHOWN_SIZE))
+    if size is None or size > cap:
+        shown = "" if size is None else f" = {size}"
+        raise CapExceeded(f"|L({v})|{shown} exceeds {what}")
+
+
 def check_size_cap(v: MultVector) -> None:
     """Refuse to materialize an L(v) above ``order.DEFAULT_SIZE_CAP`` words,
     or with words of more letters, which only a one-word L(v) can have:
     an L(v) of dimension 2 or more has at least k words."""
-    size, cap = v.size(), order.DEFAULT_SIZE_CAP
-    if size > cap:
-        raise CapExceeded(f"|L({v})| = {size} exceeds materialization cap {cap}")
+    cap = order.DEFAULT_SIZE_CAP
+    check_words_cap(v, cap, f"materialization cap {cap}")
     if v.k > cap:
         raise CapExceeded(f"{v.k} letters exceed materialization cap {cap}")
 
 
 def check_scan_cap(v: MultVector, n: int) -> None:
     """Refuse an SD_n(meet) scan of L(v) before materializing it, by the
-    cap that :meth:`FiniteLattice.sd_holds` applies: the longest chain of
+    cap that :meth:`FiniteLattice.sd_holds` applies, after
+    :func:`check_size_cap` has bounded |L(v)|: the longest chain of
     L(v), bottom to top, has one step per inversion, sum over i < j of
     v_i v_j, and the scan stops at twice that."""
     height = sum(a * b for a, b in itertools.combinations(v.entries, 2))
@@ -266,12 +294,19 @@ def check_scan_cap(v: MultVector, n: int) -> None:
 
 def to_finite_lattice(v: MultVector) -> FiniteLattice:
     """Materialize L(v) as an explicit lattice with join/meet tables, from
-    the covers of :func:`covers` found by index among the letter tuples."""
+    the covers of :func:`covers` found by index among the letter tuples.
+
+    Reading a word backwards reverses the order (a swap a_i a_j -> a_j a_i
+    up, i < j, is one down in the reversed word), so the meet table comes
+    from the join table through the reversal map (Bennett and Birkhoff,
+    "Two families of Newman lattices", 1994), which
+    :meth:`FiniteLattice.from_self_dual_covers` certifies first."""
     from .finite_lattice import FiniteLattice
 
     check_size_cap(v)
     words = list(_letter_tuples(v))
     index = {w: i for i, w in enumerate(words)}
     cover_pairs = [(i, index[u]) for i, w in enumerate(words) for u in _swaps(w)]
-    return FiniteLattice.from_covers(cover_pairs,
-                                     labels=[_letters_str(v.n, w) for w in words])
+    reverse = [index[w[::-1]] for w in words]
+    return FiniteLattice.from_self_dual_covers(
+        cover_pairs, [_letters_str(v.n, w) for w in words], reverse)

@@ -9,7 +9,8 @@ start without it.
   (:func:`sd_sequence`) under any join and meet;
 - the one union-find (``_find``, ``_union``, ``_blocks``);
 - the caps on the materialized lattices and their checks: SD_SCAN_CAP,
-  DEFAULT_SIZE_CAP and ANALYSIS_CAP.
+  DEFAULT_SIZE_CAP and ANALYSIS_CAP, and LISTING_CAP on the listings of
+  words and irreducibles.
 """
 
 from __future__ import annotations
@@ -154,6 +155,22 @@ def check_sd_scan_cap(size: int, level: int) -> None:
 # The most elements of a lattice materialized as L(v) or from a cover file:
 # from_covers fills N^2 tables, 2.9-3.6 s and 494 MB RSS for a 5,000-element chain.
 DEFAULT_SIZE_CAP = 5000
+
+
+# Set from `elements`, `ji` and `mi` (in-process, into a StringIO) on a
+# 2-vCPU Xeon, Python 3.11: a listing costs about 0.3-0.6 us per letter
+# printed, counting 20 more for each line: (1^9), 362,880 words of 9
+# letters (10.5M), takes 2.9 s; (1,3000), 3,001 words of 3,001 letters
+# (9.1M), 2.7 s; `ji` (30,30,30), 29,700 words of 90 letters (3.3M), 1.3 s;
+# `ji` (1^16), 65,519 words of 16 letters (2.4M), 1.4 s.  Counting lines
+# alone would not do: `ji -v 1,20000` prints 20,000 lines in 95 s.  The
+# cap allows about 1-2 s of listing.
+LISTING_CAP = 4_000_000
+
+
+def listing_cap(letters: int) -> int:
+    """The most lines of ``letters`` letters a listing prints under LISTING_CAP."""
+    return LISTING_CAP // (letters + 20)
 
 
 # Timed by `lattice --covers` (in-process) on a 2-vCPU Xeon, Python 3.11,

@@ -156,7 +156,8 @@ def theorem_check(v: MultVector, method: str | None = None) -> TheoremReport:
     if n < 2:
         raise MultilatError(f"dimension of v={v} must be >= 2")
     if method is None:
-        method = EXHAUSTIVE if v.size() <= DEFAULT_EXHAUSTIVE_CAP else DPATH_BOUND
+        small = v.size_up_to(DEFAULT_EXHAUSTIVE_CAP) is not None
+        method = EXHAUSTIVE if small else DPATH_BOUND
     if method not in (EXHAUSTIVE, DPATH_BOUND):
         raise MultilatError(f"unknown method {method!r}")
 

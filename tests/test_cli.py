@@ -277,6 +277,45 @@ def test_classes_cap_refuses_before_enumerating(capsys, verb, text, size):
         f"cap {congruence.CLASSES_CAP}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["theorem", "-v", "1000000,1000000"],
+     "1000000000000 join irreducibles exceed the D-graph cap 5000"),
+    (["sd", "-v", "1000000,1000000", "-n", "1", "--exhaustive"],
+     f"|L(1000000,1000000)| exceeds materialization cap {order.DEFAULT_SIZE_CAP}"),
+    (["classes", "-v", "1000000,1000000", "-S", "-"],
+     f"|L(1000000,1000000)| exceeds the congruence classes cap {congruence.CLASSES_CAP}"),
+    (["elements", "-v", ",".join(["1"] * 10)],
+     f"|L({','.join(['1'] * 10)})| = 3628800 exceeds the listing cap of "
+     f"{order.listing_cap(10)} words of 10 letters"),
+    (["elements", "-v", "0,100000000"],
+     "|L(0,100000000)| = 1 exceeds the listing cap of 0 words of 100000000 letters"),
+    (["ji", "-v", "100,100,100"],
+     f"1030000 join irreducibles exceed the listing cap of {order.listing_cap(300)} "
+     "words of 300 letters"),
+    (["mi", "-v", ",".join(["1"] * 20), "--vectors"],
+     f"1048555 meet irreducibles exceed the listing cap of {order.listing_cap(20)} "
+     "vectors of 20 entries"),
+])
+def test_huge_sizes_and_listings_are_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    assert cli.run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_listing_caps_admit_up_to_the_cap(capsys, monkeypatch):
+    # 6 words of 4 letters in L(2,2), 9 join irreducibles of 6 letters in L(3,3)
+    for argv, lines, letters in ((["elements", "-v", "2,2"], 6, 4),
+                                 (["ji", "-v", "3,3"], 9, 6), (["mi", "-v", "3,3"], 9, 6),
+                                 (["ji", "-v", "3,3", "--vectors"], 9, 2)):
+        monkeypatch.setattr(order, "LISTING_CAP", lines * (letters + 20))
+        assert len(run_ok(capsys, *argv).splitlines()) == lines
+        monkeypatch.setattr(order, "LISTING_CAP", lines * (letters + 20) - 1)
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert run_ok(capsys, "ji", "-v", "3,3", "--count") == "9\n"
+
+
 def test_huge_sd_levels_are_clamped(tmp_path, capsys):
     # L(2,2) has a longest chain of 4 steps, n5 one of 3: the scan stops at twice that
     start = time.perf_counter()

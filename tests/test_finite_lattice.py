@@ -12,7 +12,7 @@ from multilat import congruence as cg
 from multilat import finite_lattice as fl
 from multilat import multinomial as mn
 from multilat import order
-from multilat.errors import CapExceeded, MultilatError, NotALattice
+from multilat.errors import CapExceeded, InternalInconsistency, MultilatError, NotALattice
 
 ALL_FIXTURES = {
     "chain3": fl.chain(3),
@@ -180,6 +180,67 @@ def test_from_covers_matches_bruteforce_on_random_orders(case):
 def test_tables_are_int16(L):
     for table in (L.join_table, L.meet_table, L.dual().join_table):
         assert table.dtype == np.int16 and table.shape == (L.n, L.n)
+
+
+# -- the meet table by reversal, and levels wider than one batch -------------
+
+@pytest.mark.parametrize("v", multinomial_vectors(420), ids=lambda v: ",".join(map(str, v)))
+def test_reversal_meet_table_matches_the_dual_pass(v):
+    L = mn.to_finite_lattice(mn.MultVector(v))
+    dual_pass = fl.FiniteLattice.from_covers(L.cover_pairs(), labels=L.labels)
+    for name in ("leq_table", "join_table", "meet_table"):
+        table, expected = getattr(L, name), getattr(dual_pass, name)
+        assert table.dtype == expected.dtype and np.array_equal(table, expected), name
+
+
+@pytest.mark.parametrize("L,flip", [
+    (mn.to_finite_lattice(mn.parse_vector("2,1")), [0, 1, 2]),  # the chain aab < aba < baa
+    (mn.to_finite_lattice(mn.parse_vector("2,1")), [1, 2, 0]),  # not an involution
+    (mn.to_finite_lattice(mn.parse_vector("2,1")), [2, 1]),
+    (mn.to_finite_lattice(mn.parse_vector("2,1")), [2, 1, 3]),
+    (fl.benzene(), [0, 2, 1, 4, 3, 5]),  # the mirror keeps the order
+], ids=["identity", "three-cycle", "short", "out-of-range", "benzene-mirror"])
+def test_from_self_dual_covers_refuses_other_maps(L, flip):
+    with pytest.raises(InternalInconsistency, match="not an order-reversing involution"):
+        fl.FiniteLattice.from_self_dual_covers(L.cover_pairs(), L.labels, flip)
+
+
+def mk_by_chain(k: int, c: int):
+    """M_k times the c-element chain: element x c + i is (x, i), x = 0 the
+    bottom of M_k, 1..k its atoms and k + 1 its top.  Its covers, labels,
+    the order-reversing involution (x, i) -> (x', c - 1 - i), where x'
+    swaps bottom and top and fixes the atoms, and its order, join and meet
+    tables in closed form, componentwise."""
+    m, n = k + 2, (k + 2) * c
+    mk_le = np.eye(m, dtype=bool)
+    mk_le[0] = mk_le[:, m - 1] = True
+    x, y = np.indices((m, m))
+    mk_join = np.where(mk_le, y, np.where(mk_le.T, x, m - 1))
+    mk_meet = np.where(mk_le, x, np.where(mk_le.T, y, 0))
+    i, j = np.indices((c, c))
+    tables = [(a[:, None, :, None] * c + b[None, :, None, :]).reshape(n, n)
+              for a, b in ((mk_join, np.maximum(i, j)), (mk_meet, np.minimum(i, j)))]
+    le = (mk_le[:, None, :, None] & (i <= j)[None, :, None, :]).reshape(n, n)
+    covers = [(e, e + 1) for e in range(n) if e % c < c - 1]
+    covers += [(lo * c + t, hi * c + t) for t in range(c)
+               for a in range(1, m - 1) for lo, hi in ((0, a), (a, m - 1))]
+    flip = [{0: m - 1, m - 1: 0}.get(e // c, e // c) * c + c - 1 - e % c for e in range(n)]
+    return covers, [f"e{e:04d}" for e in range(n)], flip, le, *tables
+
+
+@pytest.mark.parametrize("k,c", [(600, 1), (300, 2)])
+def test_levels_wider_than_one_batch_match_closed_form_tables(k, c):
+    covers, labels, flip, le, join, meet = mk_by_chain(k, c)
+    succ = [[hi for lo, hi in covers if lo == e] for e in range(len(labels))]
+    pred = [[lo for lo, hi in covers if hi == e] for e in range(len(labels))]
+    up = fl._Ranked(succ, order._heights(succ, pred))
+    assert max(len(batches) for _, batches in up.levels) > 1
+    for L in (fl.FiniteLattice.from_covers(covers, labels=labels),
+              fl.FiniteLattice.from_self_dual_covers(covers, labels, flip)):
+        assert np.array_equal(L.leq_table, le)
+        assert np.array_equal(L.join_table, join)
+        assert np.array_equal(L.meet_table, meet)
+        assert L.cover_pairs() == sorted(covers)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -47,18 +48,36 @@ def test_enumerate_matches_multinomial_count(text):
     assert words == sorted(words)
 
 
-def test_enumerate_long_words_without_recursion(monkeypatch):
+def test_enumerate_long_words_without_recursion():
     # 1,500 letters: one recursion level per letter would pass Python's limit
     v = mn.parse_vector("1,1499")
-    monkeypatch.setattr(mn, "DEFAULT_K_CAP", v.k)
     words = list(mn.enumerate_words(v))
     assert len(words) == v.size() == 1500
     assert words[0] == mn.bottom(v) and words[-1] == mn.top(v)
     assert all(a < b for a, b in zip(words, words[1:]))
 
 
+@given(st.lists(st.integers(0, 12), min_size=1, max_size=5), st.integers(-2, 2),
+       st.integers(0, 10 ** 7))
+def test_size_up_to_is_the_size_within_the_bound(entries, delta, bound):
+    v = mn.MultVector(tuple(entries))
+    size = v.size()
+    for b in (max(0, size + delta), bound):
+        assert v.size_up_to(b) == (size if size <= b else None)
+
+
+def test_size_up_to_stops_early_on_huge_vectors():
+    start = time.perf_counter()
+    assert mn.parse_vector("1000000,1000000").size_up_to(10 ** 18) is None
+    assert mn.MultVector((10 ** 100, 1)).size_up_to(10 ** 18) is None
+    assert mn.MultVector((10 ** 100, 1)).size_up_to(10 ** 101) == 10 ** 100 + 1
+    assert mn.MultVector((0, 10 ** 100, 0)).size_up_to(1) == 1
+    assert mn.MultVector((1,) * 100_000).size_up_to(10 ** 18) is None
+    assert time.perf_counter() - start < 0.5
+
+
 def test_enumerate_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^\|L\(5,5,5\)\| = 756756 exceeds the listing cap"):
         list(mn.enumerate_words(mn.parse_vector("5,5,5")))
 
 
@@ -227,10 +246,9 @@ def test_to_finite_lattice_tables_match_word_operations(text):
 
 
 @pytest.mark.parametrize("text", SMALL_VECTORS + ["2,0,2", "3,2,1", "1" + ",0" * 25 + ",2"])
-def test_to_finite_lattice_words_and_covers(text, monkeypatch):
+def test_to_finite_lattice_words_and_covers(text):
     v = mn.parse_vector(text)
     lattice = mn.to_finite_lattice(v)
-    monkeypatch.setattr(mn, "DEFAULT_K_CAP", v.k)
     words = list(mn.enumerate_words(v))
     assert lattice.labels == [mn.word_str(w) for w in words]
     assert lattice.cover_pairs() == sorted((words.index(w), words.index(u))
