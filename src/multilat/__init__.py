@@ -2,9 +2,11 @@
 
 Submodules:
 
-- ``perm_core``: permutations, inversion sets as bit rows, the clopen calculus.
-- ``multinomial``: words of L(v), order, join/meet on the inversion-set
-  rows of a word's letter positions, read straight back to a word.
+- ``perm_core``: permutations as one-line tuples, inversion sets as bit
+  rows, the clopen calculus.
+- ``multinomial``: words of L(v), their order (containment of the
+  inversion-set rows of a word's letter positions), and join/meet on those
+  rows, read straight back to a word.
 - ``order``: the pure-Python helpers every layer shares: the one walk of
   the SD_n sequences of a triple (``sd_sequence``), the one Kahn peel
   behind every longest-path and cycle question (``dag_heights``), the one

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from . import irreducibles, multinomial
 from .errors import CapExceeded, MultilatError
 from .irreducibles import DGraph, IrrVector, d_graph, ji_word
-from .multinomial import MultVector, PathWord, leq, mjoin, mmeet, word_str
+from .multinomial import MultVector, PathWord, mjoin, mmeet, word_inversions, word_str
 from .order import _blocks, _union
 
 if TYPE_CHECKING:
@@ -156,10 +156,11 @@ def congruence_from_S(v: MultVector, s: JiSet) -> Partition:
     if not s.is_d_closed():
         raise MultilatError(f"set {{{s}}} is not closed under the join dependency")
     words = list(multinomial.enumerate_words(v))
-    member_words = {j: ji_word(j) for j in s.members}
+    member_rows = {j: word_inversions(ji_word(j)) for j in s.members}
     keyed: dict[frozenset, list[PathWord]] = {}
     for w in words:
-        key = frozenset(j for j, jw in member_words.items() if leq(jw, w))
+        rows = word_inversions(w)
+        key = frozenset(j for j, rows_j in member_rows.items() if rows_j <= rows)
         keyed.setdefault(key, []).append(w)
     partition = Partition(
         v, tuple(sorted((frozenset(b) for b in keyed.values()),

@@ -4,9 +4,9 @@ Elements of L(v) are words over {1..n} in which letter i occurs v[i]
 times, ordered by the rewrite a_i a_j -> a_j a_i for i < j.  Numbering
 the positions of each letter's occurrences in increasing order embeds
 L(v) in the permutations of {1..k} (k = sum of multiplicities), so a word
-is ordered by its inversion set, held as bit rows: the join is the
-closure of the union and the meet the interior of the intersection,
-read straight back to a word.
+is ordered by containment of its inversion set, held as bit rows: the
+join is the closure of the union and the meet the interior of the
+intersection, read straight back to a word.
 """
 
 from __future__ import annotations
@@ -185,34 +185,6 @@ def _letter_tuples(v: MultVector):
         word[i + 1:] = reversed(word[i + 1:])
 
 
-def pi(w: PathWord, l: int, m: int) -> PathWord:
-    """Project onto letters l < m, relabelled to the 2-letter alphabet."""
-    v = w.parent
-    if not 1 <= l < m <= v.n:
-        raise MultilatError(f"bad projection indices ({l},{m}) for n={v.n}")
-    sub = MultVector((v.entries[l - 1], v.entries[m - 1]))
-    return PathWord(sub, tuple(1 if c == l else 2 for c in w.letters if c in (l, m)))
-
-
-def _leq2(w: PathWord, u: PathWord) -> bool:
-    """Pointwise path comparison in a 2-letter lattice."""
-    cw = cu = 0
-    for lw, lu in zip(w.letters, u.letters):
-        cw += lw == 2
-        cu += lu == 2
-        if cw > cu:
-            return False
-    return True
-
-
-def leq(w: PathWord, u: PathWord) -> bool:
-    """w <= u iff every 2-letter projection of w is below that of u."""
-    if w.parent != u.parent:
-        raise MultilatError("cannot compare words with different parents")
-    n = w.parent.n
-    return all(_leq2(pi(w, l, m), pi(u, l, m)) for l in range(1, n) for m in range(l + 1, n + 1))
-
-
 def _swaps(x: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The letter tuples one swap of adjacent letters a_i a_j, i < j, above x."""
     return [x[:p] + (x[p + 1], x[p]) + x[p + 2:] for p in range(len(x) - 1) if x[p] < x[p + 1]]
@@ -249,6 +221,12 @@ def inversions_word(v: MultVector, x: InversionSet) -> PathWord:
 def _check_same_parent(w: PathWord, u: PathWord) -> None:
     if w.parent != u.parent:
         raise MultilatError("mismatched parents")
+
+
+def leq(w: PathWord, u: PathWord) -> bool:
+    """w <= u iff the inversion set of w is contained in that of u."""
+    _check_same_parent(w, u)
+    return word_inversions(w) <= word_inversions(u)
 
 
 def mjoin(w: PathWord, u: PathWord) -> PathWord:

@@ -1,52 +1,21 @@
 """Permutations under the weak Bruhat order, via inversion-set calculus.
 
-A permutation on {1..k} is ordered by containment of its inversion set,
-held as k bit rows: row a is the bitmask {b > a : a\\b in x}.  The sets
-that occur are exactly the *clopen* ones, and joins/meets are the closure
-of the union (one Warshall pass on the rows) and the interior of the
-intersection.  The permutation of a clopen set is read straight off the
-rows: among the values >= a, value a comes after exactly the popcount of
-row a.  ``clopen_to_perm`` checks the round trip ``inversions(sigma) ==
-x``, which fails exactly when x is not clopen.
+A permutation of {1..k} is a one-line tuple of the values 1..k, ordered by
+containment of its inversion set, held as k bit rows: row a is the
+bitmask {b > a : a\\b in x}.  The sets that occur are exactly the
+*clopen* ones, and joins/meets are the closure of the union (one Warshall
+pass on the rows) and the interior of the intersection.  The permutation
+of a clopen set is read straight off the rows: among the values >= a,
+value a comes after exactly the popcount of row a.  ``clopen_to_perm``
+checks the round trip ``sequence_inversions(k, sigma) == x``, which fails
+exactly when x is not clopen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 from .errors import MultilatError
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..k} in one-line notation: images[i-1] = sigma(i)."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.images)
-        if sorted(self.images) != list(range(1, k + 1)):
-            raise MultilatError(f"not a permutation of 1..{k}: {self.images}")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
-    def __str__(self) -> str:
-        return ",".join(str(i) for i in self.images)
-
-
-def identity(k: int) -> Permutation:
-    return Permutation(tuple(range(1, k + 1)))
 
 
 @dataclass(frozen=True)
@@ -76,10 +45,6 @@ class InversionSet:
         return ";".join(pairs) or "-"
 
 
-def all_pairs(k: int) -> list[tuple[int, int]]:
-    return list(combinations(range(1, k + 1), 2))
-
-
 def inv_set(k: int, pairs) -> InversionSet:
     rows = [0] * k
     for a, b in pairs:
@@ -97,11 +62,6 @@ def sequence_inversions(k: int, values) -> InversionSet:
         rows[a - 1] = seen >> a << a
         seen |= 1 << (a - 1)
     return InversionSet(k, tuple(rows))
-
-
-def inversions(sigma: Permutation) -> InversionSet:
-    """The disagreements of sigma: pairs a < b with sigma^-1(a) > sigma^-1(b)."""
-    return sequence_inversions(sigma.size, sigma.images)
 
 
 def closure(x: InversionSet) -> InversionSet:
@@ -145,11 +105,11 @@ def clopen_sequence(x: InversionSet) -> list[int]:
     return order
 
 
-def clopen_to_perm(x: InversionSet) -> Permutation:
-    """The unique permutation whose inversion set is the given clopen set;
-    x is clopen exactly when the laid-out values give x back."""
-    sigma = Permutation(tuple(clopen_sequence(x)))
-    if inversions(sigma) != x:
+def clopen_to_perm(x: InversionSet) -> tuple[int, ...]:
+    """The unique permutation, in one-line order, whose inversion set is the
+    given clopen set; x is clopen exactly when the laid-out values give x back."""
+    sigma = tuple(clopen_sequence(x))
+    if sequence_inversions(x.size, sigma) != x:
         raise MultilatError(f"not clopen: {x}")
     return sigma
 
@@ -171,9 +131,3 @@ def perm_meet(x: InversionSet, y: InversionSet) -> InversionSet:
     """Meet in the weak Bruhat order: the interior of the intersection."""
     _check_clopen_args(x, y)
     return interior(x & y)
-
-
-def all_perms(k: int):
-    """All permutations of {1..k} in lexicographic one-line order."""
-    for images in permutations(range(1, k + 1)):
-        yield Permutation(images)

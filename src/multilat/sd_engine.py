@@ -23,7 +23,7 @@ from .errors import CapExceeded, MultilatError
 from .irreducibles import check_d_graph_cap, d_graph, longest_simple_path
 from .multinomial import MultVector, PathWord, mjoin, mmeet, word_str
 from .order import sd_sequence
-from .perm_core import InversionSet, Permutation, inv_set
+from .perm_core import InversionSet, inv_set
 
 EXHAUSTIVE = "exhaustive"
 DPATH_BOUND = "dpath-bound"
@@ -75,14 +75,15 @@ def wk_ladder_check(n: int) -> bool:
     return perm_core.perm_meet(wit.x, full) == wit.x == _wk(n, n - 1)
 
 
-def psi(v: MultVector, sigma: Permutation) -> PathWord:
-    """Embed a permutation of the support letters as a word of letter blocks."""
+def psi(v: MultVector, sigma: tuple[int, ...]) -> PathWord:
+    """Embed a permutation of the support letters, in one-line order, as a
+    word of letter blocks."""
     support = v.support()
-    if sigma.size != len(support):
+    if len(sigma) != len(support):
         raise MultilatError(
-            f"permutation size {sigma.size} != dimension {len(support)} of v={v}")
+            f"permutation size {len(sigma)} != dimension {len(support)} of v={v}")
     letters: list[int] = []
-    for j in sigma.images:
+    for j in sigma:
         letter = support[j - 1]
         letters.extend([letter] * v.entries[letter - 1])
     return PathWord(v, tuple(letters))

@@ -8,6 +8,7 @@ that agreement with the library is meaningful evidence.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -67,7 +68,7 @@ def oracle_meet(w: mn.PathWord, u: mn.PathWord) -> mn.PathWord:
 
 @lru_cache(maxsize=None)
 def all_inversion_sets(k: int) -> tuple[pc.InversionSet, ...]:
-    return tuple(pc.inversions(s) for s in pc.all_perms(k))
+    return tuple(pc.sequence_inversions(k, s) for s in permutations(range(1, k + 1)))
 
 
 def oracle_clopen_join(x: pc.InversionSet, y: pc.InversionSet) -> pc.InversionSet:
@@ -151,9 +152,9 @@ def quotient_by(text: str, members: frozenset[int]):
 
 
 @st.composite
-def d_closed_quotients(draw):
-    """A quotient of a small L(v) by the D-closure of a random set of its
-    join irreducibles."""
+def d_closed_members(draw):
+    """A small L(v), as its vector text, and the D-closure of a random set
+    of its join irreducibles, as indices into its d_graph nodes."""
     text = draw(st.sampled_from(QUOTIENT_VECTORS))
     graph = ir.d_graph(mn.parse_vector(text))
     succ = [[t for s, t, _ in graph.edges if s == i] for i in range(len(graph.nodes))]
@@ -164,4 +165,10 @@ def d_closed_quotients(draw):
         if i not in members:
             members.add(i)
             stack.extend(succ[i])
-    return quotient_by(text, frozenset(members))
+    return text, frozenset(members)
+
+
+def d_closed_quotients():
+    """A quotient of a small L(v) by the D-closure of a random set of its
+    join irreducibles."""
+    return d_closed_members().map(lambda drawn: quotient_by(*drawn))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import d_closed_members
 from multilat import congruence as cg
 from multilat import finite_lattice as fl
 from multilat import irreducibles as ir
@@ -156,6 +157,27 @@ def test_congruence_from_full_S_is_identity():
     p = cg.congruence_from_S(v, full_set(v))
     assert len(p.blocks) == v.size()
     assert all(len(b) == 1 for b in p.blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d_closed_members())
+def test_blocks_group_words_by_dominated_members_in_tables(drawn):
+    """The blocks are the words grouped by the members of S below them,
+    read from the leq table that to_finite_lattice closes from the covers."""
+    text, members = drawn
+    v = V(text)
+    nodes = ir.d_graph(v).nodes
+    s = cg.JiSet(v, frozenset(nodes[i] for i in members))
+    lattice = mn.to_finite_lattice(v)
+    index = {label: i for i, label in enumerate(lattice.labels)}
+    member_index = {j: index[mn.word_str(ir.ji_word(j))] for j in s.members}
+    expected: dict[frozenset, set] = {}
+    for w in mn.enumerate_words(v):
+        key = frozenset(j for j, i in member_index.items()
+                        if lattice.le(i, index[mn.word_str(w)]))
+        expected.setdefault(key, set()).add(w)
+    blocks = cg.congruence_from_S(v, s).blocks
+    assert set(blocks) == {frozenset(b) for b in expected.values()}
 
 
 def test_congruence_rejects_non_closed_S():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -37,20 +38,21 @@ def test_wk_ladder_cap():
 
 def test_psi_blocks():
     v = V("2,1,3")
-    assert mn.word_str(sd.psi(v, pc.identity(3))) == "aabccc"
-    assert mn.word_str(sd.psi(v, pc.Permutation((3, 1, 2)))) == "cccaab"
+    assert mn.word_str(sd.psi(v, (1, 2, 3))) == "aabccc"
+    assert mn.word_str(sd.psi(v, (3, 1, 2))) == "cccaab"
     skipped = V("2,0,3")  # letter 2 missing: support is (1, 3)
-    assert sd.psi(skipped, pc.Permutation((2, 1))).letters == (3, 3, 3, 1, 1)
-    with pytest.raises(MultilatError):
-        sd.psi(v, pc.identity(4))
+    assert sd.psi(skipped, (2, 1)).letters == (3, 3, 3, 1, 1)
+    with pytest.raises(MultilatError, match="permutation size 4 != dimension 3"):
+        sd.psi(v, (1, 2, 3, 4))
+    with pytest.raises(MultilatError, match="letter counts"):
+        sd.psi(v, (1, 1, 3))
 
 
 def test_psi_is_order_embedding_of_permutations():
     v = V("2,1,1")
-    for s in pc.all_perms(3):
-        for t in pc.all_perms(3):
-            weak = pc.inversions(s) <= pc.inversions(t)
-            assert weak == mn.leq(sd.psi(v, s), sd.psi(v, t))
+    for s, t in itertools.product(itertools.permutations((1, 2, 3)), repeat=2):
+        weak = pc.sequence_inversions(3, s) <= pc.sequence_inversions(3, t)
+        assert weak == mn.leq(sd.psi(v, s), sd.psi(v, t))
 
 
 @pytest.mark.parametrize("text", ["1,1,1", "2,1,1", "1,2,1", "1,1,1,1", "2,2,1,1"])
