@@ -10,12 +10,14 @@ Submodules:
 - ``order``: the pure-Python helpers every layer shares: the one walk of
   the SD_n sequences of a triple (``sd_sequence``), the one Kahn peel
   behind every longest-path and cycle question (``dag_heights``), the one
-  union-find, and the size caps with their checks.
+  union-find (D-graph components, Parikh connectivity), and the size caps
+  with their checks.
 - ``finite_lattice``: a generic finite-lattice engine on numpy tables
-  (irreducibles, arrows, pentagons, congruences, SD_n evaluation, D-path
-  extraction).  It is the only module that imports numpy, and it is loaded
-  only when a lattice is built, so ``import multilat`` stays numpy-free;
-  ``multilat.FiniteLattice`` loads it on first access.
+  (irreducibles, arrows, the join dependency D and its closure D*,
+  pentagons, SD_n evaluation, D-path extraction).  It is the only module
+  that imports numpy, and it is loaded only when a lattice is built, so
+  ``import multilat`` stays numpy-free; ``multilat.FiniteLattice`` loads it
+  on first access.
 - ``irreducibles``: vector-encoded join/meet irreducibles of L(v), the kappa
   pairing, the explicit join-dependency relation and its graph.
 - ``congruence``: congruences of L(v) as D-closed sets of join irreducibles.

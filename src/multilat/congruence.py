@@ -202,23 +202,16 @@ def check_parikh_connectivity(p: Partition) -> bool:
     """Every block connected under single adjacent-transposition steps.
 
     Swapping two unequal adjacent letters is an upper or a lower cover,
-    so the steps are the ``covers`` edges inside a block, walked both ways.
+    so the steps are the ``covers`` edges inside a block, merged in one
+    union-find over the words: each block is connected iff the union-find
+    ends with as many sets as there are blocks.
     """
+    words = [w for block in p.blocks for w in block]
+    index = {w: i for i, w in enumerate(words)}
+    parent = list(range(len(words)))
     for block in p.blocks:
-        nbrs: dict[PathWord, list[PathWord]] = {w: [] for w in block}
         for w in block:
             for u in multinomial.covers(w):
-                if u in nbrs:
-                    nbrs[w].append(u)
-                    nbrs[u].append(w)
-        start = min(block)
-        reached = {start}
-        frontier = [start]
-        while frontier:
-            for u in nbrs[frontier.pop()]:
-                if u not in reached:
-                    reached.add(u)
-                    frontier.append(u)
-        if len(reached) != len(block):
-            return False
-    return True
+                if u in block:
+                    _union(parent, index[w], index[u])
+    return len(_blocks(parent)) == len(p.blocks)

@@ -1,11 +1,11 @@
-"""Explicit finite lattices: tables, irreducibles, congruences, pentagons,
-and the SD_n(meet) equation machinery.
+"""Explicit finite lattices: tables, irreducibles, prime quotients,
+pentagons, and the SD_n(meet) equation machinery.
 
 Elements are integer indices into a label list.  The order relation and
 the join/meet tables are dense numpy arrays, which keeps exhaustive
 triple scans fast enough at desk scale.  This is the only module that
 imports numpy; the pure-Python helpers it shares with the other layers
-(the Kahn peel, the SD_n sequence walk, the union-find and the caps) live
+(the Kahn peel, the SD_n sequence walk and the caps) live
 in :mod:`multilat.order`, and the other layers import this module only
 inside the functions that build a lattice.
 
@@ -35,7 +35,10 @@ irreducibles and their unique covers.  They also give the SD level of a
 meet-semidistributive lattice without a scan: an SD_n failure there yields
 a simple D-path of n edges (:meth:`FiniteLattice.dpath_from_sd_failure`),
 so when D is acyclic with longest path l, SD_n holds for every n > l
-(:meth:`FiniteLattice.sd_verdict`).
+(:meth:`FiniteLattice.sd_verdict`).  Congruences are read off the
+reflexive transitive closure D*: the congruence generated by one prime
+quotient collapses another iff their join irreducibles are D*-related,
+which is how the extraction descends through the pentagons.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceeded, InternalInconsistency, MultilatError, NotALattice
-from .order import (DEFAULT_SIZE_CAP, _blocks, _cycle_pair, _heights, _union, check_sd_level,
-                    check_sd_scan_cap, longest_path, sd_sequence)
+from .order import (DEFAULT_SIZE_CAP, _cycle_pair, _heights, check_sd_level, check_sd_scan_cap,
+                    longest_path, sd_sequence)
 
 Quotient = tuple[int, int]  # (upper, lower) with lower <= upper
 
@@ -210,6 +213,16 @@ class FiniteLattice:
         return d
 
     @cached_property
+    def _d_star(self) -> np.ndarray:
+        """D* over J x J, the reflexive transitive closure of D (Warshall):
+        j D* j' iff con(j, j_*) <= con(j', j'_*) (Freese, Jezek and Nation,
+        *Free Lattices*, ch. 2)."""
+        reach = self._d_matrix | np.eye(len(self._jis), dtype=bool)
+        for k in range(len(reach)):
+            reach |= reach[:, k, None] & reach[k]
+        return reach
+
+    @cached_property
     def _double_arrows(self) -> np.ndarray:
         """|J| x |M|: j up-arrow m and m down-arrow j."""
         up, down = self._arrows
@@ -252,43 +265,7 @@ class FiniteLattice:
         ideals = {row.tobytes() for row in np.packbits(leq[:, self._mis].T, axis=1)}
         return all(row.tobytes() in ideals for row in np.packbits(~leq[self._jis], axis=1))
 
-    # -- congruences --------------------------------------------------------
-
-    def principal_congruence(self, u: int, w: int) -> tuple[frozenset[int], ...]:
-        """Smallest congruence collapsing u and w.
-
-        Closure of the generating pair under the translations t -> t v s,
-        t -> t ^ s and transitivity, via union-find with a worklist.
-        """
-        parent = list(self.elements())
-        work = [(u, w)]
-        _union(parent, u, w)
-        while work:
-            a, b = work.pop()
-            for t in self.elements():
-                for x, y in ((self.join(a, t), self.join(b, t)),
-                             (self.meet(a, t), self.meet(b, t))):
-                    if _union(parent, x, y):
-                        work.append((x, y))
-        return _blocks(parent)
-
-    def congruences(self) -> set[tuple[frozenset[int], ...]]:
-        """All congruences: closure of the principal ones under join."""
-        principals = {self.principal_congruence(u, w)
-                      for u in self.elements() for w in self.elements() if u < w}
-        equality = tuple(frozenset([i]) for i in self.elements())
-        found = {equality} | principals
-        frontier = set(principals)
-        while frontier:
-            new = set()
-            for theta in frontier:
-                for pc in principals:
-                    joined = join_partitions(self.n, theta, pc)
-                    if joined not in found:
-                        found.add(joined)
-                        new.add(joined)
-            frontier = new
-        return found
+    # -- prime quotients -----------------------------------------------------
 
     def quotient_to_ji(self, x: int, y: int) -> int:
         """For a prime quotient y -< x, the minimal j with j v y = x.
@@ -305,6 +282,23 @@ class FiniteLattice:
             raise InternalInconsistency("minimal complement is not join irreducible")
         return j
 
+    def _prime_quotient_collapsing(self, target: tuple[int, int],
+                                   lo: int, hi: int) -> Quotient:
+        """Lex-least prime quotient u/w with lo <= w -< u <= hi collapsing
+        the prime quotient target: con(u, w) collapses a/b iff t D* j, with
+        t and j the join irreducibles the two quotients transpose to."""
+        a1, b1 = target
+        reach = self._d_star[self._jis.index(self.quotient_to_ji(a1, b1))]
+        for w in self.elements():
+            if not (self.le(lo, w) and self.le(w, hi)):
+                continue
+            for u in self.upper_covers(w):
+                if self.le(u, hi) and reach[self._jis.index(self.quotient_to_ji(u, w))]:
+                    return (u, w)
+        raise InternalInconsistency(
+            f"no prime quotient in [{self.labels[lo]}, {self.labels[hi]}] "
+            f"collapses ({self.labels[a1]}, {self.labels[b1]})")
+
     # -- pentagons -----------------------------------------------------------
 
     def pentagon_search(self) -> list["Pentagon"]:
@@ -319,23 +313,6 @@ class FiniteLattice:
                        self.meet(a, c) == self.meet(b, c):
                         out.append(Pentagon(self, a, b, c))
         return out
-
-    def _prime_quotient_collapsing(self, target: tuple[int, int],
-                                   lo: int, hi: int) -> Quotient:
-        """Lex-least prime quotient u/w with lo <= w -< u <= hi collapsing target."""
-        a1, b1 = target
-        for w in self.elements():
-            if not (self.le(lo, w) and self.le(w, hi)):
-                continue
-            for u in self.upper_covers(w):
-                if not self.le(u, hi):
-                    continue
-                theta = self.principal_congruence(u, w)
-                if _same_block(theta, a1, b1):
-                    return (u, w)
-        raise InternalInconsistency(
-            f"no prime quotient in [{self.labels[lo]}, {self.labels[hi]}] "
-            f"collapses ({self.labels[a1]}, {self.labels[b1]})")
 
     # -- SD_n machinery ------------------------------------------------------
 
@@ -410,22 +387,6 @@ class FiniteLattice:
     def _height(self) -> int:
         """The length of the longest chain."""
         return longest_path(self._upper_covers)[0]
-
-    def sd_mu(self) -> int:
-        """max over triples of the least n with y_{n-1} = y_n and z_{n-1} = z_n."""
-        J = self.join_table
-        scan = _SdScan(J, self.meet_table, 1)
-        ys = np.arange(self.n)[:, None]
-        worst = 1
-        for x in self.elements():
-            yk = np.broadcast_to(ys, (self.n, self.n))
-            for k, (a, _) in enumerate(scan.climb(x, x + 1)[1]):
-                yn = J[ys, a[0].T]  # y_{k+1} = y v (x ^ z_k), z_k = y_k transposed
-                if np.array_equal(yn, yk):
-                    worst = max(worst, k + 1)
-                    break
-                yk = yn
-        return worst
 
     def dpath_from_sd_failure(self, x: int, y: int, z: int, n: int) -> list[int]:
         """Extract a simple D-path of length n from an SD_n(meet) failure.
@@ -761,20 +722,6 @@ class _SdScan:
                 yield a, act
 
         return mj, steps()
-
-
-def join_partitions(n: int, p1, p2) -> tuple[frozenset[int], ...]:
-    parent = list(range(n))
-    for part in (p1, p2):
-        for block in part:
-            items = sorted(block)
-            for a, b in zip(items, items[1:]):
-                _union(parent, a, b)
-    return _blocks(parent)
-
-
-def _same_block(theta, a: int, b: int) -> bool:
-    return any(a in block and b in block for block in theta)
 
 
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from math import prod
 
 from . import order
 from .errors import CapExceeded, InternalInconsistency, MultilatError
-from .multinomial import MultVector, PathWord, bottom, word_str
+from .multinomial import MultVector, PathWord, _check_same_parent, bottom, word_str
 from .order import dag_heights
 
 JOIN = "join"
@@ -177,14 +177,9 @@ def parse_mi_word(w: PathWord) -> IrrVector:
     return _dual(IrrVector(w.parent, _counts_to_descent(w, w.letters[::-1], "ascents"), JOIN))
 
 
-def _check_pair(a: IrrVector, b: IrrVector) -> None:
-    if a.parent != b.parent:
-        raise MultilatError("mismatched parents")
-
-
 def arrow_up(j: IrrVector, m: IrrVector) -> bool:
     """<x> up-arrow [y]: local comparison on the plan (c,d) of [y]."""
-    _check_pair(j, m)
+    _check_same_parent(j, m)
     if j.kind != JOIN or m.kind != MEET:
         raise MultilatError("arrow_up expects (join, meet)")
     c, d = principal_plan(m)
@@ -195,7 +190,7 @@ def arrow_up(j: IrrVector, m: IrrVector) -> bool:
 
 def arrow_down(m: IrrVector, j: IrrVector) -> bool:
     """[y] down-arrow <x>: by reversal, <v-y> up-arrow [v-x]."""
-    _check_pair(m, j)
+    _check_same_parent(m, j)
     if j.kind != JOIN or m.kind != MEET:
         raise MultilatError("arrow_down expects (meet, join)")
     principal_plan(j)  # a degenerate <x> is named as given, not as [v-x]
@@ -222,7 +217,7 @@ def kappa_d(m: IrrVector) -> IrrVector:
 
 def dbullet(j: IrrVector, k: IrrVector) -> bool:
     """The explicit reflexive-transitive join dependency between <x> and <z>."""
-    _check_pair(j, k)
+    _check_same_parent(j, k)
     if j.kind != JOIN or k.kind != JOIN:
         raise MultilatError("dbullet expects join-kind vectors")
     a, b = principal_plan(j)

@@ -218,7 +218,8 @@ def inversions_word(v: MultVector, x: InversionSet) -> PathWord:
     raise MultilatError(f"inversion set {x} is not that of a word of L({v})")
 
 
-def _check_same_parent(w: PathWord, u: PathWord) -> None:
+def _check_same_parent(w, u) -> None:
+    """Refuse two words, or two irreducibles, of different L(v)."""
     if w.parent != u.parent:
         raise MultilatError("mismatched parents")
 

@@ -7,7 +7,8 @@ start without it.
   and cycle question, and :func:`longest_path` read off it;
 - the one walk of the SD_n(meet) sequences of a triple
   (:func:`sd_sequence`) under any join and meet;
-- the one union-find (``_find``, ``_union``, ``_blocks``);
+- the one union-find (``_find``, ``_union``, ``_blocks``), behind the
+  D-graph components and the Parikh connectivity check;
 - the caps on the materialized lattices and their checks: SD_SCAN_CAP,
   DEFAULT_SIZE_CAP and ANALYSIS_CAP, and LISTING_CAP on the listings of
   words and irreducibles.

@@ -114,6 +114,47 @@ def oracle_arrows(lattice):
     return up, down, d, kappa
 
 
+def _oracle_generated(lattice, pairs) -> tuple[frozenset[int], ...]:
+    """The least congruence collapsing each pair given, as its blocks ordered
+    by least element: the pairs closed under transitivity and the
+    translations t -> t v s and t -> t ^ s.  A pair from two blocks merges
+    them and has its translations queued; a pair inside one block is
+    already implied by the merged pairs, whose translations are queued."""
+    block = {x: frozenset([x]) for x in lattice.elements()}
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        if b in block[a]:
+            continue
+        merged = block[a] | block[b]
+        block.update(dict.fromkeys(merged, merged))
+        for s in lattice.elements():
+            work.append((lattice.join(a, s), lattice.join(b, s)))
+            work.append((lattice.meet(a, s), lattice.meet(b, s)))
+    return tuple(sorted(set(block.values()), key=min))
+
+
+def oracle_principal_congruence(lattice, u: int, w: int) -> tuple[frozenset[int], ...]:
+    """con(u, w), the least congruence collapsing u and w."""
+    return _oracle_generated(lattice, [(u, w)])
+
+
+def oracle_congruences(lattice) -> set[tuple[frozenset[int], ...]]:
+    """Every congruence: the equality and the joins of principal ones, the
+    join of two congruences being the congruence their pairs generate."""
+    elements = lattice.elements()
+    principals = {oracle_principal_congruence(lattice, u, w)
+                  for u in elements for w in elements if u < w}
+    found = {_oracle_generated(lattice, [])} | principals
+    frontier = principals
+    while frontier:
+        frontier = {_oracle_generated(lattice, [(min(b), x) for theta in (t, p)
+                                                for b in theta for x in b])
+                    for t in frontier for p in principals} - found
+        found |= frontier
+    return found
+
+
 def oracle_distributive(lattice) -> bool:
     """The distributive law x ^ (y v z) = (x ^ y) v (x ^ z) on every
     triple, one x at a time."""

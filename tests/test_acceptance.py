@@ -10,7 +10,8 @@ import subprocess
 import sys
 import time
 
-from conftest import all_inversion_sets, oracle_clopen_join, oracle_clopen_meet, oracle_leq
+from conftest import (all_inversion_sets, oracle_clopen_join, oracle_clopen_meet,
+                      oracle_congruences, oracle_leq)
 from multilat import congruence, finite_lattice, irreducibles, perm_core, sd_engine
 from multilat import multinomial as mn
 
@@ -97,7 +98,7 @@ def test_07_congruence_counts():
     for text, expected in (("2,2", 16), ("1,1,1", 7)):
         v = mn.parse_vector(text)
         via_sets = len(congruence.d_closed_sets(v))
-        via_lattice = len(mn.to_finite_lattice(v).congruences())
+        via_lattice = len(oracle_congruences(mn.to_finite_lattice(v)))
         counts[text] = via_sets
         ok = ok and via_sets == expected == via_lattice
     report(7, "L(2,2) has 16 congruences and Perm(3) has 7, "

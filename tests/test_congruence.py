@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import d_closed_members
+from conftest import d_closed_members, oracle_congruences
 from multilat import congruence as cg
 from multilat import finite_lattice as fl
 from multilat import irreducibles as ir
@@ -37,7 +37,7 @@ def test_d_closed_set_counts(text, count):
 def test_counts_match_independent_lattice_enumeration(text):
     v = V(text)
     lattice = mn.to_finite_lattice(v)
-    assert len(cg.d_closed_sets(v)) == len(lattice.congruences())
+    assert len(cg.d_closed_sets(v)) == len(oracle_congruences(lattice))
 
 
 def test_cap(monkeypatch):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (d_closed_quotients, multinomial_vectors, oracle_arrows,
-                      oracle_distributive, oracle_sd_holds_on)
+                      oracle_congruences, oracle_distributive,
+                      oracle_principal_congruence, oracle_sd_holds_on)
 from multilat import congruence as cg
 from multilat import finite_lattice as fl
 from multilat import multinomial as mn
@@ -292,12 +293,12 @@ def test_dual_involution_and_D_duality():
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
 def test_principal_congruence_is_least_collapsing(name):
     L = ALL_FIXTURES[name]
-    cong = L.congruences()
+    cong = oracle_congruences(L)
     for u in L.elements():
         for w in L.elements():
             if u == w:
                 continue
-            theta = L.principal_congruence(u, w)
+            theta = oracle_principal_congruence(L, u, w)
             assert theta in cong
             blocks_uw = [t for t in cong
                          if any(u in blk and w in blk for blk in t)]
@@ -311,7 +312,7 @@ def test_congruence_counts():
     expected = {"chain3": 4, "chain4": 8, "b2": 4, "b3": 8,
                 "m3": 2, "n5": 5, "benzene": 7}
     for name, count in expected.items():
-        assert len(ALL_FIXTURES[name].congruences()) == count, name
+        assert len(oracle_congruences(ALL_FIXTURES[name])) == count, name
 
 
 def test_quotient_to_ji():
@@ -540,10 +541,16 @@ def test_sd_eval_trace_consistency():
     assert tr.holds == (L.meet(x, tr.y_seq[2]) == L.meet(x, L.join(y, z)))
 
 
+def sd_mu(L):
+    """The most distinct pairs in the SD sequences of any triple."""
+    return max(L.sd_eval(x, y, z, 0).mu
+               for x, y, z in itertools.product(L.elements(), repeat=3))
+
+
 def test_sd_mu_values():
-    assert fl.chain(3).sd_mu() == 2
-    assert fl.n5().sd_mu() == 3
-    assert fl.benzene().sd_mu() == 3
+    assert sd_mu(fl.chain(3)) == 2
+    assert sd_mu(fl.n5()) == 3
+    assert sd_mu(fl.benzene()) == 3
 
 
 def test_pentagon_search():
@@ -562,6 +569,23 @@ def test_dpath_from_n5_failure():
     assert [L.labels[i] for i in path] == ["a", "b"]
     with pytest.raises(MultilatError):
         fl.m3().dpath_from_sd_failure(0, 1, 2, 1)  # not meet semidistributive
+
+
+@pytest.mark.parametrize("text,n,labels", [
+    ("1,1,1,1", 2, ["bcda", "bcad", "bacd"]),
+    ("2,1,1", 1, ["abca", "abac"]),
+    ("2,2,1", 1, ["abbca", "abbac"]),
+    ("1,1,1,1,1", 3, ["bcdea", "bcdae", "bcade", "bacde"]),
+    ("2,1,1,1", 2, ["abcda", "abcad", "abacd"]),
+    ("2,2,2", 1, ["abbcac", "abbacc"]),
+])
+def test_dpath_from_first_sd_failure(text, n, labels):
+    L = mn.to_finite_lattice(mn.parse_vector(text))
+    path = L.dpath_from_sd_failure(*L.sd_holds(n), n)
+    assert [L.labels[i] for i in path] == labels
+    assert len(path) == n + 1 == len(set(path))
+    brute = L.bruteforce_D()
+    assert all(pair in brute for pair in zip(path, path[1:]))
 
 
 def test_dpath_rejects_non_failure():
@@ -664,6 +688,29 @@ def test_distributive_by_join_primes_matches_the_law(L):
 @settings(max_examples=40, deadline=None)
 def test_distributive_by_join_primes_matches_the_law_on_quotients(L):
     assert L.is_distributive() == oracle_distributive(L)
+
+
+def check_d_star_collapse(L):
+    """con(u, w) collapses the prime quotient a/b iff the join irreducible
+    of a/b reaches that of u/w in D*, for every pair of prime quotients."""
+    row = {j: i for i, j in enumerate(L.join_irreducibles())}
+    ji = {(lo, hi): row[L.quotient_to_ji(hi, lo)] for lo, hi in L.cover_pairs()}
+    for (w, u), j in ji.items():
+        theta = oracle_principal_congruence(L, u, w)
+        for (b, a), t in ji.items():
+            collapsed = any(a in block and b in block for block in theta)
+            assert collapsed == bool(L._d_star[t, j]), (u, w, a, b)
+
+
+@pytest.mark.parametrize("L", [case for case in SMALL_LATTICES if case.values[0].n <= 30])
+def test_d_star_decides_prime_quotient_collapse(L):
+    check_d_star_collapse(L)
+
+
+@given(d_closed_quotients())
+@settings(max_examples=40, deadline=None)
+def test_d_star_decides_prime_quotient_collapse_on_quotients(L):
+    check_d_star_collapse(L)
 
 
 def check_certificate(L, monkeypatch):

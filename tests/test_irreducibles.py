@@ -183,6 +183,16 @@ def test_perm_ji_triple():
         ir.perm_ji_triple(ir.enumerate_ji(V("2,1"))[0])
 
 
+def test_mismatched_parents_are_refused():
+    j, k = ir.enumerate_ji(V("1,1,1"))[0], ir.enumerate_ji(V("2,2"))[0]
+    m, n = ir.enumerate_mi(V("1,1,1"))[0], ir.enumerate_mi(V("2,2"))[0]
+    for call, args in ((ir.arrow_up, (j, n)), (ir.arrow_up, (k, m)),
+                       (ir.arrow_down, (m, k)), (ir.arrow_down, (n, j)),
+                       (ir.dbullet, (j, k)), (ir.dbullet, (k, j))):
+        with pytest.raises(MultilatError, match="mismatched parents"):
+            call(*args)
+
+
 def test_d_graph_exports():
     g = ir.d_graph(V("1,1,1"))
     data = json.loads(g.to_json())

@@ -166,6 +166,7 @@ def test_sequence_laws_on_random_triples():
 
 def test_mu_bounds_sd_level():
     for L in SD_LATTICES:
-        mu = L.sd_mu()
+        mu = max(L.sd_eval(x, y, z, 0).mu
+                 for x, y, z in itertools.product(L.elements(), repeat=3))
         if L.sd_holds(mu) is True:
             assert L.sd_holds(mu + 1) is True
