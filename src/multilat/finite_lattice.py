@@ -5,8 +5,8 @@ Elements are integer indices into a label list.  The order relation and
 the join/meet tables are dense numpy arrays, which keeps exhaustive
 triple scans fast enough at desk scale.  This is the only module that
 imports numpy; the pure-Python helpers it shares with the other layers
-(the Kahn peel, the SD_n sequence walk and the caps) live
-in :mod:`multilat.order`, and the other layers import this module only
+(the Kahn peel, the SD_n sequence walk and the caps) live in
+:mod:`multilat.order`, and the other layers import this module only
 inside the functions that build a lattice.
 
 The tables are filled from the given edges in O(n^2 d) time, d the
