@@ -15,8 +15,9 @@ Nation, *Free Lattices*, ch. 11): each row ``leq[x]`` is the union of the
 rows of its successors, and ``x v y`` for incomparable x, y is the least of
 the joins ``c v y`` over the successors ``c`` of x.  Rows are filled one
 height level at a time from the top, all rows of a level in a few array
-operations.  The meet table is the join table of the dual order, filled
-the same way from the bottom, unless an order-reversing involution r is
+operations, after one Kahn peel per build.  The meet table is the join
+table of the dual order, filled the same way from the bottom on levels
+numbered by that same peel, unless an order-reversing involution r is
 known (word reversal in L(v)): then x ^ y = r(r x v r y), read off the
 join table once r is certified.  Tables hold int16 indices (int32 above
 32,767 elements).
@@ -28,6 +29,7 @@ a_0(y, z) = x ^ y and a_{k+1}(y, z) = MJ_x[y, a_k(z, y)], and SD_n fails
 at (x, y, z) exactly where a_n(y, z) != MJ_x[y, z].  The first step is one
 gather over all pairs; later steps gather only the unsettled pairs, where
 a_k != MJ_x: a_k only climbs towards MJ_x, so a settled value is final.
+A batch's scan returns its failing triples, in increasing order.
 
 The arrow relations, the join dependency D, kappa and semidistributivity
 are boolean operations on rows of the order indexed by the join and meet
@@ -51,8 +53,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceeded, InternalInconsistency, MultilatError, NotALattice
-from .order import (DEFAULT_SIZE_CAP, _cycle_pair, _heights, check_sd_level, check_sd_scan_cap,
-                    longest_path, sd_sequence)
+from .order import (DEFAULT_SIZE_CAP, _cycle_pair, _heights, check_sd_level, longest_path,
+                    sd_scan_level, sd_sequence)
 
 Quotient = tuple[int, int]  # (upper, lower) with lower <= upper
 
@@ -65,11 +67,12 @@ class FiniteLattice:
     transitive closure of the covers is a lattice order.
     """
 
-    def __init__(self, labels, leq, join, meet, upper_covers):
+    def __init__(self, labels, leq, join, meet, upper_covers, height):
         self.labels: list[str] = list(labels)
         self.leq_table: np.ndarray = leq      # leq_table[i, j] == (i <= j)
         self.join_table: np.ndarray = join
         self.meet_table: np.ndarray = meet
+        self.height: int = height             # steps of the longest chain
         self._upper_covers: list[list[int]] = upper_covers
         self._lower_covers: list[list[int]] = [[] for _ in upper_covers]
         for lo, ups in enumerate(upper_covers):
@@ -92,15 +95,17 @@ class FiniteLattice:
 
         :func:`_order_and_joins` fills ``leq``, the covers and the join
         table; the meet table is the join table of the dual order, filled
-        the same way from the bottom.  Raises :class:`NotALattice` on a
-        cycle, on more than one minimal or maximal element, and on a pair
-        without a least upper bound (the least such pair among those with
-        an element of least height).
+        the same way from the bottom on the levels top - height of the
+        primal peel.  Raises :class:`NotALattice` on a cycle, on more than
+        one minimal or maximal element, and on a pair without a least
+        upper bound (the least such pair among those with an element of
+        least height).
         """
-        labels, succ, pred, leq, join, upper_covers = _order_and_joins(covers, labels)
-        down = _Ranked(pred, _heights(pred, succ))
-        meet = down.join_table(leq.T, labels, "greatest lower")
-        return cls(labels, leq, join, meet, upper_covers)
+        labels, pred, leq, join, upper_covers, height = _order_and_joins(covers, labels)
+        top = max(height)
+        down = _Ranked(pred, [top - h for h in height])
+        meet = down.join_table(leq.T[down.order][:, down.order], labels)
+        return cls(labels, leq, join, meet, upper_covers, top)
 
     @classmethod
     def from_self_dual_covers(cls, covers, labels, flip) -> "FiniteLattice":
@@ -113,7 +118,7 @@ class FiniteLattice:
         checking: a finite order with a least element and all binary joins
         is a lattice.
         """
-        labels, _, _, leq, join, upper_covers = _order_and_joins(covers, labels)
+        labels, _, leq, join, upper_covers, height = _order_and_joins(covers, labels)
         n = len(labels)
         r = np.asarray(flip, dtype=np.intp)
         if r.shape != (n,) or not ((r >= 0) & (r < n)).all() \
@@ -121,7 +126,7 @@ class FiniteLattice:
                 or not np.array_equal(leq[r][:, r], leq.T):
             raise InternalInconsistency("the map given is not an order-reversing involution")
         meet = np.take(r.astype(join.dtype), join[r][:, r])
-        return cls(labels, leq, join, meet, upper_covers)
+        return cls(labels, leq, join, meet, upper_covers, max(height))
 
     # -- basic structure ---------------------------------------------------
 
@@ -168,7 +173,7 @@ class FiniteLattice:
     def dual(self) -> "FiniteLattice":
         """The order dual, sharing labels."""
         return FiniteLattice(self.labels, self.leq_table.T, self.meet_table,
-                             self.join_table, self._lower_covers)
+                             self.join_table, self._lower_covers, self.height)
 
     # -- irreducibles and arrow relations ----------------------------------
 
@@ -274,10 +279,9 @@ class FiniteLattice:
         """
         if y not in self.lower_covers(x):
             raise MultilatError(f"{self.labels[y]} -< {self.labels[x]} is not a prime quotient")
-        cands = [z for z in self.elements() if self.join(z, y) == x]
-        minimal = [z for z in cands
-                   if not any(z2 != z and self.le(z2, z) for z2 in cands)]
-        j = min(minimal)
+        cands = np.flatnonzero(self.join_table[:, y] == x)
+        # a candidate is minimal when it is the only one below itself
+        j = int(cands[self.leq_table[np.ix_(cands, cands)].sum(axis=0) == 1][0])
         if len(self.lower_covers(j)) != 1:
             raise InternalInconsistency("minimal complement is not join irreducible")
         return j
@@ -289,30 +293,30 @@ class FiniteLattice:
         t and j the join irreducibles the two quotients transpose to."""
         a1, b1 = target
         reach = self._d_star[self._jis.index(self.quotient_to_ji(a1, b1))]
-        for w in self.elements():
-            if not (self.le(lo, w) and self.le(w, hi)):
-                continue
-            for u in self.upper_covers(w):
-                if self.le(u, hi) and reach[self._jis.index(self.quotient_to_ji(u, w))]:
-                    return (u, w)
+        for u, w in self._prime_quotients(lo, hi):
+            if reach[self._jis.index(self.quotient_to_ji(u, w))]:
+                return (u, w)
         raise InternalInconsistency(
             f"no prime quotient in [{self.labels[lo]}, {self.labels[hi]}] "
             f"collapses ({self.labels[a1]}, {self.labels[b1]})")
+
+    def _prime_quotients(self, lo: int, hi: int):
+        """The prime quotients u/w with lo <= w -< u <= hi, as (u, w),
+        lexicographic on (w, u)."""
+        inside = self.leq_table[lo] & self.leq_table[:, hi]
+        for w in np.flatnonzero(inside).tolist():
+            for u in self._upper_covers[w]:
+                if inside[u]:
+                    yield u, w
 
     # -- pentagons -----------------------------------------------------------
 
     def pentagon_search(self) -> list["Pentagon"]:
         """Every nondegenerate pentagon: b < a and c with a v c = b v c, a ^ c = b ^ c."""
-        out = []
-        for a in self.elements():
-            for b in self.elements():
-                if a == b or not self.le(b, a):
-                    continue
-                for c in self.elements():
-                    if self.join(a, c) == self.join(b, c) and \
-                       self.meet(a, c) == self.meet(b, c):
-                        out.append(Pentagon(self, a, b, c))
-        return out
+        J, M = self.join_table, self.meet_table
+        tops, bottoms = np.nonzero(self.leq_table.T & ~np.eye(self.n, dtype=bool))
+        return [Pentagon(self, a, b, c) for a, b in zip(tops.tolist(), bottoms.tolist())
+                for c in np.flatnonzero((J[a] == J[b]) & (M[a] == M[b])).tolist()]
 
     # -- SD_n machinery ------------------------------------------------------
 
@@ -333,9 +337,10 @@ class FiniteLattice:
     def sd_holds(self, n: int):
         """True if SD_n(meet) holds for all triples, else the first failing triple.
 
-        Iterates x in index order; within an x-slice the least (y, z) is
-        reported, so the witness is deterministic.  For each x the scan
-        steps a_k(y, z) = x ^ y_k through one table,
+        Iterates x in index order, in batches of x whose failing triples
+        :meth:`_SdScan.failures` lists in increasing order, so the least
+        (x, y, z) is reported and the witness is deterministic.  For each
+        x the scan steps a_k(y, z) = x ^ y_k through one table,
         MJ_x[y, t] = x ^ (y v t): since z_k(y, z) = y_k(z, y),
         a_{k+1}(y, z) = MJ_x[y, a_k(z, y)], and the triple fails exactly
         where a_n != MJ_x, at the level of :meth:`sd_scan_level`.  After the
@@ -348,12 +353,9 @@ class FiniteLattice:
         scan = _SdScan(self.join_table, self.meet_table, most)
         while lo < self.n:
             hi = min(lo + per, self.n)
-            mj, steps = scan.climb(lo, hi)
-            a, bad = next(itertools.islice(steps, n, None))
-            if bad is None:
-                bad = np.flatnonzero(a != mj)
+            bad = scan.failures(lo, hi, n)
             if bad.size:
-                x, y, z = np.unravel_index(bad[0], mj.shape)
+                x, y, z = np.unravel_index(bad[0], (hi - lo, self.n, self.n))
                 return (lo + int(x), int(y), int(z))
             lo, per = hi, min(2 * per, most)
         return True
@@ -372,21 +374,8 @@ class FiniteLattice:
         return self.sd_holds(n)
 
     def sd_scan_level(self, n: int) -> int:
-        """The level that ``sd_holds(n)`` scans at, refused with
-        :class:`CapExceeded` above SD_SCAN_CAP and with
-        :class:`MultilatError` below 0.  y_k and z_k only climb, so the
-        pair is stationary after 2h steps, h the length of the longest
-        chain, and the scan stops there."""
-        check_sd_level(n)
-        if n > 2:  # below that 2h >= n unless the lattice is one element
-            n = min(n, 2 * self._height)
-        check_sd_scan_cap(self.n, n)
-        return n
-
-    @cached_property
-    def _height(self) -> int:
-        """The length of the longest chain."""
-        return longest_path(self._upper_covers)[0]
+        """The level that ``sd_holds(n)`` scans at, by :func:`order.sd_scan_level`."""
+        return sd_scan_level(self.n, self.height, n)
 
     def dpath_from_sd_failure(self, x: int, y: int, z: int, n: int) -> list[int]:
         """Extract a simple D-path of length n from an SD_n(meet) failure.
@@ -414,9 +403,8 @@ class FiniteLattice:
             if central("z", n)[0] == central("z", n)[1]:
                 raise InternalInconsistency("both terminal pentagons degenerate")
 
-        quots: dict[int, Quotient] = {}
-        hi, lo = central(side, n)
-        quots[n] = self._first_prime_quotient(lo, hi)
+        hi, lo = central(side, n)  # lo < hi, so the interval has a prime quotient
+        quots: dict[int, Quotient] = {n: next(self._prime_quotients(lo, hi))}
         for k in range(n, 0, -1):
             other = "z" if side == "y" else "y"
             # descend inside pentagon P_k to the interval [x ^ s_{k-1}, x_k]
@@ -435,16 +423,6 @@ class FiniteLattice:
         if len(set(path)) != len(path):
             raise InternalInconsistency("extracted D-path is not simple")
         return path
-
-    def _first_prime_quotient(self, lo: int, hi: int) -> Quotient:
-        for w in self.elements():
-            if not (self.le(lo, w) and self.le(w, hi)):
-                continue
-            for u in self.upper_covers(w):
-                if self.le(u, hi):
-                    return (u, w)
-        raise InternalInconsistency(
-            f"interval [{self.labels[lo]}, {self.labels[hi]}] has no prime quotient")
 
     # -- export --------------------------------------------------------------
 
@@ -503,15 +481,16 @@ _SCAN_BATCH = 1 << 15
 def _order_and_joins(covers, labels):
     """The primal half of a build from cover pairs, shared by
     :meth:`FiniteLattice.from_covers` and
-    :meth:`FiniteLattice.from_self_dual_covers`: (labels, successors,
-    predecessors, ``leq``, join table, upper covers).
+    :meth:`FiniteLattice.from_self_dual_covers`: (labels, predecessors,
+    ``leq``, join table, upper covers, heights).
 
     Peeling the maximal elements level by level (Kahn's algorithm on the
-    reversed order) gives each element's height; elements never peeled
-    lie on or below a cycle.  :class:`_Ranked` then fills ``leq``, the
-    covers and the join table level by level from the top.  Raises
-    :class:`NotALattice` on a cycle, on more than one minimal or maximal
-    element, and on a pair without a least upper bound.
+    reversed order) gives each element's height, the one peel of the
+    build; elements never peeled lie on or below a cycle.
+    :class:`_Ranked` then fills the order, the covers and the join table
+    level by level from the top.  Raises :class:`NotALattice` on a cycle,
+    on more than one minimal or maximal element, and on a pair without a
+    least upper bound.
     """
     covers = list(covers)
     if labels is None:
@@ -525,14 +504,11 @@ def _order_and_joins(covers, labels):
     if n == 0:
         raise NotALattice("empty element set")
 
-    succ_sets: list[set[int]] = [set() for _ in range(n)]
-    pred_sets: list[set[int]] = [set() for _ in range(n)]
-    for lo, hi in edges:
-        if lo != hi:
-            succ_sets[lo].add(hi)
-            pred_sets[hi].add(lo)
-    succ = [sorted(s) for s in succ_sets]
-    pred = [sorted(s) for s in pred_sets]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi in sorted({(lo, hi) for lo, hi in edges if lo != hi}):
+        succ[lo].append(hi)
+        pred[hi].append(lo)
 
     height = _heights(succ, pred)
     if -1 in height:
@@ -548,25 +524,27 @@ def _order_and_joins(covers, labels):
                           + ", ".join(labels[i] for i in tops))
 
     up = _Ranked(succ, height)
-    leq, upper_covers = up.order_and_covers()
-    join = up.join_table(leq, labels, "least upper")
-    return labels, succ, pred, leq, join, upper_covers
+    le, upper_covers = up.order_and_covers()
+    join = up.join_table(le, labels)
+    return labels, pred, le[up.pos][:, up.pos], join, upper_covers, height
 
 
 class _Ranked:
     """The elements of an order with one maximal element, renumbered by
     decreasing height, and their successors in that numbering.
 
-    ``height`` is as given by :func:`order._heights`.  Since x < y implies
-    height[x] > height[y], the new numbering (the position) is a linear
-    extension, each height is a run of positions, and the successors of
-    a level lie in the levels above it, which come later.  The tables are
-    filled one level at a time from the top: the rows of a level, sorted
-    by their number of successors, are cut into batches of about _BATCH
-    gathered entries, and each batch gathers its successors' rows as one
-    rows-by-d-by-columns array (a row with fewer than d successors
-    repeats its last) and reduces over d.  The batches' rows-by-d
-    successor blocks are all cut from one padded array, set up once.
+    ``height`` is the peel of :func:`order._heights`, or top - height for
+    the dual order: x < y implies height[x] > height[y], and only the
+    maximal element has height 0.  So the new numbering (the position) is
+    a linear extension, each height is a run of positions, and the
+    successors of a level lie in the levels above it, which come later.
+    The tables are filled one level at a time from the top: the rows of a
+    level, sorted by their number of successors, are cut into batches of
+    about _BATCH gathered entries, and each batch gathers its successors'
+    rows as one rows-by-d-by-columns array (a row with fewer than d
+    successors repeats its last) and reduces over d.  The batches'
+    rows-by-d successor blocks are all cut from one padded array, set up
+    once.
     """
 
     def __init__(self, succ, height):
@@ -616,7 +594,8 @@ class _Ranked:
                        for hi, batches in cuts]
 
     def order_and_covers(self):
-        """``leq`` in element numbering, and each element's upper covers.
+        """The order in position numbering, and each element's upper covers
+        in element numbering.
 
         Row x of the order is the union of its successors' rows; a
         successor covers x iff it lies strictly above no other successor.
@@ -640,11 +619,12 @@ class _Ranked:
         upper: list[list[int]] = [[] for _ in range(n)]
         for x, c in sorted(zip(lower, higher)):
             upper[x].append(c)
-        return le[self.pos][:, self.pos], upper
+        return le, upper
 
-    def join_table(self, leq: np.ndarray, labels, what: str) -> np.ndarray:
-        """The join table of the order ``leq``, or the meet table of its
-        dual when called on the dual order.
+    def join_table(self, le: np.ndarray, labels) -> np.ndarray:
+        """The join table, in element numbering, of the order ``le`` given
+        in position numbering; the meet table of the dual when called on
+        the dual order.
 
         Rows are filled only left of the end of their level: the other
         entries are joins with lower levels, which the transpose supplies
@@ -652,12 +632,12 @@ class _Ranked:
         above some ``c v y`` with c a successor of x, so ``x v y`` exists
         iff the lowest of these candidates is below all the others; for
         y <= x the join is x.  Raises :class:`NotALattice` at the first
-        level with a pair that has no bound, naming the least such pair
-        of that level in element numbering.
+        level with a pair that has no upper bound, naming the least such
+        pair of that level in element numbering.  The dual pass never
+        raises: an order with a least element and all joins is a lattice.
         """
         n = len(self.order)
         dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-        le = leq[self.order][:, self.order]
         flat = le.ravel()
         table = np.empty((n, n), dtype=dtype)
         table[n - 1] = n - 1
@@ -675,7 +655,7 @@ class _Ranked:
                     unbound += zip(self.order[xs + r0].tolist(), self.order[ys].tolist())
             if unbound:
                 a, b = min(tuple(sorted(pair)) for pair in unbound)
-                raise NotALattice(f"no {what} bound for {labels[a]}, {labels[b]}")
+                raise NotALattice(f"no least upper bound for {labels[a]}, {labels[b]}")
         table = np.where(np.tri(n, dtype=bool), table, table.T)[self.pos][:, self.pos]
         return np.take(self.order.astype(dtype), table)
 
@@ -689,39 +669,34 @@ class _SdScan:
         self.mj = np.empty((most,) + J.shape, dtype=M.dtype)
         self.a = np.empty_like(self.mj)
 
-    def climb(self, lo: int, hi: int):
-        """MJ[i, y, t] = x_i ^ (y v t) for the x_i in [lo, hi), and an
-        iterator over (a_k, unsettled_k) for k = 0, 1, ...: a_k is
-        overwritten by the next, and unsettled_k holds the flat indices
-        where a_k != MJ in increasing order (None for k = 0)."""
+    def failures(self, lo: int, hi: int, level: int) -> np.ndarray:
+        """The flat indices (i, y, z), in increasing order, of the triples
+        (x_i, y, z) with x_i in [lo, hi) where SD_level(meet) fails:
+        a_level != MJ, with MJ[i, y, t] = x_i ^ (y v t)."""
         c, n = hi - lo, len(self.M)
         mx = self.M[lo:hi]
         mj, a = self.mj[:c], self.a[:c]
         np.take(mx, self.J, axis=1, out=mj, mode="clip")
-
-        def steps():
-            yield np.broadcast_to(mx[:, :, None], mj.shape), None
-            for i in range(c):  # a_1(y, z) = MJ[y, a_0(z, y)] = MJ[y, x ^ z]
-                np.take(mj[i], mx[i], axis=1, out=a[i], mode="clip")
-            act = np.flatnonzero(a != mj)
-            yield a, act
-            # an unsettled entry (i, y, z) reads MJ at i n^2 + y n + a(i, z, y)
-            flat_mj, flat_a = mj.reshape(-1), a.reshape(-1)
-            z = act % n
-            base = act - z
-            tr = base // n % n
-            np.subtract(z, tr, out=tr)
-            tr *= n - 1
-            tr += act
-            top = flat_mj[act]
-            while True:
-                new = flat_mj.take(base + flat_a[tr], mode="clip")
-                flat_a[act] = new
-                keep = new != top
-                act, base, tr, top = act[keep], base[keep], tr[keep], top[keep]
-                yield a, act
-
-        return mj, steps()
+        if level == 0:  # a_0(y, z) = x ^ y
+            return np.flatnonzero(mx[:, :, None] != mj)
+        for i in range(c):  # a_1(y, z) = MJ[y, a_0(z, y)] = MJ[y, x ^ z]
+            np.take(mj[i], mx[i], axis=1, out=a[i], mode="clip")
+        act = np.flatnonzero(a != mj)
+        # an unsettled entry (i, y, z) reads MJ at i n^2 + y n + a(i, z, y)
+        flat_mj, flat_a = mj.reshape(-1), a.reshape(-1)
+        z = act % n
+        base = act - z
+        tr = base // n % n
+        np.subtract(z, tr, out=tr)
+        tr *= n - 1
+        tr += act
+        top = flat_mj[act]
+        for _ in range(level - 1):
+            new = flat_mj.take(base + flat_a[tr], mode="clip")
+            flat_a[act] = new
+            keep = new != top
+            act, base, tr, top = act[keep], base[keep], tr[keep], top[keep]
+        return act
 
 
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

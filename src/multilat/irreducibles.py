@@ -11,8 +11,9 @@ directly (``d_successors``): with (a,b) the plan of <x>, <z> is fixed by
 its plan (e,f) with a <= e < f <= b, by z_e in {x_e, x_e - 1} and by
 z_f in {x_f, x_f + 1}; the rest of z is forced.  Each node has O(n^2)
 candidates, so the D-graph on m join irreducibles costs O(m*n^2)
-candidates instead of the m^2 pair tests of ``d_rel``.  ``dbullet``,
-``d_rel`` and ``cover_type`` stay as the arrow-based reference.
+candidates instead of the m^2 pair tests of ``d_rel``.  ``dbullet``, the
+reflexive transitive closure D*, and ``d_rel`` stay as the paper's plan
+comparison of a pair; ``cover_type`` stays as the arrow-based reference.
 
 The meet side is not written out again.  Word reversal is an
 anti-automorphism of L(v) that sends <x> to [v - x], so meet irreducibles,
@@ -66,12 +67,12 @@ class IrrVector:
         return ",".join(str(c) for c in self.x)
 
 
-def parse_irr_vector(v: MultVector, text: str, kind: str = JOIN) -> IrrVector:
+def parse_irr_vector(v: MultVector, text: str) -> IrrVector:
     try:
         x = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise MultilatError(f"cannot parse irreducible vector {text!r}") from exc
-    return IrrVector(v, x, kind)
+    return IrrVector(v, x)
 
 
 def _plan(v: tuple[int, ...], x: tuple[int, ...], kind: str) -> tuple[int, int] | None:

@@ -263,12 +263,11 @@ def check_size_cap(v: MultVector) -> None:
 
 def check_scan_cap(v: MultVector, n: int) -> None:
     """Refuse an SD_n(meet) scan of L(v) before materializing it, by the
-    cap that :meth:`FiniteLattice.sd_holds` applies, after
-    :func:`check_size_cap` has bounded |L(v)|: the longest chain of
-    L(v), bottom to top, has one step per inversion, sum over i < j of
-    v_i v_j, and the scan stops at twice that."""
+    rule of :meth:`FiniteLattice.sd_holds`, after :func:`check_size_cap`
+    has bounded |L(v)|: the longest chain of L(v) has one step per
+    inversion, sum over i < j of v_i v_j."""
     height = sum(a * b for a, b in itertools.combinations(v.entries, 2))
-    order.check_sd_scan_cap(v.size(), min(n, 2 * height))
+    order.sd_scan_level(v.size(), height, n)
 
 
 def to_finite_lattice(v: MultVector) -> FiniteLattice:

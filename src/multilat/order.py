@@ -9,6 +9,8 @@ start without it.
   (:func:`sd_sequence`) under any join and meet;
 - the one union-find (``_find``, ``_union``, ``_blocks``), behind the
   D-graph components and the Parikh connectivity check;
+- the one SD-level rule (:func:`sd_scan_level`), for a table scan and for
+  L(v) before it is materialized;
 - the caps on the materialized lattices and their checks: SD_SCAN_CAP,
   DEFAULT_SIZE_CAP and ANALYSIS_CAP, and LISTING_CAP on the listings of
   words and irreducibles.
@@ -145,12 +147,17 @@ def check_sd_level(n: int) -> None:
         raise MultilatError("n must be >= 0")
 
 
-def check_sd_scan_cap(size: int, level: int) -> None:
-    """Refuse an SD scan of ``size`` elements to ``level`` above SD_SCAN_CAP."""
-    work = size ** 3 * (max(level, 0) + 1)
+def sd_scan_level(size: int, height: int, n: int) -> int:
+    """The level of an SD_n(meet) scan of ``size`` elements whose longest
+    chain has ``height`` steps: y_k and z_k only climb, so the pair is
+    stationary after 2 height steps.  Refuses n < 0 and scans above SD_SCAN_CAP."""
+    check_sd_level(n)
+    level = min(n, 2 * height)
+    work = size ** 3 * (level + 1)
     if work > SD_SCAN_CAP:
         raise CapExceeded(f"SD scan of {size} elements to level {level} takes "
                           f"{work:,} steps, over the scan cap {SD_SCAN_CAP:,}")
+    return level
 
 
 # The most elements of a lattice materialized as L(v) or from a cover file:

@@ -386,18 +386,18 @@ def test_negative_sd_level_is_refused(tmp_path, capsys, argv):
 def record_scans(monkeypatch):
     """The x stepped by each SD scan, one list per sd_holds call."""
     scans = []
-    holds, climb = finite_lattice.FiniteLattice.sd_holds, finite_lattice._SdScan.climb
+    holds, failures = finite_lattice.FiniteLattice.sd_holds, finite_lattice._SdScan.failures
 
     def counted_holds(self, n):
         scans.append([])
         return holds(self, n)
 
-    def counted_climb(self, lo, hi):
+    def counted_failures(self, lo, hi, level):
         scans[-1].extend(range(lo, hi))
-        return climb(self, lo, hi)
+        return failures(self, lo, hi, level)
 
     monkeypatch.setattr(finite_lattice.FiniteLattice, "sd_holds", counted_holds)
-    monkeypatch.setattr(finite_lattice._SdScan, "climb", counted_climb)
+    monkeypatch.setattr(finite_lattice._SdScan, "failures", counted_failures)
     return scans
 
 

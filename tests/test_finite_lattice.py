@@ -110,6 +110,17 @@ def brute_unbound_pair(n, le, joins):
     return min(p for p in unbound if min(height[p[0]], height[p[1]]) == least)
 
 
+def brute_chain_length(n, le):
+    """The most steps in a chain of the order ``le``: the last k at which
+    some element still starts a chain of k steps, grown one step at a time."""
+    starts, k = set(range(n)), 0  # the elements that start a chain of k steps
+    while True:
+        starts = {x for x in range(n) for y in starts if x != y and le[x][y]}
+        if not starts:
+            return k
+        k += 1
+
+
 @st.composite
 def layered_orders(draw):
     """A least element, two to four layers with random edges between
@@ -173,6 +184,9 @@ def test_from_covers_matches_bruteforce_on_random_orders(case):
               and not any(le[i][k] and le[k][j] for k in range(n) if k not in (i, j))]
     assert L.cover_pairs() == covers
     assert L.dual().cover_pairs() == sorted((j, i) for i, j in covers)
+    # the stored chain height clamps the SD level, of L and of its dual
+    height = brute_chain_length(n, le)
+    assert L.sd_scan_level(10 ** 9) == L.dual().sd_scan_level(10 ** 9) == 2 * height
 
 
 @pytest.mark.parametrize("L", [fl.chain(1), fl.n5(), fl.benzene(),
@@ -449,6 +463,28 @@ def test_sd_scan_cap(monkeypatch):
     assert L.sd_holds(10 ** 9) is True
 
 
+@pytest.mark.parametrize("v", multinomial_vectors(420), ids=lambda v: ",".join(map(str, v)))
+def test_scan_cap_refuses_alike_before_and_after_materializing(v, monkeypatch):
+    # the cap as set, and one that admits the levels up to the longest
+    # chain and refuses those above
+    L = mn.to_finite_lattice(mn.MultVector(v))
+    height = order.longest_path(L._upper_covers)[0]
+    for cap in (order.SD_SCAN_CAP, L.n ** 3 * (height + 1)):
+        monkeypatch.setattr(order, "SD_SCAN_CAP", cap)
+        for n in range(2 * height + 3):
+            outcomes = []
+            for check in (lambda: mn.check_scan_cap(mn.MultVector(v), n),
+                          lambda: L.sd_scan_level(n)):
+                try:
+                    check()
+                    outcomes.append(None)
+                except CapExceeded as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], n
+            if cap < order.SD_SCAN_CAP:
+                assert (outcomes[0] is None) == (n <= height), n
+
+
 def test_longest_path():
     assert order.longest_path([]) == (0, None)
     assert order.longest_path([[1, 2], [2], []]) == (2, None)
@@ -711,6 +747,40 @@ def test_d_star_decides_prime_quotient_collapse(L):
 @settings(max_examples=40, deadline=None)
 def test_d_star_decides_prime_quotient_collapse_on_quotients(L):
     check_d_star_collapse(L)
+
+
+def check_quotient_to_ji(L):
+    """quotient_to_ji(u, w) is the least minimal z with z v w = u, on
+    every prime quotient w -< u."""
+    for w, u in L.cover_pairs():
+        cands = [z for z in L.elements() if L.join(z, w) == u]
+        minimal = [z for z in cands if not any(t != z and L.le(t, z) for t in cands)]
+        assert L.quotient_to_ji(u, w) == min(minimal), (u, w)
+
+
+@pytest.mark.parametrize("L", [case for case in SMALL_LATTICES if case.values[0].n <= 30])
+def test_quotient_to_ji_matches_its_definition(L):
+    check_quotient_to_ji(L)
+
+
+@given(d_closed_quotients())
+@settings(max_examples=40, deadline=None)
+def test_quotient_to_ji_matches_its_definition_on_quotients(L):
+    check_quotient_to_ji(L)
+
+
+@pytest.mark.parametrize("L", [case for case in SMALL_LATTICES if case.values[0].n <= 30])
+def test_scan_failures_are_the_triples_the_recursion_rejects(L):
+    # batches of three x share the scan's buffers, as in sd_holds
+    n = L.n
+    scan = fl._SdScan(L.join_table, L.meet_table, 3)
+    for level in range(4):
+        found = []
+        for lo in range(0, n, 3):
+            found += (lo * n * n + scan.failures(lo, min(lo + 3, n), level)).tolist()
+        expected = [(x * n + y) * n + z for x, y, z in itertools.product(range(n), repeat=3)
+                    if not oracle_sd_holds_on(L, x, y, z, level)]
+        assert found == expected, level
 
 
 def check_certificate(L, monkeypatch):
