@@ -143,23 +143,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         if args.sd is not None:
             lattice.sd_scan_level(args.sd)
         order.check_analysis_cap(lattice.n)
-        verdict = None if args.sd is None else lattice.sd_verdict(args.sd)
-        info = {
-            "elements": lattice.n,
-            "join_irreducibles": len(lattice.join_irreducibles()),
-            "meet_irreducibles": len(lattice.meet_irreducibles()),
-            "d_edges": sorted([lattice.labels[a], lattice.labels[b]]
-                              for a, b in lattice.bruteforce_D()),
-            "distributive": lattice.is_distributive(),
-            "semidistributive": lattice.is_semidistributive(),
-            "bounded": lattice.is_bounded(),
-        }
-        if args.sd is not None:
-            info["sd_n"] = args.sd
-            info["sd_holds"] = verdict is True
-            if verdict is not True:
-                info["sd_failure"] = [lattice.labels[i] for i in verdict]
-        print(json.dumps(info, indent=2))
+        print(_lattice_reply(lattice, args.sd))
         return
 
     v = parse_vector(args.vector)
@@ -215,6 +199,36 @@ def _dispatch(args: argparse.Namespace) -> None:
         print(sd_engine.theorem_check(v, method=args.method).to_json())
     else:  # pragma: no cover - argparse enforces the verb set
         raise MultilatError(f"unknown verb {verb!r}")
+
+
+def _lattice_reply(lattice, sd_n: int | None) -> str:
+    """The ``lattice --covers`` reply: ``json.dumps(info, indent=2)`` of its
+    analyses, byte for byte, written without the pure-Python encoder.
+
+    Each label goes through ``json.dumps`` once.  A cover file's elements
+    are indexed in label order (``FiniteLattice.from_covers`` sorts the
+    labels), so the D edges, up to about N^2 of them, are sorted as pairs
+    of indices, which orders them as the pairs of labels would be ordered.
+    """
+    verdict = None if sd_n is None else lattice.sd_verdict(sd_n)
+    quoted = [json.dumps(label) for label in lattice.labels]
+    edges = sorted(lattice.bruteforce_D())
+    fields = [
+        ("elements", lattice.n),
+        ("join_irreducibles", len(lattice.join_irreducibles())),
+        ("meet_irreducibles", len(lattice.meet_irreducibles())),
+        ("d_edges", irreducibles._json_array(
+            (f"[\n      {quoted[a]},\n      {quoted[b]}\n    ]" for a, b in edges), 2)),
+        ("distributive", json.dumps(lattice.is_distributive())),
+        ("semidistributive", json.dumps(lattice.is_semidistributive())),
+        ("bounded", json.dumps(lattice.is_bounded())),
+    ]
+    if sd_n is not None:
+        fields += [("sd_n", sd_n), ("sd_holds", json.dumps(verdict is True))]
+        if verdict is not True:
+            fields.append(("sd_failure", irreducibles._json_array(
+                (quoted[i] for i in verdict), 2)))
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}"
 
 
 def _run_sd(v, args) -> None:

@@ -15,6 +15,15 @@ candidates instead of the m^2 pair tests of ``d_rel``.  ``dbullet``, the
 reflexive transitive closure D*, and ``d_rel`` stay as the paper's plan
 comparison of a pair; ``cover_type`` stays as the arrow-based reference.
 
+Vectors are handled as mixed-radix ranks r(x) = sum x_i * w_i with
+w_i = prod_{j>i} (v_j + 1), which order [0, v] lexicographically.  One
+walk of that product, plan block by plan block, gives every join
+irreducible with its plan and rank (``_ji_walk``), and a successor's rank
+is the rank of x with v written below e, 0 above f and the two moved
+entries adjusted, so ``_successor_ranks`` reads it off x's rank with a
+few mods and sums.  ``d_graph`` looks each rank up in the walk;
+``d_successors`` decodes it back to a vector.
+
 The meet side is not written out again.  Word reversal is an
 anti-automorphism of L(v) that sends <x> to [v - x], so meet irreducibles,
 their words, their parsing and ``kappa_d`` are the join-side functions
@@ -26,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product, repeat
 from math import prod
 
 from . import order
@@ -53,6 +62,18 @@ class IrrVector:
             raise MultilatError(f"vector length {len(self.x)} != n={self.parent.n}")
         if any(not 0 <= xi <= vi for xi, vi in zip(self.x, self.parent.entries)):
             raise MultilatError(f"vector {self.x} outside [0, {self.parent}]")
+
+    @classmethod
+    def _inside(cls, parent: MultVector, x: tuple[int, ...],
+                plan: tuple[int, int] | None = None) -> IrrVector:
+        """The join irreducible <x> that a rank walk found inside [0, v], with
+        its plan when the walk knows it: built without the checks of
+        ``__post_init__``."""
+        node = object.__new__(cls)
+        node.__dict__.update(parent=parent, x=x, kind=JOIN)
+        if plan is not None:
+            node.__dict__["plan"] = plan
+        return node
 
     @cached_property
     def plan(self) -> tuple[int, int] | None:
@@ -103,23 +124,41 @@ def _dual(j: IrrVector) -> IrrVector:
                      MEET if j.kind == JOIN else JOIN)
 
 
-def _ji_plans(v: MultVector):
-    """Yield (x, plan) for every join irreducible <x>, lexicographic on x.
+def _widths(v: tuple[int, ...]) -> list[int]:
+    """wide[i] = prod_{j>=i} (v_j + 1): x in [0, v] has the rank
+    sum x_i * wide[i+1], its place in the lexicographic order, and
+    rank % wide[i] is the rank of x with its first i entries set to 0."""
+    wide = [1] * (len(v) + 1)
+    for i in range(len(v) - 1, -1, -1):
+        wide[i] = wide[i + 1] * (v[i] + 1)
+    return wide
 
-    The 1 + k vectors without a plan are skipped, so the walk costs at most
-    four times the output, except in dimension below 2, where nothing is
-    join irreducible and no vector is walked."""
-    if v.dimension < 2:
-        return
-    for x in product(*(range(e + 1) for e in v.entries)):
-        plan = _plan(v.entries, x, JOIN)
-        if plan is not None:
-            yield x, plan
+
+def _ji_walk(v: MultVector) -> list[tuple[int, tuple[int, ...], tuple[int, int]]]:
+    """(rank, x, plan) for every join irreducible <x>, in rank order.
+
+    The vectors of plan (a,b) are the block of [0, v] with v below a,
+    x_a < v_a, x_b > 0 and 0 above b; each block is walked by ``product``
+    with the ranks summed alongside, and the blocks are merged by rank.
+    A plan needs v_a > 0 and v_b > 0, so in dimension below 2 nothing is
+    walked."""
+    entries = v.entries
+    n = len(entries)
+    wide = _widths(entries)
+    found = []
+    for a, b in combinations([i for i in range(n) if entries[i]], 2):
+        choices = ([(e,) for e in entries[:a]] + [range(entries[a])]
+                   + [range(e + 1) for e in entries[a + 1:b]]
+                   + [range(1, entries[b] + 1)] + [(0,)] * (n - b - 1))
+        ranks = map(sum, product(*([c * w for c in cs] for cs, w in zip(choices, wide[1:]))))
+        found.extend(zip(ranks, product(*choices), repeat((a + 1, b + 1))))
+    found.sort()
+    return found
 
 
 def enumerate_ji(v: MultVector) -> list[IrrVector]:
     """All join irreducibles of L(v), lexicographic on the vector."""
-    return [IrrVector(v, x, JOIN) for x, _ in _ji_plans(v)]
+    return [IrrVector._inside(v, x, plan) for _, x, plan in _ji_walk(v)]
 
 
 def enumerate_mi(v: MultVector) -> list[IrrVector]:
@@ -290,33 +329,41 @@ def cover_type(j: IrrVector, k: IrrVector) -> str:
     return "other"
 
 
-def _successors(v: tuple[int, ...], x: tuple[int, ...], a: int, b: int):
-    """Yield (z, tag) for every <z> with <x> D <z>; (a,b) is the plan of <x>.
+def _successor_ranks(v: tuple[int, ...], wide: list[int], x: tuple[int, ...], rank: int,
+                     plan: tuple[int, int]) -> list[tuple[int, str]]:
+    """(rank, tag) of every <z> with <x> D <z>; ``rank`` and ``plan`` are x's.
 
-    Positions e, f are 1-based like the plans.  A candidate is kept only
-    if its plan is exactly (e,f), so each successor is built once.
+    With e, f the plan of <z> (0-based here), z is x with v below e and 0
+    above f, so r(z) = N - wide[e] + rest[e] - rest[f+1], where
+    rest[i] = rank % wide[i], less wide[e+1] when z_e = x_e - 1 and plus
+    wide[f+1] when z_f = x_f + 1.  The plan (e,f) holds when z_e < v_e
+    and z_f > 0, which x's own plan gives at e = a and at f = b.
+    The candidates come in the order of :func:`d_successors`.
     """
-    n = len(v)
-    for e in range(a, b):
-        xe = x[e - 1]
-        for ze in ((xe,) if e == a else (xe, xe - 1)):
-            if not 0 <= ze < v[e - 1]:
+    a, b = plan[0] - 1, plan[1] - 1
+    top = wide[0]
+    rest = [rank % w for w in wide]  # rest[b + 1] = 0: x is 0 above b
+    out = []
+    lead = top - wide[a] + rest[a]
+    for f in range(a + 1, b):  # e = a: z_a = x_a, f < b (f = b gives x back)
+        z = lead - rest[f + 1]
+        if x[f]:
+            out.append((z, "RA"))
+        if x[f] < v[f]:
+            out.append((z + wide[f + 1], "RB"))
+    for e in range(a + 1, b):
+        lead = top - wide[e] + rest[e]
+        for head, tag, fits in ((lead, "LA", x[e] < v[e]), (lead - wide[e + 1], "LB", x[e] > 0)):
+            if not fits:
                 continue
-            head = v[:e - 1] + (ze,)  # z = v below e
-            for f in range(e + 1, b if e == a else b + 1):  # (a,b) gives x back
-                xf = x[f - 1]
-                body = head + x[e:f - 1]  # z = x strictly inside (e,f)
-                tail = (0,) * (n - f)  # z = 0 above f
-                for zf in ((xf,) if f == b else (xf, xf + 1)):
-                    if not 0 < zf <= v[f - 1]:
-                        continue
-                    if e == a:
-                        tag = "RA" if zf == xf else "RB"
-                    elif f == b:
-                        tag = "LA" if ze == xe else "LB"
-                    else:
-                        tag = "other"
-                    yield body + (zf,) + tail, tag
+            for f in range(e + 1, b):
+                z = head - rest[f + 1]
+                if x[f]:
+                    out.append((z, "other"))
+                if x[f] < v[f]:
+                    out.append((z + wide[f + 1], "other"))
+            out.append((head, tag))  # f = b: z_b = x_b
+    return out
 
 
 def d_successors(j: IrrVector) -> list[tuple[IrrVector, str]]:
@@ -327,12 +374,17 @@ def d_successors(j: IrrVector) -> list[tuple[IrrVector, str]]:
     z_f in {x_f, x_f + 1} (x_f when f = b); z = v below e, z = x strictly
     inside (e,f) and z = 0 above f.  Tags: e = a gives RA/RB as z_f = x_f
     or not, f = b gives LA/LB as z_e = x_e or not, anything else "other".
+    The ranks of :func:`_successor_ranks` are decoded back to vectors.
     """
     if j.kind != JOIN:
         raise MultilatError("d_successors expects a join-kind vector")
-    a, b = principal_plan(j)
-    return [(IrrVector(j.parent, z, JOIN), tag)
-            for z, tag in _successors(j.parent.entries, j.x, a, b)]
+    plan = principal_plan(j)
+    v = j.parent.entries
+    wide = _widths(v)
+    digits = list(zip(wide[1:], [e + 1 for e in v]))  # x_i = rank // w % (v_i + 1)
+    rank = sum(c * w for c, (w, _) in zip(j.x, digits))
+    return [(IrrVector._inside(j.parent, tuple([z // w % r for w, r in digits])), tag)
+            for z, tag in _successor_ranks(v, wide, j.x, rank, plan)]
 
 
 def left_move_factor(j: IrrVector, k: IrrVector) -> IrrVector:
@@ -423,11 +475,11 @@ def _json_array(items, depth: int) -> str:
     return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
-# Set from the whole dgraph verb (in-process, JSON reply) on a 2-vCPU Xeon,
-# Python 3.11: (1^12), m = 4,083, takes 0.8 s and 250 MB; (1^13), m = 8,178,
-# takes 2.1 s and 580 MB.  The cap admits the first and refuses the second,
-# as 2,500 did for (1^11) (2.6 s, 270 MB) and (1^12) (5.8 s, 650 MB) when the
-# reply went through json.dumps.
+# Set from the whole dgraph verb (in-process, JSON reply of 66 and 171 MB)
+# on a 2-vCPU Xeon, Python 3.11, with the D-graph on the rank walk: (1^12),
+# m = 4,083, takes 0.6 s and 237 MB max RSS; (1^13), m = 8,178, takes 1.8 s
+# and 572 MB.  The cap admits the first and refuses the second; the memory
+# of the reply, not the time of the graph, keeps it there.
 D_GRAPH_CAP = 5_000
 
 
@@ -452,13 +504,18 @@ def check_listing_cap(v: MultVector, kind: str, words: bool) -> None:
 
 
 def d_graph(v: MultVector) -> DGraph:
-    """The D-graph from constructive successors; edges sorted by (source, target)."""
+    """The D-graph on the rank walk; edges sorted by (source, target)."""
     check_d_graph_cap(v)
-    ji = list(_ji_plans(v))  # already lexicographic on x
-    index = {x: i for i, (x, _) in enumerate(ji)}
-    edges = sorted((si, index[z], tag) for si, (x, (a, b)) in enumerate(ji)
-                   for z, tag in _successors(v.entries, x, a, b))
-    return DGraph(v, tuple(IrrVector(v, x, JOIN) for x, _ in ji), tuple(edges))
+    entries = v.entries
+    wide = _widths(entries)
+    ji = _ji_walk(v)
+    index = {rank: i for i, (rank, _, _) in enumerate(ji)}
+    edges = []
+    for s, (rank, x, plan) in enumerate(ji):
+        targets = _successor_ranks(entries, wide, x, rank, plan)
+        targets.sort()  # node indices ascend with the ranks
+        edges += [(s, index[z], tag) for z, tag in targets]
+    return DGraph(v, tuple([IrrVector._inside(v, x, plan) for _, x, plan in ji]), tuple(edges))
 
 
 def longest_simple_path(g: DGraph) -> int:

@@ -8,7 +8,7 @@ that agreement with the library is meaningful evidence.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 from hypothesis import strategies as st
@@ -160,6 +160,57 @@ def oracle_distributive(lattice) -> bool:
     triple, one x at a time."""
     J, M = lattice.join_table.astype(np.intp), lattice.meet_table.astype(np.intp)
     return all(np.array_equal(M[x][J], J[M[x]][:, M[x]]) for x in lattice.elements())
+
+
+def _oracle_ji_plans(v: mn.MultVector):
+    """Yield (x, plan) for every join irreducible <x>, lexicographic on x:
+    each vector of the product [0, v] is built and its plan computed."""
+    if v.dimension < 2:
+        return
+    for x in product(*(range(e + 1) for e in v.entries)):
+        plan = ir._plan(v.entries, x, ir.JOIN)
+        if plan is not None:
+            yield x, plan
+
+
+def oracle_successors(v: tuple[int, ...], x: tuple[int, ...], a: int, b: int):
+    """Yield (z, tag) for every <z> with <x> D <z>; (a,b) is the plan of <x>.
+
+    Positions e, f are 1-based like the plans.  A candidate is kept only
+    if its plan is exactly (e,f), so each successor is built once.
+    """
+    n = len(v)
+    for e in range(a, b):
+        xe = x[e - 1]
+        for ze in ((xe,) if e == a else (xe, xe - 1)):
+            if not 0 <= ze < v[e - 1]:
+                continue
+            head = v[:e - 1] + (ze,)  # z = v below e
+            for f in range(e + 1, b if e == a else b + 1):  # (a,b) gives x back
+                xf = x[f - 1]
+                body = head + x[e:f - 1]  # z = x strictly inside (e,f)
+                tail = (0,) * (n - f)  # z = 0 above f
+                for zf in ((xf,) if f == b else (xf, xf + 1)):
+                    if not 0 < zf <= v[f - 1]:
+                        continue
+                    if e == a:
+                        tag = "RA" if zf == xf else "RB"
+                    elif f == b:
+                        tag = "LA" if ze == xe else "LB"
+                    else:
+                        tag = "other"
+                    yield body + (zf,) + tail, tag
+
+
+def oracle_d_graph(v: mn.MultVector) -> ir.DGraph:
+    """The D-graph with every successor built as a tuple and found by
+    hashing it; edges sorted by (source, target)."""
+    ir.check_d_graph_cap(v)
+    ji = list(_oracle_ji_plans(v))  # already lexicographic on x
+    index = {x: i for i, (x, _) in enumerate(ji)}
+    edges = sorted((si, index[z], tag) for si, (x, (a, b)) in enumerate(ji)
+                   for z, tag in oracle_successors(v.entries, x, a, b))
+    return ir.DGraph(v, tuple(ir.IrrVector(v, x, ir.JOIN) for x, _ in ji), tuple(edges))
 
 
 def multinomial_vectors(limit: int, top: int = 6) -> list[tuple[int, ...]]:

@@ -131,6 +131,61 @@ def test_lattice_and_fixtures(tmp_path, capsys):
     assert dot.startswith("digraph")
 
 
+def reference_lattice_reply(lattice, sd_n):
+    """The ``lattice --covers`` reply as ``json.dumps(info, indent=2)``."""
+    verdict = None if sd_n is None else lattice.sd_verdict(sd_n)
+    info = {
+        "elements": lattice.n,
+        "join_irreducibles": len(lattice.join_irreducibles()),
+        "meet_irreducibles": len(lattice.meet_irreducibles()),
+        "d_edges": sorted([lattice.labels[a], lattice.labels[b]]
+                          for a, b in lattice.bruteforce_D()),
+        "distributive": lattice.is_distributive(),
+        "semidistributive": lattice.is_semidistributive(),
+        "bounded": lattice.is_bounded(),
+    }
+    if sd_n is not None:
+        info["sd_n"] = sd_n
+        info["sd_holds"] = verdict is True
+        if verdict is not True:
+            info["sd_failure"] = [lattice.labels[i] for i in verdict]
+    return json.dumps(info, indent=2) + "\n"
+
+
+def m_k(atoms, top="1", bottom="0"):
+    return "".join(f"{bottom}<{a}\n{a}<{top}\n" for a in atoms)
+
+
+LATTICE_FILES = {
+    **{name: make().to_cover_file() for name, make in finite_lattice.FIXTURES.items()},
+    "chain2": finite_lattice.chain(2).to_cover_file(),  # no D edge
+    "chain7": finite_lattice.chain(7).to_cover_file(),
+    "m12": m_k([f"a{i}" for i in range(12)]),  # a10 sorts before a2
+    # labels that json.dumps escapes
+    "m4-quoted": m_k(['q"x', "\u00e9", "b\\c", "Z"], top='t"o\\p', bottom="\u00e8"),
+    "L(2,1,1)": mn.to_finite_lattice(mn.parse_vector("2,1,1")).to_cover_file(),
+    "L(1,1,1,1)": mn.to_finite_lattice(mn.parse_vector("1,1,1,1")).to_cover_file(),
+}
+
+
+@pytest.mark.parametrize("name", LATTICE_FILES)
+@pytest.mark.parametrize("sd", [None, 0, 1, 3])
+def test_lattice_reply_is_json_dumps(tmp_path, capsys, name, sd):
+    path = tmp_path / "lattice.cov"
+    path.write_text(LATTICE_FILES[name], encoding="utf-8")
+    lattice = finite_lattice.parse_cover_file(LATTICE_FILES[name])
+    argv = ["lattice", "--covers", str(path)] + ([] if sd is None else ["--sd", str(sd)])
+    assert run_ok(capsys, *argv) == reference_lattice_reply(lattice, sd)
+
+
+def test_lattice_files_include_an_empty_and_a_complete_d():
+    assert json.loads(reference_lattice_reply(
+        finite_lattice.parse_cover_file(LATTICE_FILES["chain2"]), None))["d_edges"] == []
+    m12 = json.loads(reference_lattice_reply(
+        finite_lattice.parse_cover_file(LATTICE_FILES["m12"]), None))
+    assert len(m12["d_edges"]) == 12 * 11
+
+
 def test_domain_error_exit_code(capsys):
     assert cli.run(["join", "-v", "2,1", "abb", "aab"]) == 1
     err = capsys.readouterr().err

@@ -1,7 +1,9 @@
 import json
 import math
+from itertools import product
 
 import pytest
+from conftest import oracle_d_graph, oracle_successors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,6 +295,51 @@ def test_d_successors_match_d_rel(entries):
         assert len({k for k, _ in succ}) == len(succ)
         assert {k for k, _ in succ} == {k for k in jis if ir.d_rel(j, k)}
         assert all(tag == ir.cover_type(j, k) for k, tag in succ)
+
+
+# Every vector of 1-5 entries in 0..3, (1^k) for k <= 10 and vectors of
+# zero entries only: 1,364 + 10 + 5 vectors.
+ORACLE_VECTORS = ([e for n in range(1, 6) for e in product(range(4), repeat=n)]
+                  + [(1,) * k for k in range(1, 11)] + [(0,) * n for n in range(1, 6)])
+
+
+def test_d_graph_matches_the_tuple_built_oracle():
+    for entries in ORACLE_VECTORS:
+        v = mn.MultVector(entries)
+        got, want = ir.d_graph(v), oracle_d_graph(v)
+        assert got == want, entries
+        if len(got.nodes) > 50:
+            continue  # successors of the 822 graphs of at most 50 nodes, 14,409 in all
+        succ = [[] for _ in want.nodes]
+        for s, t, tag in want.edges:
+            succ[s].append((want.nodes[t].x, tag))
+        for node, expected in zip(got.nodes, succ):
+            yielded = [(k.x, tag) for k, tag in ir.d_successors(node)]
+            assert sorted(yielded) == expected, (entries, node.x)
+            assert yielded == list(oracle_successors(entries, node.x, *node.plan))
+
+
+@pytest.mark.parametrize("text", ["1,1,1,1", "3,0,2,1,3", "2,0", "0,3,3,0"])
+def test_walked_nodes_equal_checked_nodes(text):
+    v = V(text)
+    nodes = ir.d_graph(v).nodes
+    assert nodes == tuple(ir.enumerate_ji(v))
+    for node in nodes:
+        checked = ir.IrrVector(v, node.x)
+        assert node == checked and hash(node) == hash(checked)
+        assert node.plan == checked.plan and node.kind == ir.JOIN
+
+
+def test_the_public_constructor_keeps_its_checks():
+    v = V("2,1")
+    with pytest.raises(MultilatError, match="bad kind"):
+        ir.IrrVector(v, (1, 0), "both")
+    with pytest.raises(MultilatError, match="vector length 3 != n=2"):
+        ir.IrrVector(v, (1, 0, 0))
+    with pytest.raises(MultilatError, match="outside"):
+        ir.IrrVector(v, (3, 0))
+    with pytest.raises(MultilatError, match="outside"):
+        ir.IrrVector(v, (0, -1))
 
 
 def test_d_successors_rejects_meet_vectors():
