@@ -207,12 +207,12 @@ def _lattice_reply(lattice, sd_n: int | None) -> str:
 
     Each label goes through ``json.dumps`` once.  A cover file's elements
     are indexed in label order (``FiniteLattice.from_covers`` sorts the
-    labels), so the D edges, up to about N^2 of them, are sorted as pairs
-    of indices, which orders them as the pairs of labels would be ordered.
+    labels), so the D edges, up to about N^2 of them, sorted as pairs of
+    indices by ``bruteforce_D``, are ordered as the pairs of labels.
     """
     verdict = None if sd_n is None else lattice.sd_verdict(sd_n)
     quoted = [json.dumps(label) for label in lattice.labels]
-    edges = sorted(lattice.bruteforce_D())
+    edges = lattice.bruteforce_D()
     fields = [
         ("elements", lattice.n),
         ("join_irreducibles", len(lattice.join_irreducibles())),

@@ -191,11 +191,12 @@ class FiniteLattice:
         """j not below m, but its unique lower cover is."""
         return bool(self._arrows[1][self._jis.index(j), self._mis.index(m)])
 
-    def bruteforce_D(self) -> set[tuple[int, int]]:
-        """Join dependency: j D j' iff j != j' and j up-arrow m down-arrow j'."""
+    def bruteforce_D(self) -> list[tuple[int, int]]:
+        """Join dependency: j D j' iff j != j' and j up-arrow m down-arrow j';
+        sorted, as ``np.nonzero`` walks rows of the ascending J in order."""
         jis = np.array(self._jis, dtype=np.intp)
         a, b = np.nonzero(self._d_matrix)
-        return set(zip(jis[a].tolist(), jis[b].tolist()))
+        return list(zip(jis[a].tolist(), jis[b].tolist()))
 
     @cached_property
     def _arrows(self) -> tuple[np.ndarray, np.ndarray]:

@@ -518,6 +518,23 @@ def d_graph(v: MultVector) -> DGraph:
     return DGraph(v, tuple([IrrVector._inside(v, x, plan) for _, x, plan in ji]), tuple(edges))
 
 
-def longest_simple_path(g: DGraph) -> int:
-    """Longest directed path length (edge count) of the acyclic D-graph."""
-    return max(g.heights(), default=0)
+def longest_d_chain(v: MultVector) -> list[IrrVector]:
+    """A longest D-path <x(1)> D ... D <x(n-1)> of L(v) of dimension n >= 2.
+
+    Over the support s_1 < ... < s_n, x(i) is v below s_i, 0 from s_i up
+    to s_n and 1 at s_n, of plan (s_i, s_n); :func:`d_rel` checks each
+    link.  No D-path has more than its n - 2 edges, and D is acyclic:
+    each target of :func:`_successor_ranks` has a plan strictly nested in
+    its source's, a <= e < f <= b and (e,f) != (a,b), with endpoints in
+    the support.
+    """
+    entries, support = v.entries, v.support()
+    if len(support) < 2:
+        raise MultilatError(f"dimension of v={v} must be >= 2")
+    last = support[-1]
+    chain = [IrrVector(v, entries[:s - 1] + (0,) * (last - s) + (1,) + entries[last:])
+             for s in support[:-1]]
+    for j, k in zip(chain, chain[1:]):
+        if not d_rel(j, k):
+            raise InternalInconsistency(f"({j}) D ({k}) fails on the D-chain of L({v})")
+    return chain

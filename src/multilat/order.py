@@ -186,8 +186,8 @@ def listing_cap(letters: int) -> int:
 # and distributivity plus the D product and listing: chain files, where
 # all but the bottom are join and meet irreducible, take 0.17 s at 900
 # elements, 0.7 s at 2,000 and 1.7 s at 3,000.  The worst case is a
-# lattice with about N^2 D edges, M_{N-2} (N - 2 atoms), where sorting and
-# printing them sets the cost: 1.9-2.9 s, 276 MB max RSS and 32 MB of JSON
+# lattice with about N^2 D edges, M_{N-2} (N - 2 atoms), where listing and
+# printing them sets the cost: 0.6-0.8 s, 270 MB max RSS and 32 MB of JSON
 # at 900 elements.
 ANALYSIS_CAP = 900
 

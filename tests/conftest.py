@@ -17,6 +17,7 @@ from multilat import congruence as cg
 from multilat import irreducibles as ir
 from multilat import multinomial as mn
 from multilat import perm_core as pc
+from multilat.order import sd_sequence
 
 
 @lru_cache(maxsize=None)
@@ -211,6 +212,22 @@ def oracle_d_graph(v: mn.MultVector) -> ir.DGraph:
     edges = sorted((si, index[z], tag) for si, (x, (a, b)) in enumerate(ji)
                    for z, tag in oracle_successors(v.entries, x, a, b))
     return ir.DGraph(v, tuple(ir.IrrVector(v, x, ir.JOIN) for x, _ in ji), tuple(edges))
+
+
+def oracle_longest_simple_path(g: ir.DGraph) -> int:
+    """Longest directed path length (edge count) of the D-graph, read off
+    its heights, which raise on a cycle."""
+    return max(g.heights(), default=0)
+
+
+def oracle_sd_fails_on_words(x: mn.PathWord, y: mn.PathWord, z: mn.PathWord, n: int) -> bool:
+    """Whether SD_n(meet) fails on (x,y,z) or on (x,z,y), walked on the
+    words of L(v) with one walk: swapping y and z swaps the two sequences
+    of ``sd_sequence``, so (x,y,z) fails iff x ^ y_n != x ^ (y v z) and
+    (x,z,y) fails iff x ^ z_n != x ^ (y v z)."""
+    yn, zn = sd_sequence(mn.mjoin, mn.mmeet, x, y, z, n)[-1]
+    top = mn.mmeet(x, mn.mjoin(y, z))
+    return mn.mmeet(x, yn) != top or mn.mmeet(x, zn) != top
 
 
 def multinomial_vectors(limit: int, top: int = 6) -> list[tuple[int, ...]]:

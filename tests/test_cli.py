@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -10,11 +11,12 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import oracle_d_graph, oracle_longest_simple_path, oracle_sd_fails_on_words
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multilat
-from multilat import cli, congruence, finite_lattice, order
+from multilat import cli, congruence, finite_lattice, order, sd_engine
 from multilat import irreducibles as ir
 from multilat import multinomial as mn
 
@@ -240,7 +242,7 @@ def test_parse_errors_keep_their_message(capsys, argv, message):
     assert capsys.readouterr().err == message
 
 
-@pytest.mark.parametrize("verb", ["theorem", "dgraph"])
+@pytest.mark.parametrize("verb", ["dgraph"])
 def test_d_graph_cap_refuses_huge_vectors(capsys, verb):
     assert cli.run([verb, "-v", ",".join(["1"] * 20)]) == 1
     err = capsys.readouterr().err
@@ -248,8 +250,18 @@ def test_d_graph_cap_refuses_huge_vectors(capsys, verb):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", [13, 20])
+def test_theorem_answers_past_the_d_graph_cap(capsys, k):
+    # 8,178 and 1,048,555 join irreducibles: theorem builds no D-graph
+    start = time.perf_counter()
+    data = json.loads(run_ok(capsys, "theorem", "-v", ",".join(["1"] * k)))
+    assert time.perf_counter() - start < 1.0
+    assert (data["sd_fail_level"], data["sd_hold_level"]) == (k - 2, k - 1)
+    assert data["method"] == "dpath-bound"
+
+
 @pytest.mark.parametrize("argv,message", [
-    (["theorem", "-v", "200,200,200"], "error: 8120000 join irreducibles exceed the D-graph cap"),
+    (["theorem", "-v", "200,200,200"], "error: 600 letters exceed the witness cap 80"),
     (["theorem", "--method", "exhaustive", "-v", "2,2,2,2,2"],
      "error: |L(2,2,2,2,2)| = 113400 exceeds materialization cap"),
     (["theorem", "--method", "exhaustive", "-v", "1,2000"],
@@ -333,8 +345,7 @@ def test_classes_cap_refuses_before_enumerating(capsys, verb, text, size):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["theorem", "-v", "1000000,1000000"],
-     "1000000000000 join irreducibles exceed the D-graph cap 5000"),
+    (["theorem", "-v", "1000000,1000000"], "2000000 letters exceed the witness cap 80"),
     (["sd", "-v", "1000000,1000000", "-n", "1", "--exhaustive"],
      f"|L(1000000,1000000)| exceeds materialization cap {order.DEFAULT_SIZE_CAP}"),
     (["classes", "-v", "1000000,1000000", "-S", "-"],
@@ -473,6 +484,56 @@ def test_theorem_exhaustive_certifies_the_holding_side(monkeypatch, capsys):
     data = json.loads(run_ok(capsys, "theorem", "-v", "1,1,1,1", "--method", "exhaustive"))
     assert (data["sd_fail_level"], data["sd_hold_level"]) == (2, 3)
     assert scans == []
+
+
+# Vectors of 2-4 entries in 0..2 of dimension at least 2, and a few more.
+REPLY_VECTORS = [",".join(map(str, e)) for k in range(2, 5)
+                 for e in itertools.product(range(3), repeat=k)
+                 if sum(1 for c in e if c) >= 2] + ["1,1,2,1,1", "2,0,2,2,1", "3,1,0,2"]
+
+
+def oracle_theorem_reply(v, method):
+    """The ``theorem`` reply with its levels from the oracles: the witness
+    words walked in L(v) and the longest path of the tuple-built D-graph."""
+    n = v.dimension
+    words = sd_engine.witness_words(v)
+    failing = [m for m in range(n + 1) if oracle_sd_fails_on_words(*words, m)]
+    assert failing == list(range(n - 1))
+    return json.dumps({
+        "v": list(v.entries), "dim": n, "sd_fail_level": failing[-1],
+        "sd_hold_level": oracle_longest_simple_path(oracle_d_graph(v)) + 1,
+        "witness_words": [mn.word_str(w) for w in words], "method": method,
+    }, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("text", REPLY_VECTORS)
+def test_theorem_and_witness_replies_match_the_oracles(capsys, text):
+    v = mn.parse_vector(text)
+    methods = ["dpath-bound"] + (["exhaustive"] if v.size() <= 200 else [])
+    for method in methods:
+        assert run_ok(capsys, "theorem", "-v", text, "--method", method) == \
+            oracle_theorem_reply(v, method)
+    words = sd_engine.witness_words(v)
+    for n in range(v.dimension + 1):
+        assert run_ok(capsys, "sd", "-v", text, "-n", str(n), "--witness") == json.dumps({
+            "v": list(v.entries), "n": n, "mode": "witness",
+            "witness_words": [mn.word_str(w) for w in words],
+            "sd_fails_on_witness": oracle_sd_fails_on_words(*words, n)}, indent=2) + "\n"
+
+
+def test_dpath_bound_builds_no_d_graph_and_walks_no_words(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("theorem built a D-graph or walked the witness words")
+
+    for name in ("d_graph", "_ji_walk", "_successor_ranks"):
+        monkeypatch.setattr(ir, name, refuse)
+    monkeypatch.setattr(mn, "inversions_word", refuse)  # behind every word join and meet
+    for text in ("1,1,2,1,1", "2,0,2,2,1", "60,0,2", ",".join(["1"] * 13)):
+        v = mn.parse_vector(text)
+        data = json.loads(run_ok(capsys, "theorem", "-v", text))
+        assert data["method"] == "dpath-bound"
+        assert (data["sd_fail_level"], data["sd_hold_level"]) == (v.dimension - 2,
+                                                                  v.dimension - 1)
 
 
 def test_lattice_sd_scans_only_up_to_the_longest_d_path(tmp_path, monkeypatch, capsys):

@@ -688,7 +688,9 @@ def check_arrows(L):
     arrow_up, arrow_down = L._arrows
     assert {(jis[a], mis[b]) for a, b in zip(*np.nonzero(arrow_up))} == up
     assert {(mis[b], jis[a]) for a, b in zip(*np.nonzero(arrow_down))} == down
-    assert L.bruteforce_D() == d
+    brute = L.bruteforce_D()
+    assert set(brute) == d
+    assert brute == sorted(d)  # listed in order, each pair once
     assert {j: L.kappa_of(j) for j in jis} == kappa
     assert L.is_meet_semidistributive() == (None not in kappa.values())
     partners = [sum((j, m) in up and (m, j) in down for j in jis) for m in mis]

@@ -3,7 +3,7 @@ import math
 from itertools import product
 
 import pytest
-from conftest import oracle_d_graph, oracle_successors
+from conftest import oracle_d_graph, oracle_longest_simple_path, oracle_successors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -249,10 +249,10 @@ def test_d_graph_writers_match_references_on_random_vectors(entries):
 
 
 def test_longest_simple_path_values():
-    assert ir.longest_simple_path(ir.d_graph(V("2,2"))) == 0
-    assert ir.longest_simple_path(ir.d_graph(V("1,1,1"))) == 1
-    assert ir.longest_simple_path(ir.d_graph(V("1,1,1,1"))) == 2
-    assert ir.longest_simple_path(ir.d_graph(V("1,1,2,1,1"))) == 3
+    assert oracle_longest_simple_path(ir.d_graph(V("2,2"))) == 0
+    assert oracle_longest_simple_path(ir.d_graph(V("1,1,1"))) == 1
+    assert oracle_longest_simple_path(ir.d_graph(V("1,1,1,1"))) == 2
+    assert oracle_longest_simple_path(ir.d_graph(V("1,1,2,1,1"))) == 3
 
 
 def test_degenerate_vectors_have_no_plan():
@@ -364,6 +364,41 @@ def test_longest_simple_path_detects_a_cycle():
     # a chain 0 -> 1 -> 2 closed by 2 -> 1, plus an acyclic tail 3 -> 0
     edges = ((0, 1, "other"), (1, 2, "other"), (2, 1, "other"), (3, 0, "other"))
     with pytest.raises(InternalInconsistency, match=rf"cycle through \({nodes[1]}\)"):
-        ir.longest_simple_path(ir.DGraph(v, nodes, edges))
+        oracle_longest_simple_path(ir.DGraph(v, nodes, edges))
     acyclic = ir.DGraph(v, nodes, ((3, 0, "other"), (0, 1, "other"), (1, 2, "other")))
-    assert ir.longest_simple_path(acyclic) == 3
+    assert oracle_longest_simple_path(acyclic) == 3
+
+
+# Every vector of 2-5 entries in 0..2 of dimension at least 2, and a few
+# with entries up to 3 (zero entries inside and at the ends).
+CHAIN_VECTORS = [e for n in range(2, 6) for e in product(range(3), repeat=n)
+                 if sum(1 for c in e if c) >= 2] + [
+    (3, 3, 3), (3, 1, 0, 2), (0, 3, 2, 3), (3, 2, 3, 1, 2), (3, 3, 3, 3), (1, 3, 0, 3, 0)]
+
+
+def test_d_edges_nest_plans_and_the_chain_is_a_longest_path():
+    for entries in CHAIN_VECTORS:
+        v = mn.MultVector(entries)
+        g = oracle_d_graph(v)
+        plans = [node.plan for node in g.nodes]
+        for s, t, _ in g.edges:  # strictly nested plans bound every path
+            (a, b), (e, f) = plans[s], plans[t]
+            assert a <= e < f <= b and (e, f) != (a, b), (entries, s, t)
+        chain = ir.longest_d_chain(v)
+        support = v.support()
+        assert [j.plan for j in chain] == [(s, support[-1]) for s in support[:-1]]
+        assert len(chain) - 1 == max(g.heights()) == v.dimension - 2, entries
+        index = {node.x: i for i, node in enumerate(g.nodes)}
+        links = {(index[j.x], index[k.x]) for j, k in zip(chain, chain[1:])}
+        assert links <= {(s, t) for s, t, _ in g.edges}, entries
+
+
+def test_longest_d_chain_checks_its_links(monkeypatch):
+    v = V("2,0,2,2,1")
+    assert [j.x for j in ir.longest_d_chain(v)] == [(0, 0, 0, 0, 1), (2, 0, 0, 0, 1),
+                                                     (2, 0, 2, 0, 1)]
+    with pytest.raises(MultilatError, match="dimension of v=0,3 must be >= 2"):
+        ir.longest_d_chain(V("0,3"))
+    monkeypatch.setattr(ir, "d_rel", lambda j, k: False)
+    with pytest.raises(InternalInconsistency, match=r"\(0,0,0,0,1\) D \(2,0,0,0,1\) fails"):
+        ir.longest_d_chain(v)

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from conftest import oracle_clopen_join, oracle_clopen_meet
 
 from multilat import finite_lattice as fl
 from multilat import multinomial as mn
@@ -53,6 +54,20 @@ def test_psi_is_order_embedding_of_permutations():
     for s, t in itertools.product(itertools.permutations((1, 2, 3)), repeat=2):
         weak = pc.sequence_inversions(3, s) <= pc.sequence_inversions(3, t)
         assert weak == mn.leq(sd.psi(v, s), sd.psi(v, t))
+
+
+@pytest.mark.parametrize("text", ["2,1,1", "2,0,3", "1,2,0,1", "0,2,1,2", "2,1,1,2"])
+def test_psi_is_lattice_embedding_of_permutations(text):
+    # joins and meets in Perm(support), from the brute-force bounds of
+    # conftest, are carried to the word joins and meets of L(v)
+    v = V(text)
+    n = v.dimension
+    perms = list(itertools.permutations(range(1, n + 1)))
+    for s, t in itertools.product(perms, repeat=2):
+        x, y = pc.sequence_inversions(n, s), pc.sequence_inversions(n, t)
+        ps, pt = sd.psi(v, s), sd.psi(v, t)
+        assert sd.psi(v, pc.clopen_to_perm(oracle_clopen_join(x, y))) == mn.mjoin(ps, pt)
+        assert sd.psi(v, pc.clopen_to_perm(oracle_clopen_meet(x, y))) == mn.mmeet(ps, pt)
 
 
 @pytest.mark.parametrize("text", ["1,1,1", "2,1,1", "1,2,1", "1,1,1,1", "2,2,1,1"])
