@@ -135,15 +135,13 @@ def _dispatch(args: argparse.Namespace) -> None:
         except (OSError, UnicodeDecodeError) as exc:
             raise MultilatError(f"cannot read cover file {args.covers}: "
                                 f"{getattr(exc, 'strerror', None) or exc}") from exc
-        lattice = finite_lattice.parse_cover_file(text)
+        covers = finite_lattice.parse_cover_file(text)
+        build = finite_lattice.FiniteLattice.from_covers
         if args.dot:
-            sys.stdout.write(lattice.to_dot())
+            sys.stdout.write(build(covers).to_dot())
             return
-        # caps before any work: an SD scan over its cap is refused by it first
-        if args.sd is not None:
-            lattice.sd_scan_level(args.sd)
-        order.check_analysis_cap(lattice.n)
-        print(_lattice_reply(lattice, args.sd))
+        order.check_analysis_cap(len({x for pair in covers for x in pair}))
+        print(_lattice_reply(build(covers), args.sd))
         return
 
     v = parse_vector(args.vector)
@@ -243,7 +241,6 @@ def _run_sd(v, args) -> None:
             "sd_fails_on_witness": sd_engine.witness_fails(v, n),
         }, indent=2))
         return
-    multinomial.check_size_cap(v)
     multinomial.check_scan_cap(v, n)
     lattice = multinomial.to_finite_lattice(v)
     if args.dual:

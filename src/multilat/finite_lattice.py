@@ -367,8 +367,9 @@ class FiniteLattice:
         yields a simple D-path of n edges (:meth:`dpath_from_sd_failure`),
         so when D is acyclic with longest path l, SD_n holds for n > l
         (Jipsen and Rose, *Varieties of Lattices*; Freese, Jezek and
-        Nation, *Free Lattices*, ch. 2).  The refusals are the scan's."""
-        self.sd_scan_level(n)
+        Nation, *Free Lattices*, ch. 2).  Only a scan that runs meets the
+        scan cap: a level the certificate decides is answered at any size."""
+        check_sd_level(n)
         if self.is_meet_semidistributive() and self._d_longest is not None \
                 and n > self._d_longest:
             return True
@@ -759,9 +760,10 @@ FIXTURES = {
 }
 
 
-def parse_cover_file(text: str) -> FiniteLattice:
-    """Cover-list format: one 'lower<upper' per line, '#' starts a comment;
-    more than DEFAULT_SIZE_CAP labels are refused before any table is built."""
+def parse_cover_file(text: str) -> list[tuple[str, str]]:
+    """The (lower, upper) label pairs of a cover list, one 'lower<upper' per
+    line, '#' starting a comment, for :meth:`FiniteLattice.from_covers`;
+    more than DEFAULT_SIZE_CAP labels are refused."""
     covers = []
     names = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -776,4 +778,4 @@ def parse_cover_file(text: str) -> FiniteLattice:
     if len(names) > DEFAULT_SIZE_CAP:
         raise CapExceeded(f"cover file has {len(names)} elements, over the "
                           f"materialization cap {DEFAULT_SIZE_CAP}")
-    return FiniteLattice.from_covers(covers)
+    return covers

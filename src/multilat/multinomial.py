@@ -262,10 +262,12 @@ def check_size_cap(v: MultVector) -> None:
 
 
 def check_scan_cap(v: MultVector, n: int) -> None:
-    """Refuse an SD_n(meet) scan of L(v) before materializing it, by the
-    rule of :meth:`FiniteLattice.sd_holds`, after :func:`check_size_cap`
-    has bounded |L(v)|: the longest chain of L(v) has one step per
-    inversion, sum over i < j of v_i v_j."""
+    """Refuse the SD_n(meet) scan of ``sd --exhaustive``, which always runs,
+    before materializing L(v): first by :func:`check_size_cap`, which
+    bounds |L(v)|, then by the rule of :meth:`FiniteLattice.sd_holds`; the
+    longest chain of L(v) has one step per inversion, sum over i < j of
+    v_i v_j."""
+    check_size_cap(v)
     height = sum(a * b for a, b in itertools.combinations(v.entries, 2))
     order.sd_scan_level(v.size(), height, n)
 

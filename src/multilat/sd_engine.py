@@ -31,7 +31,6 @@ from .perm_core import InversionSet, inv_set
 EXHAUSTIVE = "exhaustive"
 DPATH_BOUND = "dpath-bound"
 DEFAULT_EXHAUSTIVE_CAP = 100
-WK_LADDER_CAP = 6  # factorial growth of Perm(n)
 # Bounds the letters of the printed witness words.  The walk itself runs in
 # Perm(n), n the dimension, so its cost depends on n alone, and the worst
 # case at k letters is dimension k.  Timed in-process on a 2-vCPU Xeon,
@@ -67,8 +66,6 @@ def wk_ladder_check(n: int) -> bool:
     """Verify x ^ y_k (k even) and x ^ z_k (k odd) walk the ladder w_0..w_{n-1}."""
     if n < 3:
         raise MultilatError("ladder check needs n >= 3")
-    if n >= WK_LADDER_CAP:
-        raise CapExceeded(f"materialization cap exceeded (n >= {WK_LADDER_CAP})")
     wit = perm_witness(n)
     pairs = sd_sequence(perm_core.perm_join, perm_core.perm_meet, wit.x, wit.y, wit.z, n - 1)
     for k in range(n):
@@ -152,11 +149,11 @@ def theorem_check(v: MultVector, method: str | None = None) -> TheoremReport:
 
     The failing side is the witness triple, walked in Perm(n); its
     printed words are capped.  The exhaustive method materializes L(v),
-    up to the cap of ``to_finite_lattice`` and after the scan cap, and
-    decides the holding side with :meth:`FiniteLattice.sd_verdict`:
-    certified from the arrow relations of the tables when the lattice is
-    meet semidistributive and its D is acyclic with longest path below
-    n - 1, scanned otherwise.  The dpath-bound method assumes meet
+    up to the size cap of ``to_finite_lattice``, and decides the holding
+    side with :meth:`FiniteLattice.sd_verdict`: certified from the arrow
+    relations of the tables when the lattice is meet semidistributive and
+    its D is acyclic with longest path below n - 1, scanned (under the
+    scan cap) otherwise.  The dpath-bound method assumes meet
     semidistributivity and takes the longest D-path, n - 2 edges, from
     :func:`irreducibles.longest_d_chain`, with no graph.
     DEFAULT_EXHAUSTIVE_CAP only picks the method when none is given.
@@ -170,12 +167,7 @@ def theorem_check(v: MultVector, method: str | None = None) -> TheoremReport:
     if method not in (EXHAUSTIVE, DPATH_BOUND):
         raise MultilatError(f"unknown method {method!r}")
 
-    # refuse before any work: the exhaustive method's size cap, the witness's, the scan's
-    if method == EXHAUSTIVE:
-        multinomial.check_size_cap(v)
     words = witness_words(v)
-    if method == EXHAUSTIVE:
-        multinomial.check_scan_cap(v, n - 1)
     if not witness_fails(v, n - 2):
         raise MultilatError(f"witness triple does not fail SD_{n - 2} in L({v})")
 

@@ -19,6 +19,7 @@ import multilat
 from multilat import cli, congruence, finite_lattice, order, sd_engine
 from multilat import irreducibles as ir
 from multilat import multinomial as mn
+from multilat.errors import CapExceeded
 
 
 def run_ok(capsys, *argv):
@@ -154,6 +155,10 @@ def reference_lattice_reply(lattice, sd_n):
     return json.dumps(info, indent=2) + "\n"
 
 
+def read_lattice(text):
+    return finite_lattice.FiniteLattice.from_covers(finite_lattice.parse_cover_file(text))
+
+
 def m_k(atoms, top="1", bottom="0"):
     return "".join(f"{bottom}<{a}\n{a}<{top}\n" for a in atoms)
 
@@ -175,16 +180,16 @@ LATTICE_FILES = {
 def test_lattice_reply_is_json_dumps(tmp_path, capsys, name, sd):
     path = tmp_path / "lattice.cov"
     path.write_text(LATTICE_FILES[name], encoding="utf-8")
-    lattice = finite_lattice.parse_cover_file(LATTICE_FILES[name])
+    lattice = read_lattice(LATTICE_FILES[name])
     argv = ["lattice", "--covers", str(path)] + ([] if sd is None else ["--sd", str(sd)])
     assert run_ok(capsys, *argv) == reference_lattice_reply(lattice, sd)
 
 
 def test_lattice_files_include_an_empty_and_a_complete_d():
     assert json.loads(reference_lattice_reply(
-        finite_lattice.parse_cover_file(LATTICE_FILES["chain2"]), None))["d_edges"] == []
+        read_lattice(LATTICE_FILES["chain2"]), None))["d_edges"] == []
     m12 = json.loads(reference_lattice_reply(
-        finite_lattice.parse_cover_file(LATTICE_FILES["m12"]), None))
+        read_lattice(LATTICE_FILES["m12"]), None))
     assert len(m12["d_edges"]) == 12 * 11
 
 
@@ -270,6 +275,9 @@ def test_theorem_answers_past_the_d_graph_cap(capsys, k):
      "error: 900 letters exceed the witness cap"),
 ])
 def test_caps_refuse_before_any_witness_work(capsys, argv, message):
+    # the witness cap refuses before any walk; the exhaustive size cap is
+    # to_finite_lattice's, after the witness walk in Perm(dim), which takes
+    # microseconds at dimension 5
     start = time.perf_counter()
     assert cli.run(argv) == 1
     assert time.perf_counter() - start < 1.0
@@ -282,7 +290,7 @@ def test_caps_refuse_before_any_witness_work(capsys, argv, message):
      "error: SD scan of 4001 elements to level 1 takes 128,096,024,002 steps, over the scan cap"),
     (["sd", "-v", "3,3,3", "-n", "0", "--exhaustive", "--dual"],
      "error: SD scan of 1680 elements to level 0 takes"),
-    (["theorem", "--method", "exhaustive", "-v", "1,1,1,1,1,1"],
+    (["sd", "-v", "1,1,1,1,1,1", "-n", "5", "--exhaustive"],
      "error: SD scan of 720 elements to level 5 takes"),
 ])
 def test_sd_scan_cap_refuses_before_materializing(capsys, argv, message):
@@ -294,27 +302,38 @@ def test_sd_scan_cap_refuses_before_materializing(capsys, argv, message):
 
 
 def test_sd_scan_cap_on_cover_files(tmp_path, capsys):
+    # M_898 is not meet semidistributive, so SD_2 needs the scan, over its cap
+    path = tmp_path / "m898.cov"
+    path.write_text(m_k([f"a{i:03d}" for i in range(898)]))
+    assert cli.run(["lattice", "--covers", str(path), "--sd", "2"]) == 1
+    assert capsys.readouterr().err == "error: SD scan of 900 elements to level 2 takes " \
+        f"2,187,000,000 steps, over the scan cap {order.SD_SCAN_CAP:,}\n"
+    # a chain's D is empty, so its certificate decides SD_5 with no scan
     path = tmp_path / "chain.cov"
-    path.write_text("".join(f"c{i:04d}<c{i + 1:04d}\n" for i in range(1299)))
-    assert cli.run(["lattice", "--covers", str(path), "--sd", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: SD scan of 1300 elements to level 1 takes") and \
-        err.count("\n") == 1
+    path.write_text("".join(f"c{i:03d}<c{i + 1:03d}\n" for i in range(899)))
+    data = json.loads(run_ok(capsys, "lattice", "--covers", str(path), "--sd", "5"))
+    assert (data["elements"], data["sd_holds"]) == (900, True)
 
 
 @pytest.mark.parametrize("sd", [[], ["--sd", "0"]])
-def test_analysis_cap_on_cover_files(tmp_path, capsys, sd):
-    # one element over the cap; an SD_0 scan of it is under the scan cap,
-    # so the analysis cap refuses it, before the scan runs
+def test_analysis_cap_on_cover_files(tmp_path, capsys, monkeypatch, sd):
+    # one label over the cap, a chain and a non-lattice (an antichain over
+    # a bottom): refused by the label count before any table is built
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(finite_lattice.FiniteLattice, "from_covers", refuse)
     size = order.ANALYSIS_CAP + 1
-    path = tmp_path / "chain.cov"
-    path.write_text("".join(f"c{i:04d}<c{i + 1:04d}\n" for i in range(size - 1)))
-    start = time.perf_counter()
-    assert cli.run(["lattice", "--covers", str(path), *sd]) == 1
-    assert time.perf_counter() - start < 2.0
-    err = capsys.readouterr().err
-    assert err == f"error: {size} elements exceed the lattice analysis cap " \
-        f"{order.ANALYSIS_CAP}\n"
+    for text in ("".join(f"c{i:04d}<c{i + 1:04d}\n" for i in range(size - 1)),
+                 "".join(f"0<a{i:04d}\n" for i in range(size - 1))):
+        path = tmp_path / "big.cov"
+        path.write_text(text)
+        start = time.perf_counter()
+        assert cli.run(["lattice", "--covers", str(path), *sd]) == 1
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert err == f"error: {size} elements exceed the lattice analysis cap " \
+            f"{order.ANALYSIS_CAP}\n"
 
 
 @pytest.mark.parametrize("dot", [[], ["--dot"]])
@@ -483,6 +502,18 @@ def test_theorem_exhaustive_certifies_the_holding_side(monkeypatch, capsys):
     scans = record_scans(monkeypatch)
     data = json.loads(run_ok(capsys, "theorem", "-v", "1,1,1,1", "--method", "exhaustive"))
     assert (data["sd_fail_level"], data["sd_hold_level"]) == (2, 3)
+    assert scans == []
+
+
+@pytest.mark.parametrize("text", ["1,1,1,1,1,1", "2,2,2,2"])
+def test_theorem_exhaustive_answers_past_the_scan_cap(monkeypatch, capsys, text):
+    # a scan to level dim - 1 would be over the scan cap, but none runs
+    v = mn.parse_vector(text)
+    with pytest.raises(CapExceeded):
+        mn.check_scan_cap(v, v.dimension - 1)
+    scans = record_scans(monkeypatch)
+    assert run_ok(capsys, "theorem", "-v", text, "--method", "exhaustive") == \
+        oracle_theorem_reply(v, "exhaustive")
     assert scans == []
 
 

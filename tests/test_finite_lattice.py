@@ -633,7 +633,7 @@ def test_dpath_rejects_non_failure():
 def test_cover_file_roundtrip():
     for L in (fl.n5(), fl.benzene(), fl.boolean_lattice(3)):
         text = L.to_cover_file()
-        back = fl.parse_cover_file(text)
+        back = fl.FiniteLattice.from_covers(fl.parse_cover_file(text))
         idx = {lbl: i for i, lbl in enumerate(back.labels)}
         for i in L.elements():
             for j in L.elements():
@@ -788,7 +788,8 @@ def test_scan_failures_are_the_triples_the_recursion_rejects(L):
 def check_certificate(L, monkeypatch):
     """sd_verdict(n) == sd_holds(n) for n = 0..l+2, with no scan above l
     when L is meet semidistributive and D is acyclic with longest path l,
-    and sd_holds(n) against the plain recursion."""
+    and sd_holds(n) against the plain recursion.  Under a scan cap of 0
+    the certified levels still answer and every other level is refused."""
     succ = [[b for a, b in L.bruteforce_D() if a == i] for i in L.elements()]
     longest = order.longest_path(succ)[0]
     certified = L.is_meet_semidistributive() and longest is not None
@@ -799,7 +800,8 @@ def check_certificate(L, monkeypatch):
     monkeypatch.setattr(fl.FiniteLattice, "sd_holds",
                         lambda self, n: calls.append(n) or scan(self, n))
     assert [L.sd_verdict(n) for n in range(top + 1)] == scanned
-    assert calls == (list(range(longest + 1)) if certified else list(range(top + 1)))
+    scans = list(range(longest + 1)) if certified else list(range(top + 1))
+    assert calls == scans
     # the reported triple fails, and seeded triples hold unless they come after it
     rng = random.Random(L.n)
     for n, verdict in enumerate(scanned):
@@ -809,6 +811,14 @@ def check_certificate(L, monkeypatch):
             t = tuple(rng.randrange(L.n) for _ in range(3))
             if verdict is True or t < verdict:
                 assert oracle_sd_holds_on(L, *t, n), (n, t)
+    monkeypatch.setattr(order, "SD_SCAN_CAP", 0)
+    for n in range(top + 1):
+        if certified and n > longest:
+            assert L.sd_verdict(n) is True
+        else:
+            with pytest.raises(CapExceeded):
+                L.sd_verdict(n)
+    assert calls == scans * 2
 
 
 @pytest.mark.parametrize("L", SMALL_LATTICES)
