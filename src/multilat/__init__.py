@@ -10,11 +10,11 @@ Submodules:
 - ``order``: the pure-Python helpers every layer shares: the one walk of
   the SD_n sequences of a triple (``sd_sequence``), the one Kahn peel
   behind every longest-path and cycle question (``dag_heights``), the one
-  union-find (D-graph components, Parikh connectivity), and the size caps
-  with their checks.
+  union-find (D-graph components, Parikh connectivity), the size caps
+  with their checks, and the cover-list reader and writer.
 - ``finite_lattice``: a generic finite-lattice engine on numpy tables
   (irreducibles, arrows, the join dependency D and its closure D*,
-  pentagons, SD_n evaluation, D-path extraction).  It is the only module
+  SD_n evaluation, D-path extraction).  It is the only module
   that imports numpy, and it is loaded only when a lattice is built, so
   ``import multilat`` stays numpy-free; ``multilat.FiniteLattice`` loads it
   on first access.

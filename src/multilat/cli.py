@@ -115,9 +115,8 @@ def run(argv: list[str]) -> int:
 
 def _dispatch(args: argparse.Namespace) -> None:
     verb = args.verb
-    if verb in ("seed-fixtures", "lattice"):
-        from . import finite_lattice  # loads numpy, which no other verb needs
     if verb == "seed-fixtures":
+        from . import finite_lattice  # loads numpy, which only table lattices need
         directory = Path(args.directory)
         try:
             directory.mkdir(parents=True, exist_ok=True)
@@ -135,13 +134,15 @@ def _dispatch(args: argparse.Namespace) -> None:
         except (OSError, UnicodeDecodeError) as exc:
             raise MultilatError(f"cannot read cover file {args.covers}: "
                                 f"{getattr(exc, 'strerror', None) or exc}") from exc
-        covers = finite_lattice.parse_cover_file(text)
-        build = finite_lattice.FiniteLattice.from_covers
+        covers = order.parse_cover_file(text)
+        if not args.dot:
+            order.check_analysis_cap(len({x for pair in covers for x in pair}))
+        from .finite_lattice import FiniteLattice  # loads numpy, once the caps pass
+        lattice = FiniteLattice.from_covers(covers)
         if args.dot:
-            sys.stdout.write(build(covers).to_dot())
+            sys.stdout.write(lattice.to_dot())
             return
-        order.check_analysis_cap(len({x for pair in covers for x in pair}))
-        print(_lattice_reply(build(covers), args.sd))
+        print(_lattice_reply(lattice, args.sd))
         return
 
     v = parse_vector(args.vector)
@@ -190,7 +191,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         print(congruence.congruence_from_S(v, s).to_json())
     elif verb == "quotient":
         s = congruence.parse_ji_set(v, args.S)
-        sys.stdout.write(congruence.quotient(v, s).to_cover_file())
+        sys.stdout.write(order.cover_file(*congruence.quotient(v, s)))
     elif verb == "sd":
         _run_sd(v, args)
     elif verb == "theorem":

@@ -10,16 +10,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import prod
-from typing import TYPE_CHECKING
 
 from . import irreducibles, multinomial
 from .errors import CapExceeded, MultilatError
 from .irreducibles import DGraph, IrrVector, d_graph, ji_word
 from .multinomial import MultVector, PathWord, mjoin, mmeet, word_inversions, word_str
 from .order import _blocks, _union
-
-if TYPE_CHECKING:
-    from .finite_lattice import FiniteLattice
 
 
 @dataclass(frozen=True)
@@ -37,9 +33,13 @@ class JiSet:
                 raise MultilatError("JiSet members must be non-degenerate")
 
     def is_d_closed(self) -> bool:
-        return all(k in self.members
-                   for j in self.members
-                   for k, _ in irreducibles.d_successors(j))
+        """Every D-successor of a member is a member, read off the successor
+        masks of the D-graph of the parent."""
+        graph = d_graph(self.parent)
+        needs = _successor_masks(graph)
+        index = {node.x: i for i, node in enumerate(graph.nodes)}
+        mask = sum(1 << index[j.x] for j in self.members)
+        return all(mask & needs[i] == needs[i] for i in mask_members(mask))
 
     def __str__(self) -> str:
         return ";".join(str(j) for j in sorted(self.members, key=lambda j: j.x))
@@ -125,9 +125,7 @@ def _closed_masks(graph: DGraph, groups) -> list[list[int]]:
     so each comes after its direct successors, and a node may join a set
     only once all of them are present."""
     heights = graph.heights()
-    needs = [0] * len(graph.nodes)
-    for s, t, _ in graph.edges:
-        needs[s] |= 1 << t
+    needs = _successor_masks(graph)
     out = []
     for group in groups:
         masks = [0]
@@ -136,6 +134,14 @@ def _closed_masks(graph: DGraph, groups) -> list[list[int]]:
             masks.extend([s | bit for s in masks if s & need == need])
         out.append(masks)
     return out
+
+
+def _successor_masks(graph: DGraph) -> list[int]:
+    """For each node, the bitmask over ``graph.nodes`` of its D-successors."""
+    needs = [0] * len(graph.nodes)
+    for s, t, _ in graph.edges:
+        needs[s] |= 1 << t
+    return needs
 
 
 def mask_members(mask: int) -> list[int]:
@@ -185,20 +191,26 @@ def _verify_congruence(p: Partition, words: list[PathWord]) -> None:
                         f"{word_str(other)} split under {word_str(t)}")
 
 
-def quotient(v: MultVector, s: JiSet) -> FiniteLattice:
-    """The quotient lattice on the blocks of congruence_from_S."""
-    from .finite_lattice import FiniteLattice
+def quotient(v: MultVector, s: JiSet) -> tuple[list[str], list[tuple[int, int]]]:
+    """The quotient lattice on the blocks of congruence_from_S, as the block
+    labels and its (lower, upper) covers, sorted, as indices into them.
 
+    Its covers are the pairs of blocks joined by a cover w -< u of L(v)
+    with w and u in different blocks.  Such a pair is a cover: were C
+    strictly between [w] and [u], then for c in C the element
+    w v (c ^ u) would lie in C and between w and u, so w -< u would not
+    be a cover.  Every cover A -< B is such a pair: a maximal chain from
+    max A up to max A v min B, which lies in B, passes through A and B
+    only, so one of its covers crosses from A to B.
+    """
     p = congruence_from_S(v, s)
     block_id = {w: i for i, block in enumerate(p.blocks) for w in block}
     labels = ["{" + ",".join(sorted(word_str(w) for w in block)) + "}"
               for block in p.blocks]
-    # The block order is generated by the covers that cross blocks;
-    # from_covers closes it and recovers the quotient's covers.
-    edges = {(block_id[w], block_id[u])
-             for w in block_id for u in multinomial.covers(w)
-             if block_id[w] != block_id[u]}
-    return FiniteLattice.from_covers(edges, labels=labels)
+    covers = {(block_id[w], block_id[u])
+              for w in block_id for u in multinomial.covers(w)
+              if block_id[w] != block_id[u]}
+    return labels, sorted(covers)
 
 
 def check_parikh_connectivity(p: Partition) -> bool:

@@ -1,5 +1,5 @@
-"""Explicit finite lattices: tables, irreducibles, prime quotients,
-pentagons, and the SD_n(meet) equation machinery.
+"""Explicit finite lattices: tables, irreducibles, the join dependency D,
+prime quotients, and the SD_n(meet) equation machinery.
 
 Elements are integer indices into a label list.  The order relation and
 the join/meet tables are dense numpy arrays, which keeps exhaustive
@@ -33,7 +33,8 @@ A batch's scan returns its failing triples, in increasing order.
 
 The arrow relations, the join dependency D, kappa and semidistributivity
 are boolean operations on rows of the order indexed by the join and meet
-irreducibles and their unique covers.  They also give the SD level of a
+irreducibles and their unique covers; the lattice is distributive iff D is
+empty.  They also give the SD level of a
 meet-semidistributive lattice without a scan: an SD_n failure there yields
 a simple D-path of n edges (:meth:`FiniteLattice.dpath_from_sd_failure`),
 so when D is acyclic with longest path l, SD_n holds for every n > l
@@ -52,8 +53,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceeded, InternalInconsistency, MultilatError, NotALattice
-from .order import (DEFAULT_SIZE_CAP, _cycle_pair, _heights, check_sd_level, longest_path,
+from .errors import InternalInconsistency, MultilatError, NotALattice
+from .order import (_cycle_pair, _heights, check_sd_level, cover_file, longest_path,
                     sd_scan_level, sd_sequence)
 
 Quotient = tuple[int, int]  # (upper, lower) with lower <= upper
@@ -261,15 +262,12 @@ class FiniteLattice:
         return self.is_semidistributive() and self._d_longest is not None
 
     def is_distributive(self) -> bool:
-        """Every join irreducible j is join prime: j <= x v y implies j <= x
-        or j <= y, that is, the elements not above j are closed under
-        joins.  They always form a down-set, so j is join prime iff they
-        are the ideal below some m, found by matching packed rows of the
-        order.  Such an m is meet irreducible: the elements above m lie
-        above j, and so does the meet of any two of them."""
-        leq = self.leq_table
-        ideals = {row.tobytes() for row in np.packbits(leq[:, self._mis].T, axis=1)}
-        return all(row.tobytes() in ideals for row in np.packbits(~leq[self._jis], axis=1))
+        """D is empty.  A finite lattice is distributive iff every join
+        irreducible is join prime, and j is join prime iff it has no
+        D-successor: a nontrivial join cover of j refines to a minimal one,
+        whose members are D-successors of j (Freese, Jezek and Nation,
+        *Free Lattices*, ch. 2)."""
+        return not self._d_matrix.any()
 
     # -- prime quotients -----------------------------------------------------
 
@@ -309,15 +307,6 @@ class FiniteLattice:
             for u in self._upper_covers[w]:
                 if inside[u]:
                     yield u, w
-
-    # -- pentagons -----------------------------------------------------------
-
-    def pentagon_search(self) -> list["Pentagon"]:
-        """Every nondegenerate pentagon: b < a and c with a v c = b v c, a ^ c = b ^ c."""
-        J, M = self.join_table, self.meet_table
-        tops, bottoms = np.nonzero(self.leq_table.T & ~np.eye(self.n, dtype=bool))
-        return [Pentagon(self, a, b, c) for a, b in zip(tops.tolist(), bottoms.tolist())
-                for c in np.flatnonzero((J[a] == J[b]) & (M[a] == M[b])).tolist()]
 
     # -- SD_n machinery ------------------------------------------------------
 
@@ -438,22 +427,7 @@ class FiniteLattice:
         return "\n".join(lines) + "\n"
 
     def to_cover_file(self) -> str:
-        return "".join(f"{self.labels[lo]}<{self.labels[hi]}\n"
-                       for lo, hi in self.cover_pairs())
-
-
-@dataclass(frozen=True)
-class Pentagon:
-    """Elements b <= a and c with a v c = b v c and a ^ c = b ^ c."""
-
-    lattice: FiniteLattice = field(repr=False)
-    a: int
-    b: int
-    c: int
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.a != self.b
+        return cover_file(self.labels, self.cover_pairs())
 
 
 @dataclass(frozen=True)
@@ -759,23 +733,3 @@ FIXTURES = {
     "benzene": benzene,
 }
 
-
-def parse_cover_file(text: str) -> list[tuple[str, str]]:
-    """The (lower, upper) label pairs of a cover list, one 'lower<upper' per
-    line, '#' starting a comment, for :meth:`FiniteLattice.from_covers`;
-    more than DEFAULT_SIZE_CAP labels are refused."""
-    covers = []
-    names = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lo, sep, hi = line.partition("<")
-        if not sep or not lo or not hi:
-            raise MultilatError(f"line {lineno}: expected 'lower<upper', got {raw!r}")
-        covers.append((lo.strip(), hi.strip()))
-        names.update(covers[-1])
-    if len(names) > DEFAULT_SIZE_CAP:
-        raise CapExceeded(f"cover file has {len(names)} elements, over the "
-                          f"materialization cap {DEFAULT_SIZE_CAP}")
-    return covers

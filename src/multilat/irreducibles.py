@@ -7,9 +7,9 @@ their principal plans (``dbullet``), which makes the whole D-graph cheap
 to build.
 
 Read forwards, that comparison writes every D-successor <z> of <x> down
-directly (``d_successors``): with (a,b) the plan of <x>, <z> is fixed by
-its plan (e,f) with a <= e < f <= b, by z_e in {x_e, x_e - 1} and by
-z_f in {x_f, x_f + 1}; the rest of z is forced.  Each node has O(n^2)
+directly: with (a,b) the plan of <x>, <z> is fixed by its plan (e,f)
+with a <= e < f <= b, by z_e in {x_e, x_e - 1} and by z_f in
+{x_f, x_f + 1}; the rest of z is forced.  Each node has O(n^2)
 candidates, so the D-graph on m join irreducibles costs O(m*n^2)
 candidates instead of the m^2 pair tests of ``d_rel``.  ``dbullet``, the
 reflexive transitive closure D*, and ``d_rel`` stay as the paper's plan
@@ -21,8 +21,9 @@ walk of that product, plan block by plan block, gives every join
 irreducible with its plan and rank (``_ji_walk``), and a successor's rank
 is the rank of x with v written below e, 0 above f and the two moved
 entries adjusted, so ``_successor_ranks`` reads it off x's rank with a
-few mods and sums.  ``d_graph`` looks each rank up in the walk;
-``d_successors`` decodes it back to a vector.
+few mods and sums.  ``d_graph`` looks each rank up in the walk, and is
+the one place the successors are listed: D-closure and congruences are
+decided on its edges.
 
 The meet side is not written out again.  Word reversal is an
 anti-automorphism of L(v) that sends <x> to [v - x], so meet irreducibles,
@@ -333,12 +334,14 @@ def _successor_ranks(v: tuple[int, ...], wide: list[int], x: tuple[int, ...], ra
                      plan: tuple[int, int]) -> list[tuple[int, str]]:
     """(rank, tag) of every <z> with <x> D <z>; ``rank`` and ``plan`` are x's.
 
-    With e, f the plan of <z> (0-based here), z is x with v below e and 0
-    above f, so r(z) = N - wide[e] + rest[e] - rest[f+1], where
+    With (a,b) the plan of <x>, z_e is x_e when e = a and z_f is x_f when
+    f = b; the tag of ``cover_type`` is RA/RB for e = a as z_f = x_f or
+    not, LA/LB for f = b as z_e = x_e or not, and "other" otherwise.
+
+    With e, f 0-based here, r(z) = N - wide[e] + rest[e] - rest[f+1], where
     rest[i] = rank % wide[i], less wide[e+1] when z_e = x_e - 1 and plus
     wide[f+1] when z_f = x_f + 1.  The plan (e,f) holds when z_e < v_e
     and z_f > 0, which x's own plan gives at e = a and at f = b.
-    The candidates come in the order of :func:`d_successors`.
     """
     a, b = plan[0] - 1, plan[1] - 1
     top = wide[0]
@@ -364,57 +367,6 @@ def _successor_ranks(v: tuple[int, ...], wide: list[int], x: tuple[int, ...], ra
                     out.append((z + wide[f + 1], "other"))
             out.append((head, tag))  # f = b: z_b = x_b
     return out
-
-
-def d_successors(j: IrrVector) -> list[tuple[IrrVector, str]]:
-    """Every <z> with <x> D <z>, each with its ``cover_type`` tag.
-
-    Built from the plan (a,b) of <x> by four choices: the plan (e,f) of
-    <z> with a <= e < f <= b, z_e in {x_e, x_e - 1} (x_e when e = a),
-    z_f in {x_f, x_f + 1} (x_f when f = b); z = v below e, z = x strictly
-    inside (e,f) and z = 0 above f.  Tags: e = a gives RA/RB as z_f = x_f
-    or not, f = b gives LA/LB as z_e = x_e or not, anything else "other".
-    The ranks of :func:`_successor_ranks` are decoded back to vectors.
-    """
-    if j.kind != JOIN:
-        raise MultilatError("d_successors expects a join-kind vector")
-    plan = principal_plan(j)
-    v = j.parent.entries
-    wide = _widths(v)
-    digits = list(zip(wide[1:], [e + 1 for e in v]))  # x_i = rank // w % (v_i + 1)
-    rank = sum(c * w for c, (w, _) in zip(j.x, digits))
-    return [(IrrVector._inside(j.parent, tuple([z // w % r for w, r in digits])), tag)
-            for z, tag in _successor_ranks(v, wide, j.x, rank, plan)]
-
-
-def left_move_factor(j: IrrVector, k: IrrVector) -> IrrVector:
-    """Factor a left move of width gap >= 2 through a plan one step narrower."""
-    if not d_rel(j, k):
-        raise MultilatError("factorization requires a D-pair")
-    a, b = principal_plan(j)
-    e, f = principal_plan(k)
-    if f != b:
-        raise MultilatError("not a left move: plans do not share the right endpoint")
-    if e - a < 2:
-        raise MultilatError("nothing to factor: plan widths differ by 1")
-    v = j.parent.entries
-    y = list(j.x)
-    if y[a] == v[a]:  # index a is position a+1 (0-based a)
-        y[a] -= 1
-    for i in range(1, a + 1):
-        y[i - 1] = v[i - 1]
-    mid = IrrVector(j.parent, tuple(y), JOIN)
-    if principal_plan(mid) != (a + 1, b) or not (d_rel(j, mid) and d_rel(mid, k)):
-        raise MultilatError("factorization step failed")
-    return mid
-
-
-def perm_ji_triple(j: IrrVector) -> tuple[int, int, frozenset[int]]:
-    """Triple form (a, b, D_a) of a join irreducible of the permutohedron."""
-    if any(e != 1 for e in j.parent.entries):
-        raise MultilatError("triple form requires v = (1,..,1)")
-    a, b = principal_plan(j)
-    return (a, b, frozenset(i for i in range(a + 1, b) if j.x[i - 1] == 1))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ start without it.
   L(v) before it is materialized;
 - the caps on the materialized lattices and their checks: SD_SCAN_CAP,
   DEFAULT_SIZE_CAP and ANALYSIS_CAP, and LISTING_CAP on the listings of
-  words and irreducibles.
+  words and irreducibles;
+- the cover-list format, its one reader (:func:`parse_cover_file`, under
+  DEFAULT_SIZE_CAP) and its one writer (:func:`cover_file`).
 """
 
 from __future__ import annotations
@@ -165,6 +167,37 @@ def sd_scan_level(size: int, height: int, n: int) -> int:
 DEFAULT_SIZE_CAP = 5000
 
 
+def parse_cover_file(text: str) -> list[tuple[str, str]]:
+    """The (lower, upper) label pairs of a cover list, one 'lower<upper' per
+    line, '#' starting a comment; more than DEFAULT_SIZE_CAP labels are
+    refused.  A label holds neither '<' nor a '"' or '\\', so each one is a
+    DOT id as written between double quotes."""
+    covers = []
+    names = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        lo, sep, hi = line.partition("<")
+        if not sep or not lo or not hi or "<" in hi:
+            raise MultilatError(f"line {lineno}: expected 'lower<upper', got {raw!r}")
+        if '"' in line or "\\" in line:
+            raise MultilatError(f"line {lineno}: a label may not hold '\"' or '\\', "
+                                f"got {raw!r}")
+        covers.append((lo.strip(), hi.strip()))
+        names.update(covers[-1])
+    if len(names) > DEFAULT_SIZE_CAP:
+        raise CapExceeded(f"cover file has {len(names)} elements, over the "
+                          f"materialization cap {DEFAULT_SIZE_CAP}")
+    return covers
+
+
+def cover_file(labels, pairs) -> str:
+    """The cover list that :func:`parse_cover_file` reads, one line for
+    each (lower, upper) pair of indices into ``labels``."""
+    return "".join(f"{labels[lo]}<{labels[hi]}\n" for lo, hi in pairs)
+
+
 # Set from `elements`, `ji` and `mi` (in-process, into a StringIO) on a
 # 2-vCPU Xeon, Python 3.11: a listing costs about 0.3-0.6 us per letter
 # printed, counting 20 more for each line: (1^9), 362,880 words of 9
@@ -183,7 +216,8 @@ def listing_cap(letters: int) -> int:
 
 # Timed by `lattice --covers` (in-process) on a 2-vCPU Xeon, Python 3.11,
 # numpy 2.4.  The analyses cost about N (|J| + |M|) for the arrow relations
-# and distributivity plus the D product and listing: chain files, where
+# plus the D product and listing; distributivity is read off D (empty iff
+# distributive) and costs nothing more.  Chain files, where
 # all but the bottom are join and meet irreducible, take 0.17 s at 900
 # elements, 0.7 s at 2,000 and 1.7 s at 3,000.  The worst case is a
 # lattice with about N^2 D edges, M_{N-2} (N - 2 atoms), where listing and

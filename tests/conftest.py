@@ -7,6 +7,7 @@ that agreement with the library is meaningful evidence.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -17,6 +18,8 @@ from multilat import congruence as cg
 from multilat import irreducibles as ir
 from multilat import multinomial as mn
 from multilat import perm_core as pc
+from multilat.errors import MultilatError
+from multilat.finite_lattice import FiniteLattice
 from multilat.order import sd_sequence
 
 
@@ -156,6 +159,28 @@ def oracle_congruences(lattice) -> set[tuple[frozenset[int], ...]]:
     return found
 
 
+@dataclass(frozen=True)
+class Pentagon:
+    """Elements b <= a and c with a v c = b v c and a ^ c = b ^ c."""
+
+    lattice: FiniteLattice = field(repr=False)
+    a: int
+    b: int
+    c: int
+
+    @property
+    def nondegenerate(self) -> bool:
+        return self.a != self.b
+
+
+def pentagon_search(lattice) -> list[Pentagon]:
+    """Every nondegenerate pentagon: b < a and c with a v c = b v c, a ^ c = b ^ c."""
+    J, M = lattice.join_table, lattice.meet_table
+    tops, bottoms = np.nonzero(lattice.leq_table.T & ~np.eye(lattice.n, dtype=bool))
+    return [Pentagon(lattice, a, b, c) for a, b in zip(tops.tolist(), bottoms.tolist())
+            for c in np.flatnonzero((J[a] == J[b]) & (M[a] == M[b])).tolist()]
+
+
 def oracle_distributive(lattice) -> bool:
     """The distributive law x ^ (y v z) = (x ^ y) v (x ^ z) on every
     triple, one x at a time."""
@@ -172,6 +197,36 @@ def _oracle_ji_plans(v: mn.MultVector):
         plan = ir._plan(v.entries, x, ir.JOIN)
         if plan is not None:
             yield x, plan
+
+
+def left_move_factor(j: ir.IrrVector, k: ir.IrrVector) -> ir.IrrVector:
+    """Factor a left move of width gap >= 2 through a plan one step narrower."""
+    if not ir.d_rel(j, k):
+        raise MultilatError("factorization requires a D-pair")
+    a, b = ir.principal_plan(j)
+    e, f = ir.principal_plan(k)
+    if f != b:
+        raise MultilatError("not a left move: plans do not share the right endpoint")
+    if e - a < 2:
+        raise MultilatError("nothing to factor: plan widths differ by 1")
+    v = j.parent.entries
+    y = list(j.x)
+    if y[a] == v[a]:  # index a is position a+1 (0-based a)
+        y[a] -= 1
+    for i in range(1, a + 1):
+        y[i - 1] = v[i - 1]
+    mid = ir.IrrVector(j.parent, tuple(y), ir.JOIN)
+    if ir.principal_plan(mid) != (a + 1, b) or not (ir.d_rel(j, mid) and ir.d_rel(mid, k)):
+        raise MultilatError("factorization step failed")
+    return mid
+
+
+def perm_ji_triple(j: ir.IrrVector) -> tuple[int, int, frozenset[int]]:
+    """Triple form (a, b, D_a) of a join irreducible of the permutohedron."""
+    if any(e != 1 for e in j.parent.entries):
+        raise MultilatError("triple form requires v = (1,..,1)")
+    a, b = ir.principal_plan(j)
+    return (a, b, frozenset(i for i in range(a + 1, b) if j.x[i - 1] == 1))
 
 
 def oracle_successors(v: tuple[int, ...], x: tuple[int, ...], a: int, b: int):
@@ -252,12 +307,22 @@ QUOTIENT_VECTORS = ("2,1", "1,1,1", "2,2", "3,1", "2,1,1", "1,2,1", "1,1,2",
                     "3,1,1", "2,2,1", "1,1,1,1")
 
 
+def quotient_lattice(v: mn.MultVector, s: cg.JiSet) -> FiniteLattice:
+    """The quotient of L(v) by the congruence of S as a table lattice, built
+    from the crossing covers that ``congruence.quotient`` lists, which must
+    be exactly the covers of the lattice they generate."""
+    labels, covers = cg.quotient(v, s)
+    lattice = FiniteLattice.from_covers(covers, labels=labels)
+    assert lattice.cover_pairs() == covers
+    return lattice
+
+
 @lru_cache(maxsize=None)
 def quotient_by(text: str, members: frozenset[int]):
     """The quotient of L(v) by the D-closed set of the d_graph nodes ``members``."""
     v = mn.parse_vector(text)
     nodes = ir.d_graph(v).nodes
-    return cg.quotient(v, cg.JiSet(v, frozenset(nodes[i] for i in members)))
+    return quotient_lattice(v, cg.JiSet(v, frozenset(nodes[i] for i in members)))
 
 
 @st.composite

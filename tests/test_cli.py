@@ -94,7 +94,10 @@ def test_classes_and_quotient(capsys):
     out = json.loads(run_ok(capsys, "classes", "-v", "3,3", "-S", "0,3;1,2"))
     assert len(out["blocks"]) == 3
     cov = run_ok(capsys, "quotient", "-v", "3,3", "-S", "0,3;1,2")
-    assert cov.count("<") == 2  # a 3-chain
+    assert cov == (  # a 3-chain
+        "{aaabbb,aababb,aabbab,aabbba,abaabb,ababab,ababba,baaabb,baabab,baabba}"
+        "<{abbaab,abbaba,abbbaa,babaab,bababa,babbaa,bbaaab,bbaaba,bbabaa}\n"
+        "{abbaab,abbaba,abbbaa,babaab,bababa,babbaa,bbaaab,bbaaba,bbabaa}<{bbbaaa}\n")
 
 
 def test_sd_witness_and_exhaustive(capsys):
@@ -156,7 +159,7 @@ def reference_lattice_reply(lattice, sd_n):
 
 
 def read_lattice(text):
-    return finite_lattice.FiniteLattice.from_covers(finite_lattice.parse_cover_file(text))
+    return finite_lattice.FiniteLattice.from_covers(order.parse_cover_file(text))
 
 
 def m_k(atoms, top="1", bottom="0"):
@@ -168,8 +171,8 @@ LATTICE_FILES = {
     "chain2": finite_lattice.chain(2).to_cover_file(),  # no D edge
     "chain7": finite_lattice.chain(7).to_cover_file(),
     "m12": m_k([f"a{i}" for i in range(12)]),  # a10 sorts before a2
-    # labels that json.dumps escapes
-    "m4-quoted": m_k(['q"x', "\u00e9", "b\\c", "Z"], top='t"o\\p', bottom="\u00e8"),
+    # labels that json.dumps escapes: control and non-ASCII characters
+    "m4-quoted": m_k(["q\tx", "\u00e9", "b\x01c", "Z"], top="t\x7fo\u2603p", bottom="\u00e8"),
     "L(2,1,1)": mn.to_finite_lattice(mn.parse_vector("2,1,1")).to_cover_file(),
     "L(1,1,1,1)": mn.to_finite_lattice(mn.parse_vector("1,1,1,1")).to_cover_file(),
 }
@@ -183,6 +186,33 @@ def test_lattice_reply_is_json_dumps(tmp_path, capsys, name, sd):
     lattice = read_lattice(LATTICE_FILES[name])
     argv = ["lattice", "--covers", str(path)] + ([] if sd is None else ["--sd", str(sd)])
     assert run_ok(capsys, *argv) == reference_lattice_reply(lattice, sd)
+
+
+@pytest.mark.parametrize("name", LATTICE_FILES)
+def test_dot_writes_every_label_as_a_quoted_id(tmp_path, capsys, name):
+    path = tmp_path / "lattice.cov"
+    path.write_text(LATTICE_FILES[name], encoding="utf-8")
+    lines = run_ok(capsys, "lattice", "--covers", str(path), "--dot").splitlines()
+    lattice = read_lattice(LATTICE_FILES[name])
+    assert lines[:2] == ["digraph hasse {", "  rankdir=BT;"] and lines[-1] == "}"
+    quoted = r'"[^"\\]*"'
+    assert all(re.fullmatch(rf"  {quoted}( -> {quoted})?;", line) for line in lines[2:-1])
+    assert len(lines) == 3 + lattice.n + len(lattice.cover_pairs())
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]])
+@pytest.mark.parametrize("text,message", [
+    # a second '<' made the pair (a, b<c), and a wrong "2 minimal elements" reply
+    ("a<b<c\nb<c\n", "line 1: expected 'lower<upper', got 'a<b<c'"),
+    # '"' and '\\' would end or escape the DOT quoted string of a label
+    ('0<1\n0<a"x\na"x<1\n', "line 2: a label may not hold '\"' or '\\', got '0<a\"x'"),
+    ("0<1\n# c\\\n0<b\\\n", "line 3: a label may not hold '\"' or '\\', got '0<b\\\\'"),
+])
+def test_cover_lines_that_are_refused(tmp_path, capsys, dot, text, message):
+    path = tmp_path / "bad.cov"
+    path.write_text(text)
+    assert cli.run(["lattice", "--covers", str(path), *dot]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_lattice_files_include_an_empty_and_a_complete_d():
@@ -581,13 +611,15 @@ def test_lattice_sd_scans_only_up_to_the_longest_d_path(tmp_path, monkeypatch, c
 # A child interpreter that imports this checkout's package.
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(multilat.__file__).resolve().parents[1])}
 
-# Verbs that answer from words, vectors and the vector-coded D-graph alone.
+# Verbs that answer from words, vectors and the vector-coded D-graph alone;
+# quotient from the covers of L(v) that cross classes.
 NUMPY_FREE_ARGVS = [
     ["join", "-v", "2,1", "aba", "aab"], ["meet", "-v", "2,1", "aba", "baa"],
     ["order", "-v", "2,1", "aab", "aba"], ["elements", "-v", "1,1,1"],
     ["ji", "-v", "3,3"], ["mi", "-v", "3,3", "--vectors"], ["kappa", "-v", "3,3", "aabbab"],
     ["dgraph", "-v", "1,1,1"], ["congruences", "-v", "2,2", "--count"],
     ["congruences", "-v", "1,1,1"], ["classes", "-v", "3,3", "-S", "0,3;1,2"],
+    ["quotient", "-v", "3,3", "-S", "0,3;1,2"],
     ["sd", "-v", "1,1,1", "-n", "1", "--witness"],
     ["theorem", "-v", "1,1,2,1,1", "--method", "dpath-bound"],
 ]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import d_closed_members, oracle_congruences
+from conftest import d_closed_members, oracle_congruences, quotient_lattice
 from multilat import congruence as cg
 from multilat import finite_lattice as fl
 from multilat import irreducibles as ir
@@ -209,7 +209,7 @@ def test_holes_example_classes_and_quotient():
     assert len(p.blocks) == 3
     assert sorted(len(b) for b in p.blocks) == [1, 9, 10]
     assert cg.check_parikh_connectivity(p)
-    q = cg.quotient(v, s)
+    q = quotient_lattice(v, s)
     assert q.n == 3
     assert len(q.cover_pairs()) == 2  # a 3-chain
     data = json.loads(p.to_json())
@@ -218,7 +218,7 @@ def test_holes_example_classes_and_quotient():
 
 def test_quotient_by_identity_is_isomorphic():
     v = V("1,1,1")
-    q = cg.quotient(v, full_set(v))
+    q = quotient_lattice(v, full_set(v))
     L = mn.to_finite_lattice(v)
     assert q.n == L.n
     assert len(q.cover_pairs()) == len(L.cover_pairs())
@@ -229,7 +229,7 @@ def test_quotients_are_lattices_with_monotone_projection(text):
     v = V(text)
     for s in cg.d_closed_sets(v):
         p = cg.congruence_from_S(v, s)
-        q = cg.quotient(v, s)
+        q = quotient_lattice(v, s)
         assert q.n == len(p.blocks)
         block_idx = {w: i for i, blk in enumerate(p.blocks) for w in blk}
         label_idx = {lbl: i for i, lbl in enumerate(q.labels)}

@@ -3,7 +3,8 @@ import math
 from itertools import product
 
 import pytest
-from conftest import oracle_d_graph, oracle_longest_simple_path, oracle_successors
+from conftest import (left_move_factor, oracle_d_graph, oracle_longest_simple_path,
+                      perm_ji_triple)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,7 +168,7 @@ def test_left_move_factor_splits_long_left_moves(text):
             ja, jb = ir.principal_plan(j)
             ke, kf = ir.principal_plan(k)
             if kf == jb and ke - ja >= 2:
-                mid = ir.left_move_factor(j, k)
+                mid = left_move_factor(j, k)
                 assert ir.principal_plan(mid) == (ja + 1, jb)
                 assert ir.d_rel(j, mid) and ir.d_rel(mid, k)
                 found += 1
@@ -178,11 +179,11 @@ def test_perm_ji_triple():
     v = V("1,1,1,1")
     j = ir.parse_ji_word(mn.parse_word(v, "bdac"))
     a, b = ir.principal_plan(j)
-    ta, tb, mids = ir.perm_ji_triple(j)
+    ta, tb, mids = perm_ji_triple(j)
     assert (ta, tb) == (a, b)
     assert mids <= set(range(a + 1, b))
     with pytest.raises(MultilatError):
-        ir.perm_ji_triple(ir.enumerate_ji(V("2,1"))[0])
+        perm_ji_triple(ir.enumerate_ji(V("2,1"))[0])
 
 
 def test_mismatched_parents_are_refused():
@@ -289,12 +290,6 @@ small_vectors = st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(
 def test_d_successors_match_d_rel(entries):
     v = mn.MultVector(tuple(entries))
     assert list(ir.d_graph(v).edges) == pair_scan_edges(v)
-    jis = ir.enumerate_ji(v)
-    for j in jis:
-        succ = ir.d_successors(j)
-        assert len({k for k, _ in succ}) == len(succ)
-        assert {k for k, _ in succ} == {k for k in jis if ir.d_rel(j, k)}
-        assert all(tag == ir.cover_type(j, k) for k, tag in succ)
 
 
 # Every vector of 1-5 entries in 0..3, (1^k) for k <= 10 and vectors of
@@ -306,17 +301,7 @@ ORACLE_VECTORS = ([e for n in range(1, 6) for e in product(range(4), repeat=n)]
 def test_d_graph_matches_the_tuple_built_oracle():
     for entries in ORACLE_VECTORS:
         v = mn.MultVector(entries)
-        got, want = ir.d_graph(v), oracle_d_graph(v)
-        assert got == want, entries
-        if len(got.nodes) > 50:
-            continue  # successors of the 822 graphs of at most 50 nodes, 14,409 in all
-        succ = [[] for _ in want.nodes]
-        for s, t, tag in want.edges:
-            succ[s].append((want.nodes[t].x, tag))
-        for node, expected in zip(got.nodes, succ):
-            yielded = [(k.x, tag) for k, tag in ir.d_successors(node)]
-            assert sorted(yielded) == expected, (entries, node.x)
-            assert yielded == list(oracle_successors(entries, node.x, *node.plan))
+        assert ir.d_graph(v) == oracle_d_graph(v), entries
 
 
 @pytest.mark.parametrize("text", ["1,1,1,1", "3,0,2,1,3", "2,0", "0,3,3,0"])
@@ -340,11 +325,6 @@ def test_the_public_constructor_keeps_its_checks():
         ir.IrrVector(v, (3, 0))
     with pytest.raises(MultilatError, match="outside"):
         ir.IrrVector(v, (0, -1))
-
-
-def test_d_successors_rejects_meet_vectors():
-    with pytest.raises(MultilatError):
-        ir.d_successors(ir.enumerate_mi(V("1,1,1"))[0])
 
 
 def test_d_graph_cap_is_checked_before_enumerating(monkeypatch):
