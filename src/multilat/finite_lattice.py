@@ -15,12 +15,11 @@ Nation, *Free Lattices*, ch. 11): each row ``leq[x]`` is the union of the
 rows of its successors, and ``x v y`` for incomparable x, y is the least of
 the joins ``c v y`` over the successors ``c`` of x.  Rows are filled one
 height level at a time from the top, all rows of a level in a few array
-operations, after one Kahn peel per build.  The meet table is the join
-table of the dual order, filled the same way from the bottom on levels
-numbered by that same peel, unless an order-reversing involution r is
-known (word reversal in L(v)): then x ^ y = r(r x v r y), read off the
-join table once r is certified.  Tables hold int16 indices (int32 above
-32,767 elements).
+operations, after one Kahn peel per build.  The meet table is filled on
+its first read, as the join table of the dual order filled the same way
+from the bottom, or, given an order-reversing involution r that the
+build certifies on the covers (word reversal in L(v)), as
+x ^ y = r(r x v r y).  Tables hold int16 indices (int32 above 32,767).
 
 SD_n(meet) is scanned one batch of x at a time through the table
 MJ_x[y, t] = x ^ (y v t).  The z sequence is the transpose of the y
@@ -63,17 +62,16 @@ Quotient = tuple[int, int]  # (upper, lower) with lower <= upper
 class FiniteLattice:
     """A finite lattice given by its cover relation.
 
-    Construct through :meth:`from_covers`, or :meth:`from_self_dual_covers`
-    given an order-reversing involution, which validate that the
+    Construct through :meth:`from_covers`, which validates that the
     transitive closure of the covers is a lattice order.
     """
 
-    def __init__(self, labels, leq, join, meet, upper_covers, height):
+    def __init__(self, labels, leq, join, upper_covers, height):
         self.labels: list[str] = list(labels)
         self.leq_table: np.ndarray = leq      # leq_table[i, j] == (i <= j)
         self.join_table: np.ndarray = join
-        self.meet_table: np.ndarray = meet
         self.height: int = height             # steps of the longest chain
+        self._flip = None                     # a certified order-reversing involution
         self._upper_covers: list[list[int]] = upper_covers
         self._lower_covers: list[list[int]] = [[] for _ in upper_covers]
         for lo, ups in enumerate(upper_covers):
@@ -86,7 +84,7 @@ class FiniteLattice:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_covers(cls, covers, labels=None) -> "FiniteLattice":
+    def from_covers(cls, covers, labels=None, flip=None) -> "FiniteLattice":
         """Build and validate a lattice from (lower, upper) cover pairs.
 
         Pairs may use integer indices (with explicit ``labels``) or label
@@ -95,39 +93,41 @@ class FiniteLattice:
         reflexive pairs are allowed, and the true covers are recovered.
 
         :func:`_order_and_joins` fills ``leq``, the covers and the join
-        table; the meet table is the join table of the dual order, filled
-        the same way from the bottom on the levels top - height of the
-        primal peel.  Raises :class:`NotALattice` on a cycle, on more than
-        one minimal or maximal element, and on a pair without a least
-        upper bound (the least such pair among those with an element of
-        least height).
-        """
-        labels, pred, leq, join, upper_covers, height = _order_and_joins(covers, labels)
-        top = max(height)
-        down = _Ranked(pred, [top - h for h in height])
-        meet = down.join_table(leq.T[down.order][:, down.order], labels)
-        return cls(labels, leq, join, meet, upper_covers, top)
+        table.  Raises :class:`NotALattice` on a cycle, on more than one
+        minimal or maximal element, and on a pair without a least upper
+        bound (the least such pair among those with an element of least
+        height).  No meet needs checking: a finite order with a least
+        element and all binary joins is a lattice.
 
-    @classmethod
-    def from_self_dual_covers(cls, covers, labels, flip) -> "FiniteLattice":
-        """:meth:`from_covers` for a lattice with a known order-reversing
-        involution, ``flip[i]`` the image of element i: the meet table is
-        read off the join table, x ^ y = flip(flip x v flip y), instead of
-        a second pass over the dual order.  The map is certified in
-        O(N^2) first, as an involution with x <= y iff flip y <= flip x;
-        :class:`InternalInconsistency` if it is not one.  No meet needs
-        checking: a finite order with a least element and all binary joins
-        is a lattice.
+        ``flip[i]``, when given, is the image of element i under an
+        order-reversing involution, through which :attr:`meet_table` is
+        read.  It is certified in O(covers), as the order is the transitive
+        closure of its covers: an involution that sends every cover lo -< hi
+        to a cover flip[hi] -< flip[lo] reverses the order.
+        :class:`InternalInconsistency` if it does not.
         """
-        labels, _, leq, join, upper_covers, height = _order_and_joins(covers, labels)
-        n = len(labels)
-        r = np.asarray(flip, dtype=np.intp)
-        if r.shape != (n,) or not ((r >= 0) & (r < n)).all() \
-                or not np.array_equal(r[r], np.arange(n)) \
-                or not np.array_equal(leq[r][:, r], leq.T):
-            raise InternalInconsistency("the map given is not an order-reversing involution")
-        meet = np.take(r.astype(join.dtype), join[r][:, r])
-        return cls(labels, leq, join, meet, upper_covers, max(height))
+        lattice = cls(*_order_and_joins(covers, labels))
+        if flip is not None:
+            r, ident = np.asarray(flip, dtype=np.intp), np.arange(lattice.n)
+            lo = np.repeat(ident, [len(ups) for ups in lattice._upper_covers])
+            hi = np.fromiter(itertools.chain(*lattice._upper_covers), np.intp, lo.size)
+            if not np.array_equal(np.sort(r), ident) or not np.array_equal(r[r], ident) \
+                    or not np.array_equal(np.sort(r[hi] * r.size + r[lo]), lo * r.size + hi):
+                raise InternalInconsistency("the map given is not an order-reversing involution")
+            lattice._flip = r
+        return lattice
+
+    @cached_property
+    def meet_table(self) -> np.ndarray:
+        """The meet table, filled on first read.  Through a certified flip r
+        it is read off the join table, x ^ y = r(r x v r y); otherwise it
+        is the join table of the dual order, filled by :class:`_Ranked`
+        from the bottom over the lower covers."""
+        if self._flip is not None:
+            r = self._flip
+            return np.take(r.astype(self.join_table.dtype), self.join_table[r][:, r])
+        down = _Ranked(self._lower_covers, _heights(self._lower_covers, self._upper_covers))
+        return down.join_table(self.leq_table.T[down.order][:, down.order], self.labels)
 
     # -- basic structure ---------------------------------------------------
 
@@ -173,8 +173,10 @@ class FiniteLattice:
 
     def dual(self) -> "FiniteLattice":
         """The order dual, sharing labels."""
-        return FiniteLattice(self.labels, self.leq_table.T, self.meet_table,
-                             self.join_table, self._lower_covers, self.height)
+        dual = FiniteLattice(self.labels, self.leq_table.T, self.meet_table,
+                             self._lower_covers, self.height)
+        dual.meet_table = self.join_table
+        return dual
 
     # -- irreducibles and arrow relations ----------------------------------
 
@@ -455,10 +457,8 @@ _SCAN_BATCH = 1 << 15
 
 
 def _order_and_joins(covers, labels):
-    """The primal half of a build from cover pairs, shared by
-    :meth:`FiniteLattice.from_covers` and
-    :meth:`FiniteLattice.from_self_dual_covers`: (labels, predecessors,
-    ``leq``, join table, upper covers, heights).
+    """The build of :meth:`FiniteLattice.from_covers` from cover pairs:
+    (labels, ``leq``, join table, upper covers, height of the longest chain).
 
     Peeling the maximal elements level by level (Kahn's algorithm on the
     reversed order) gives each element's height, the one peel of the
@@ -502,16 +502,16 @@ def _order_and_joins(covers, labels):
     up = _Ranked(succ, height)
     le, upper_covers = up.order_and_covers()
     join = up.join_table(le, labels)
-    return labels, pred, le[up.pos][:, up.pos], join, upper_covers, height
+    return labels, le[up.pos][:, up.pos], join, upper_covers, max(height)
 
 
 class _Ranked:
     """The elements of an order with one maximal element, renumbered by
     decreasing height, and their successors in that numbering.
 
-    ``height`` is the peel of :func:`order._heights`, or top - height for
-    the dual order: x < y implies height[x] > height[y], and only the
-    maximal element has height 0.  So the new numbering (the position) is
+    ``height`` is the peel of :func:`order._heights`, of the order or of
+    its dual: x < y implies height[x] > height[y], and only the maximal
+    element has height 0.  So the new numbering (the position) is
     a linear extension, each height is a run of positions, and the
     successors of a level lie in the levels above it, which come later.
     The tables are filled one level at a time from the top: the rows of a

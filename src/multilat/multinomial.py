@@ -273,14 +273,14 @@ def check_scan_cap(v: MultVector, n: int) -> None:
 
 
 def to_finite_lattice(v: MultVector) -> FiniteLattice:
-    """Materialize L(v) as an explicit lattice with join/meet tables, from
-    the covers of :func:`covers` found by index among the letter tuples.
+    """Materialize L(v) as an explicit lattice with order and join tables,
+    from the covers of :func:`covers` found by index among the letter tuples.
 
     Reading a word backwards reverses the order (a swap a_i a_j -> a_j a_i
     up, i < j, is one down in the reversed word), so the meet table comes
     from the join table through the reversal map (Bennett and Birkhoff,
     "Two families of Newman lattices", 1994), which
-    :meth:`FiniteLattice.from_self_dual_covers` certifies first."""
+    :meth:`FiniteLattice.from_covers` certifies on the covers."""
     from .finite_lattice import FiniteLattice
 
     check_size_cap(v)
@@ -288,5 +288,5 @@ def to_finite_lattice(v: MultVector) -> FiniteLattice:
     index = {w: i for i, w in enumerate(words)}
     cover_pairs = [(i, index[u]) for i, w in enumerate(words) for u in _swaps(w)]
     reverse = [index[w[::-1]] for w in words]
-    return FiniteLattice.from_self_dual_covers(
-        cover_pairs, [_letters_str(v.n, w) for w in words], reverse)
+    return FiniteLattice.from_covers(
+        cover_pairs, [_letters_str(v.n, w) for w in words], flip=reverse)

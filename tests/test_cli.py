@@ -100,6 +100,19 @@ def test_classes_and_quotient(capsys):
         "{abbaab,abbaba,abbbaa,babaab,bababa,babbaa,bbaaab,bbaaba,bbabaa}<{bbbaaa}\n")
 
 
+def test_one_element_quotient_is_an_empty_cover_list(tmp_path, capsys):
+    # S = {} puts every word in one block; a one-element lattice has no
+    # cover pair, and a cover list without one names no element
+    path = tmp_path / "one.cov"
+    path.write_text(run_ok(capsys, "quotient", "-v", "2,2", "-S", "-"))
+    assert path.read_text() == ""
+    for dot in ([], ["--dot"]):
+        assert cli.run(["lattice", "--covers", str(path), *dot]) == 1
+        assert capsys.readouterr() == ("", "error: empty element set\n")
+    path.write_text("x<x\n")  # a reflexive line names the one element
+    assert json.loads(run_ok(capsys, "lattice", "--covers", str(path)))["elements"] == 1
+
+
 def test_sd_witness_and_exhaustive(capsys):
     data = json.loads(run_ok(capsys, "sd", "-v", "1,1,1", "-n", "1", "--witness"))
     assert data["sd_fails_on_witness"] is True
@@ -606,6 +619,32 @@ def test_lattice_sd_scans_only_up_to_the_longest_d_path(tmp_path, monkeypatch, c
              ["sd_holds"] for n in range(5)]
     assert holds == [False, False, True, True, True]
     assert len(scans) == 2
+
+
+def test_replies_that_fill_no_meet_table(tmp_path, monkeypatch, capsys):
+    # the order, the covers, the join fill and D answer these; the meet
+    # table is filled only when a scan or a prime-quotient descent reads it
+    argvs = [["theorem", "-v", "2,2,2", "--method", "exhaustive"]]
+    for i, text in enumerate(LATTICE_FILES.values()):
+        path = tmp_path / f"{i}.cov"
+        path.write_text(text, encoding="utf-8")
+        argvs += [["lattice", "--covers", str(path)], ["lattice", "--covers", str(path), "--dot"]]
+    # levels above the longest D-path, which the certificate decides
+    for name, make, n in [("chain", lambda: finite_lattice.chain(7), 5),
+                          ("benzene", finite_lattice.benzene, 2),
+                          ("L1111", lambda: mn.to_finite_lattice(mn.parse_vector("1,1,1,1")), 3)]:
+        path = tmp_path / f"{name}.cov"
+        path.write_text(make().to_cover_file())
+        argvs.append(["lattice", "--covers", str(path), "--sd", str(n)])
+    expected = [run_ok(capsys, *argv) for argv in argvs]
+    assert expected[0] == oracle_theorem_reply(mn.parse_vector("2,2,2"), "exhaustive")
+    assert all(json.loads(out)["sd_holds"] for out in expected[-3:])
+
+    def refuse(self):
+        raise AssertionError("a meet table was filled")
+
+    monkeypatch.setattr(finite_lattice.FiniteLattice, "meet_table", property(refuse))
+    assert [run_ok(capsys, *argv) for argv in argvs] == expected
 
 
 # A child interpreter that imports this checkout's package.

@@ -203,7 +203,9 @@ def test_tables_are_int16(L):
 @pytest.mark.parametrize("v", multinomial_vectors(420), ids=lambda v: ",".join(map(str, v)))
 def test_reversal_meet_table_matches_the_dual_pass(v):
     L = mn.to_finite_lattice(mn.MultVector(v))
+    assert L._flip is not None  # the meet table is read through word reversal
     dual_pass = fl.FiniteLattice.from_covers(L.cover_pairs(), labels=L.labels)
+    assert dual_pass._flip is None
     for name in ("leq_table", "join_table", "meet_table"):
         table, expected = getattr(L, name), getattr(dual_pass, name)
         assert table.dtype == expected.dtype and np.array_equal(table, expected), name
@@ -218,7 +220,7 @@ def test_reversal_meet_table_matches_the_dual_pass(v):
 ], ids=["identity", "three-cycle", "short", "out-of-range", "benzene-mirror"])
 def test_from_self_dual_covers_refuses_other_maps(L, flip):
     with pytest.raises(InternalInconsistency, match="not an order-reversing involution"):
-        fl.FiniteLattice.from_self_dual_covers(L.cover_pairs(), L.labels, flip)
+        fl.FiniteLattice.from_covers(L.cover_pairs(), L.labels, flip=flip)
 
 
 def mk_by_chain(k: int, c: int):
@@ -252,7 +254,7 @@ def test_levels_wider_than_one_batch_match_closed_form_tables(k, c):
     up = fl._Ranked(succ, order._heights(succ, pred))
     assert max(len(batches) for _, batches in up.levels) > 1
     for L in (fl.FiniteLattice.from_covers(covers, labels=labels),
-              fl.FiniteLattice.from_self_dual_covers(covers, labels, flip)):
+              fl.FiniteLattice.from_covers(covers, labels=labels, flip=flip)):
         assert np.array_equal(L.leq_table, le)
         assert np.array_equal(L.join_table, join)
         assert np.array_equal(L.meet_table, meet)
