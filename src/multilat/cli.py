@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Every verb maps onto one library operation and writes deterministic
-text, DOT, or JSON to stdout; diagnostics go to stderr.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+Every verb maps onto one library operation and returns deterministic
+text, DOT, or JSON, which :func:`run` writes to stdout in one write;
+diagnostics go to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -89,9 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="analyse a lattice given by a cover file")
     p.add_argument("--covers", required=True, metavar="FILE")
-    p.add_argument("--sd", type=int, metavar="N",
-                   help="also evaluate SD_N(meet) over all triples")
-    p.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT")
+    reply = p.add_mutually_exclusive_group()
+    reply.add_argument("--sd", type=int, metavar="N",
+                       help="also evaluate SD_N(meet) over all triples")
+    reply.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT")
 
     p = sub.add_parser("seed-fixtures", help="dump built-in lattice fixtures as cover files")
     p.add_argument("directory", nargs="?", default=".")
@@ -106,103 +107,98 @@ _parser = functools.cache(build_parser)
 def run(argv: list[str]) -> int:
     args = _parser().parse_args(argv)
     try:
-        _dispatch(args)
+        reply = _dispatch(args)
     except MultilatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(f"error: {exc}\n")
         return 1
+    sys.stdout.write(reply)
     return 0
 
 
-def _dispatch(args: argparse.Namespace) -> None:
+def _dispatch(args: argparse.Namespace) -> str:
+    """The reply to one parsed command line, each line ending in a newline."""
     verb = args.verb
     if verb == "seed-fixtures":
         from . import finite_lattice  # loads numpy, which only table lattices need
-        directory = Path(args.directory)
+        directory, reply = Path(args.directory), ""
         try:
             directory.mkdir(parents=True, exist_ok=True)
             for name, make in finite_lattice.FIXTURES.items():
                 path = directory / f"{name}.cov"
                 path.write_text(f"# fixture {name}\n" + make().to_cover_file())
-                print(path)
+                reply += f"{path}\n"
         except OSError as exc:
             raise MultilatError(f"cannot write fixtures to {args.directory}: "
                                 f"{exc.strerror or exc}") from exc
-        return
+        return reply
     if verb == "lattice":
         try:
             text = Path(args.covers).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise MultilatError(f"cannot read cover file {args.covers}: "
                                 f"{getattr(exc, 'strerror', None) or exc}") from exc
-        covers = order.parse_cover_file(text)
+        labels, covers = order.parse_cover_file(text)
         if not args.dot:
-            order.check_analysis_cap(len({x for pair in covers for x in pair}))
+            order.check_analysis_cap(len(labels))
         from .finite_lattice import FiniteLattice  # loads numpy, once the caps pass
-        lattice = FiniteLattice.from_covers(covers)
-        if args.dot:
-            sys.stdout.write(lattice.to_dot())
-            return
-        print(_lattice_reply(lattice, args.sd))
-        return
+        lattice = FiniteLattice.from_covers(covers, labels)
+        return lattice.to_dot() if args.dot else _lattice_reply(lattice, args.sd)
 
     v = parse_vector(args.vector)
     if verb == "elements":
-        for w in multinomial.enumerate_words(v):
-            print(word_str(w))
-    elif verb == "order":
+        return "".join(f"{word_str(w)}\n" for w in multinomial.enumerate_words(v))
+    if verb == "order":
         w, u = (parse_word(v, t) for t in args.words)
-        print("true" if multinomial.leq(w, u) else "false")
-    elif verb in ("join", "meet"):
+        return "true\n" if multinomial.leq(w, u) else "false\n"
+    if verb in ("join", "meet"):
         w, u = (parse_word(v, t) for t in args.words)
         op = multinomial.mjoin if verb == "join" else multinomial.mmeet
-        print(word_str(op(w, u)))
-    elif verb in ("ji", "mi") and args.count:
-        print(irreducibles.count_ji(v))  # x -> v - x pairs the two kinds
-    elif verb in ("ji", "mi"):
+        return f"{word_str(op(w, u))}\n"
+    if verb in ("ji", "mi") and args.count:
+        return f"{irreducibles.count_ji(v)}\n"  # x -> v - x pairs the two kinds
+    if verb in ("ji", "mi"):
         irreducibles.check_listing_cap(v, "join" if verb == "ji" else "meet", not args.vectors)
         items = irreducibles.enumerate_ji(v) if verb == "ji" else irreducibles.enumerate_mi(v)
         to_word = irreducibles.ji_word if verb == "ji" else irreducibles.mi_word
-        for j in items:
-            print(str(j) if args.vectors else word_str(to_word(j)))
-    elif verb == "kappa":
+        return "".join(f"{j if args.vectors else word_str(to_word(j))}\n" for j in items)
+    if verb == "kappa":
         w = parse_word(v, args.word)
         if args.dual:
-            print(word_str(irreducibles.ji_word(
-                irreducibles.kappa_d(irreducibles.parse_mi_word(w)))))
+            u = irreducibles.ji_word(irreducibles.kappa_d(irreducibles.parse_mi_word(w)))
         else:
-            print(word_str(irreducibles.mi_word(
-                irreducibles.kappa(irreducibles.parse_ji_word(w)))))
-    elif verb == "dgraph":
+            u = irreducibles.mi_word(irreducibles.kappa(irreducibles.parse_ji_word(w)))
+        return f"{word_str(u)}\n"
+    if verb == "dgraph":
         graph = irreducibles.d_graph(v)
-        sys.stdout.write(graph.to_dot() if args.dot else graph.to_json() + "\n")
-    elif verb == "congruences" and args.count:
-        print(congruence.count_d_closed(v))
-    elif verb == "congruences":
+        return graph.to_dot() if args.dot else graph.to_json() + "\n"
+    if verb == "congruences" and args.count:
+        return f"{congruence.count_d_closed(v)}\n"
+    if verb == "congruences":
         graph, masks = congruence.d_closed_masks(v)
         # node indices ascend with the vectors, so each set comes out sorted
-        print(json.dumps(
+        return json.dumps(
             {"v": list(v.entries),
              "congruences": sorted([list(graph.nodes[i].x)
                                     for i in congruence.mask_members(mask)]
                                    for mask in masks)},
-            indent=2))
-    elif verb == "classes":
+            indent=2) + "\n"
+    if verb == "classes":
         s = congruence.parse_ji_set(v, args.S)
-        print(congruence.congruence_from_S(v, s).to_json())
-    elif verb == "quotient":
+        return congruence.congruence_from_S(v, s).to_json() + "\n"
+    if verb == "quotient":
         s = congruence.parse_ji_set(v, args.S)
-        sys.stdout.write(order.cover_file(*congruence.quotient(v, s)))
-    elif verb == "sd":
-        _run_sd(v, args)
-    elif verb == "theorem":
-        print(sd_engine.theorem_check(v, method=args.method).to_json())
-    else:  # pragma: no cover - argparse enforces the verb set
-        raise MultilatError(f"unknown verb {verb!r}")
+        return order.cover_file(*congruence.quotient(v, s))
+    if verb == "sd":
+        return _run_sd(v, args)
+    if verb == "theorem":
+        return sd_engine.theorem_check(v, method=args.method).to_json() + "\n"
+    raise MultilatError(f"unknown verb {verb!r}")  # pragma: no cover - argparse checks it
 
 
 def _lattice_reply(lattice, sd_n: int | None) -> str:
     """The ``lattice --covers`` reply: ``json.dumps(info, indent=2)`` of its
-    analyses, byte for byte, written without the pure-Python encoder.
+    analyses and a newline, byte for byte, written without the pure-Python
+    encoder.
 
     Each label goes through ``json.dumps`` once.  A cover file's elements
     are indexed in label order (``FiniteLattice.from_covers`` sorts the
@@ -227,21 +223,20 @@ def _lattice_reply(lattice, sd_n: int | None) -> str:
         if verdict is not True:
             fields.append(("sd_failure", irreducibles._json_array(
                 (quoted[i] for i in verdict), 2)))
-    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}"
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}\n"
 
 
-def _run_sd(v, args) -> None:
+def _run_sd(v, args) -> str:
     n = args.n
     order.check_sd_level(n)
     if args.witness:
         if args.dual:
             raise MultilatError("--dual applies to exhaustive mode only")
-        print(json.dumps({
+        return json.dumps({
             "v": list(v.entries), "n": n, "mode": "witness",
             "witness_words": [word_str(w) for w in sd_engine.witness_words(v)],
             "sd_fails_on_witness": sd_engine.witness_fails(v, n),
-        }, indent=2))
-        return
+        }, indent=2) + "\n"
     multinomial.check_scan_cap(v, n)
     lattice = multinomial.to_finite_lattice(v)
     if args.dual:
@@ -252,10 +247,14 @@ def _run_sd(v, args) -> None:
            "sd_holds": verdict is True}
     if verdict is not True:
         out["failure"] = [lattice.labels[i] for i in verdict]
-    print(json.dumps(out, indent=2))
+    return json.dumps(out, indent=2) + "\n"
 
 
 def main() -> None:
+    # buffered even under PYTHONUNBUFFERED, which would hand a long reply to a
+    # pipe in one call and drop, with no error, what a reader that left did not take
+    sys.stdout = open(sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+                      errors=sys.stdout.errors, closefd=False)
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

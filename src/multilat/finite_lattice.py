@@ -9,17 +9,20 @@ imports numpy; the pure-Python helpers it shares with the other layers
 :mod:`multilat.order`, and the other layers import this module only
 inside the functions that build a lattice.
 
-The tables are filled from the given edges in O(n^2 d) time, d the
+The tables are filled from (lower, upper) pairs of indices into the
+labels, the cover list of :mod:`multilat.order`, in O(n^2 d) time, d the
 largest number of successors given for one element (Freese, Jezek and
 Nation, *Free Lattices*, ch. 11): each row ``leq[x]`` is the union of the
 rows of its successors, and ``x v y`` for incomparable x, y is the least of
 the joins ``c v y`` over the successors ``c`` of x.  Rows are filled one
 height level at a time from the top, all rows of a level in a few array
-operations, after one Kahn peel per build.  The meet table is filled on
+operations, after one Kahn peel per build; each batch of rows writes its
+block of the join table and the transpose, and each table is renumbered
+to element order a batch of rows at a time.  The meet table is filled on
 its first read, as the join table of the dual order filled the same way
-from the bottom, or, given an order-reversing involution r that the
-build certifies on the covers (word reversal in L(v)), as
-x ^ y = r(r x v r y).  Tables hold int16 indices (int32 above 32,767).
+from the bottom, or, given an order-reversing involution r that the build
+certifies on the covers (word reversal in L(v)), as x ^ y = r(r x v r y).
+Tables hold int16 indices (int32 above 32,767).
 
 SD_n(meet) is scanned one batch of x at a time through the table
 MJ_x[y, t] = x ^ (y v t).  The z sequence is the transpose of the y
@@ -54,7 +57,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, MultilatError, NotALattice
 from .order import (_cycle_pair, _heights, check_sd_level, cover_file, longest_path,
-                    sd_scan_level, sd_sequence)
+                    parse_cover_file, sd_scan_level, sd_sequence)
 
 Quotient = tuple[int, int]  # (upper, lower) with lower <= upper
 
@@ -84,11 +87,9 @@ class FiniteLattice:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_covers(cls, covers, labels=None, flip=None) -> "FiniteLattice":
-        """Build and validate a lattice from (lower, upper) cover pairs.
-
-        Pairs may use integer indices (with explicit ``labels``) or label
-        strings, in which case the element set is inferred and sorted.
+    def from_covers(cls, covers, labels, flip=None) -> "FiniteLattice":
+        """Build and validate a lattice from (lower, upper) pairs of indices
+        into ``labels``, the shape :func:`order.parse_cover_file` reads.
         The pairs need only generate the order: duplicate, transitive and
         reflexive pairs are allowed, and the true covers are recovered.
 
@@ -125,9 +126,9 @@ class FiniteLattice:
         from the bottom over the lower covers."""
         if self._flip is not None:
             r = self._flip
-            return np.take(r.astype(self.join_table.dtype), self.join_table[r][:, r])
+            return _renumbered(self.join_table, r, r.astype(self.join_table.dtype))
         down = _Ranked(self._lower_covers, _heights(self._lower_covers, self._upper_covers))
-        return down.join_table(self.leq_table.T[down.order][:, down.order], self.labels)
+        return down.join_table(_renumbered(self.leq_table.T, down.order), self.labels)
 
     # -- basic structure ---------------------------------------------------
 
@@ -457,32 +458,18 @@ _SCAN_BATCH = 1 << 15
 
 
 def _order_and_joins(covers, labels):
-    """The build of :meth:`FiniteLattice.from_covers` from cover pairs:
+    """The build of :meth:`FiniteLattice.from_covers`, with its refusals:
     (labels, ``leq``, join table, upper covers, height of the longest chain).
-
     Peeling the maximal elements level by level (Kahn's algorithm on the
-    reversed order) gives each element's height, the one peel of the
-    build; elements never peeled lie on or below a cycle.
-    :class:`_Ranked` then fills the order, the covers and the join table
-    level by level from the top.  Raises :class:`NotALattice` on a cycle,
-    on more than one minimal or maximal element, and on a pair without a
-    least upper bound.
-    """
-    covers = list(covers)
-    if labels is None:
-        names = sorted({x for pair in covers for x in pair})
-        index = {name: i for i, name in enumerate(names)}
-        edges = [(index[lo], index[hi]) for lo, hi in covers]
-        labels = [str(name) for name in names]
-    else:
-        edges = [(int(lo), int(hi)) for lo, hi in covers]
+    reversed order) gives each element's height, -1 on or below a cycle;
+    :class:`_Ranked` then fills the tables level by level from the top."""
     n = len(labels)
     if n == 0:
         raise NotALattice("empty element set")
 
     succ: list[list[int]] = [[] for _ in range(n)]
     pred: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in sorted({(lo, hi) for lo, hi in edges if lo != hi}):
+    for lo, hi in sorted({(lo, hi) for lo, hi in covers if lo != hi}):
         succ[lo].append(hi)
         pred[hi].append(lo)
 
@@ -490,19 +477,16 @@ def _order_and_joins(covers, labels):
     if -1 in height:
         a, b = _cycle_pair(succ, pred, {i for i in range(n) if height[i] < 0})
         raise NotALattice(f"cycle through {labels[a]} and {labels[b]}")
-    bottoms = [i for i in range(n) if not pred[i]]
-    tops = [i for i in range(n) if not succ[i]]
-    if len(bottoms) != 1:
-        raise NotALattice(f"{len(bottoms)} minimal elements: "
-                          + ", ".join(labels[i] for i in bottoms))
-    if len(tops) != 1:
-        raise NotALattice(f"{len(tops)} maximal elements: "
-                          + ", ".join(labels[i] for i in tops))
+    for kind, nbrs in (("minimal", pred), ("maximal", succ)):
+        ends = [i for i in range(n) if not nbrs[i]]
+        if len(ends) != 1:
+            raise NotALattice(f"{len(ends)} {kind} elements: "
+                              + ", ".join(labels[i] for i in ends))
 
     up = _Ranked(succ, height)
     le, upper_covers = up.order_and_covers()
     join = up.join_table(le, labels)
-    return labels, le[up.pos][:, up.pos], join, upper_covers, max(height)
+    return labels, _renumbered(le, up.pos), join, upper_covers, max(height)
 
 
 class _Ranked:
@@ -602,21 +586,23 @@ class _Ranked:
         in position numbering; the meet table of the dual when called on
         the dual order.
 
-        Rows are filled only left of the end of their level: the other
-        entries are joins with lower levels, which the transpose supplies
-        at the end.  For y not below x, every common upper bound lies
-        above some ``c v y`` with c a successor of x, so ``x v y`` exists
-        iff the lowest of these candidates is below all the others; for
-        y <= x the join is x.  Raises :class:`NotALattice` at the first
-        level with a pair that has no upper bound, naming the least such
-        pair of that level in element numbering.  The dual pass never
-        raises: an order with a least element and all joins is a lattice.
+        Each batch writes its rows left of the end of their level and the
+        same block transposed into their columns: the other entries of a
+        row are joins with higher levels, which those levels' batches
+        write, and the top's row and column are set first.  For y not
+        below x, every common upper bound lies above some ``c v y`` with c
+        a successor of x, so ``x v y`` exists iff the lowest of these
+        candidates is below all the others; for y <= x the join is x.
+        Raises :class:`NotALattice` at the first level with a pair that
+        has no upper bound, naming the least such pair of that level in
+        element numbering.  The dual pass never raises: an order with a
+        least element and all joins is a lattice.
         """
         n = len(self.order)
         dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
         flat = le.ravel()
         table = np.empty((n, n), dtype=dtype)
-        table[n - 1] = n - 1
+        table[n - 1] = table[:, n - 1] = n - 1
         for hi, batches in self.levels:
             unbound = []
             for r0, r1, succ in batches:
@@ -624,7 +610,9 @@ class _Ranked:
                 best = cand.min(axis=1)
                 ok = flat[best[:, None, :].astype(np.intp) * n + cand].all(axis=1)
                 under = le[:hi, r0:r1].T
-                table[r0:r1, :hi] = np.where(under, np.arange(r0, r1)[:, None], best)
+                block = np.where(under, np.arange(r0, r1, dtype=dtype)[:, None], best)
+                table[r0:r1, :hi] = block
+                table[:hi, r0:r1] = block.T
                 bad = ~(ok | under)
                 if bad.any():
                     xs, ys = np.nonzero(bad)
@@ -632,8 +620,7 @@ class _Ranked:
             if unbound:
                 a, b = min(tuple(sorted(pair)) for pair in unbound)
                 raise NotALattice(f"no least upper bound for {labels[a]}, {labels[b]}")
-        table = np.where(np.tri(n, dtype=bool), table, table.T)[self.pos][:, self.pos]
-        return np.take(self.order.astype(dtype), table)
+        return _renumbered(table, self.pos, self.order.astype(dtype))
 
 
 class _SdScan:
@@ -675,6 +662,17 @@ class _SdScan:
         return act
 
 
+def _renumbered(table: np.ndarray, index: np.ndarray, values=None) -> np.ndarray:
+    """``table[index][:, index]``, each entry e read as ``values[e]`` where
+    given, gathered a batch of rows at a time to keep the temporaries small."""
+    out = np.empty(table.shape, dtype=table.dtype)
+    rows = max(1, _BATCH // len(index))
+    for lo in range(0, len(index), rows):
+        block = table[index[lo:lo + rows]][:, index]
+        out[lo:lo + rows] = block if values is None else values.take(block)
+    return out
+
+
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The boolean matrix product, out[i, k] = any over j of a[i, j] & b[j, k]:
     row i is the OR of the rows of b that row i of a selects, packed eight
@@ -698,8 +696,7 @@ def chain(n: int) -> FiniteLattice:
         raise MultilatError("chain needs at least one element")
     width = len(str(n - 1))
     labels = [f"c{i:0{width}d}" for i in range(n)]
-    return FiniteLattice.from_covers(
-        [(i, i + 1) for i in range(n - 1)], labels=labels)
+    return FiniteLattice.from_covers([(i, i + 1) for i in range(n - 1)], labels)
 
 
 def boolean_lattice(n: int) -> FiniteLattice:
@@ -707,24 +704,25 @@ def boolean_lattice(n: int) -> FiniteLattice:
     labels = [format(s, f"0{max(n, 1)}b") for s in range(1 << n)]
     covers = [(s, s | (1 << b))
               for s in range(1 << n) for b in range(n) if not s & (1 << b)]
-    return FiniteLattice.from_covers(covers, labels=labels)
+    return FiniteLattice.from_covers(covers, labels)
+
+
+def _read(text: str) -> FiniteLattice:
+    labels, covers = parse_cover_file(text)
+    return FiniteLattice.from_covers(covers, labels)
 
 
 def m3() -> FiniteLattice:
-    return FiniteLattice.from_covers(
-        [("0", "x"), ("0", "y"), ("0", "z"), ("x", "1"), ("y", "1"), ("z", "1")])
+    return _read("0<x\n0<y\n0<z\nx<1\ny<1\nz<1\n")
 
 
 def n5() -> FiniteLattice:
-    return FiniteLattice.from_covers(
-        [("0", "b"), ("b", "a"), ("a", "1"), ("0", "c"), ("c", "1")])
+    return _read("0<b\nb<a\na<1\n0<c\nc<1\n")
 
 
 def benzene() -> FiniteLattice:
     """The hexagon: the permutations of {1,2,3} under the weak Bruhat order."""
-    return FiniteLattice.from_covers(
-        [("123", "213"), ("123", "132"), ("213", "231"),
-         ("132", "312"), ("231", "321"), ("312", "321")])
+    return _read("123<213\n123<132\n213<231\n132<312\n231<321\n312<321\n")
 
 
 FIXTURES = {

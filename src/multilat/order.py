@@ -163,17 +163,17 @@ def sd_scan_level(size: int, height: int, n: int) -> int:
 
 
 # The most elements materialized, as L(v) or from a cover file: the N^2 order and
-# join tables of a 5,000-element chain take 1.3-1.6 s and 347 MB (2-vCPU Xeon).
+# join tables of a 5,000-element chain take 0.7-1.0 s and 159 MB (2-vCPU Xeon).
 DEFAULT_SIZE_CAP = 5000
 
 
-def parse_cover_file(text: str) -> list[tuple[str, str]]:
-    """The (lower, upper) label pairs of a cover list, one 'lower<upper' per
-    line, '#' starting a comment; more than DEFAULT_SIZE_CAP labels are
-    refused.  A label holds neither '<' nor a '"' or '\\', so each one is a
-    DOT id as written between double quotes."""
+def parse_cover_file(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """The sorted labels of a cover list and its (lower, upper) pairs as
+    indices into them, as :func:`cover_file` writes them: one
+    'lower<upper' per line, '#' starting a comment; more than
+    DEFAULT_SIZE_CAP labels are refused.  A label holds neither '<' nor a
+    '"' or '\\', so each one is a DOT id as written between double quotes."""
     covers = []
-    names = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -185,11 +185,13 @@ def parse_cover_file(text: str) -> list[tuple[str, str]]:
             raise MultilatError(f"line {lineno}: a label may not hold '\"' or '\\', "
                                 f"got {raw!r}")
         covers.append((lo.strip(), hi.strip()))
-        names.update(covers[-1])
+    names = {x for pair in covers for x in pair}
     if len(names) > DEFAULT_SIZE_CAP:
         raise CapExceeded(f"cover file has {len(names)} elements, over the "
                           f"materialization cap {DEFAULT_SIZE_CAP}")
-    return covers
+    labels = sorted(names)
+    index = {label: i for i, label in enumerate(labels)}
+    return labels, [(index[lo], index[hi]) for lo, hi in covers]
 
 
 def cover_file(labels, pairs) -> str:

@@ -172,7 +172,8 @@ def reference_lattice_reply(lattice, sd_n):
 
 
 def read_lattice(text):
-    return finite_lattice.FiniteLattice.from_covers(order.parse_cover_file(text))
+    labels, covers = order.parse_cover_file(text)
+    return finite_lattice.FiniteLattice.from_covers(covers, labels)
 
 
 def m_k(atoms, top="1", bottom="0"):
@@ -686,6 +687,49 @@ print("ok")
     assert proc.stdout == "ok\n"
 
 
+class ReadOnce(io.StringIO):
+    """A stdout whose reader leaves after the first write: a second write
+    raises BrokenPipeError, as a pipe into `grep -q` may."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_ARGVS + [
+    ["elements", "-v", "1,1,1,1"], ["mi", "-v", "2,2,2"], ["dgraph", "-v", "1,1,1", "--dot"],
+    ["seed-fixtures", "{dir}"], ["lattice", "--covers", "{dir}/n5.cov"],
+    ["lattice", "--covers", "{dir}/n5.cov", "--dot"],
+    ["lattice", "--covers", "{dir}/benzene.cov", "--sd", "1"],
+    ["sd", "-v", "1,1,1", "-n", "1", "--exhaustive"],
+    ["theorem", "-v", "2,1,1", "--method", "exhaustive"],
+])
+def test_every_reply_is_one_write(tmp_path, capsys, argv):
+    run_ok(capsys, "seed-fixtures", str(tmp_path))
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    expected = run_ok(capsys, *argv)
+    out = ReadOnce()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    assert (out.getvalue(), out.writes) == (expected, 1)
+
+
+def test_dot_and_sd_are_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "n5.cov"
+    path.write_text(finite_lattice.n5().to_cover_file())
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["lattice", "--covers", str(path), "--dot", "--sd", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: multilat lattice [-h] --covers FILE [--sd N | --dot]\n")
+    assert captured.err.endswith("error: argument --sd: not allowed with argument --dot\n")
+
+
 def test_a_reader_that_leaves_early_gets_no_traceback():
     # 40,320 lines, far more than a pipe buffers, so the writer meets the closed pipe
     proc = subprocess.Popen([sys.executable, "-c", "from multilat.cli import main; main()",
@@ -821,6 +865,7 @@ def test_every_argv_exits_cleanly(fuzz_paths, data):
     assert time.perf_counter() - start < 20.0
     text = err.getvalue()
     assert rc in (0, 1, 2)
+    assert rc == 0 or out.getvalue() == ""
     if rc == 0:
         assert text == ""
     elif rc == 1:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,24 +45,29 @@ def test_tables_against_bruteforce_bounds(name):
             assert L.meet(i, j) == brute_join(D, i, j)
 
 
+def read(text):
+    """The lattice of a cover list, through its one reader."""
+    labels, covers = order.parse_cover_file(text)
+    return fl.FiniteLattice.from_covers(covers, labels)
+
+
 def test_from_covers_rejects_cycle():
     with pytest.raises(NotALattice, match="cycle through a and b"):
-        fl.FiniteLattice.from_covers([("a", "b"), ("b", "a")])
+        read("a<b\nb<a\n")
     with pytest.raises(NotALattice, match="cycle through b and c"):
-        fl.FiniteLattice.from_covers([("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")])
+        read("a<b\nb<c\nc<b\nc<d\n")
 
 
 def test_from_covers_rejects_two_maximal():
     with pytest.raises(NotALattice, match="2 maximal elements: a, b"):
-        fl.FiniteLattice.from_covers([("0", "a"), ("0", "b")])
+        read("0<a\n0<b\n")
 
 
 def test_from_covers_rejects_missing_bounds():
     # a, b < c, d: the pair (a, b) has two minimal upper bounds
-    covers = [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"),
-              ("a", "d"), ("b", "d"), ("c", "1"), ("d", "1")]
+    covers = "0<a\n0<b\na<c\nb<c\na<d\nb<d\nc<1\nd<1\n"
     with pytest.raises(NotALattice, match="no least upper bound for a, b"):
-        fl.FiniteLattice.from_covers(covers)
+        read(covers)
 
 
 @st.composite
@@ -636,18 +642,47 @@ def test_dpath_rejects_non_failure():
 def test_cover_file_roundtrip():
     for L in (fl.n5(), fl.benzene(), fl.boolean_lattice(3)):
         text = L.to_cover_file()
-        back = fl.FiniteLattice.from_covers(order.parse_cover_file(text))
+        back = read(text)
         idx = {lbl: i for i, lbl in enumerate(back.labels)}
         for i in L.elements():
             for j in L.elements():
                 assert L.le(i, j) == back.le(idx[L.labels[i]], idx[L.labels[j]])
 
 
+def test_cover_list_reader_inverts_the_writer():
+    """parse_cover_file gives back the sorted labels and index pairs that
+    cover_file wrote: fixtures, chains and a quotient of L(3,3)."""
+    v = mn.parse_vector("3,3")
+    cases = [(L.labels, L.cover_pairs())
+             for L in [make() for make in fl.FIXTURES.values()]
+             + [fl.chain(n) for n in (2, 3, 11, 101)]]
+    cases.append(cg.quotient(v, cg.parse_ji_set(v, "0,3;1,2")))
+    for labels, pairs in cases:
+        assert order.parse_cover_file(order.cover_file(labels, pairs)) == (labels, pairs)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: mn.to_finite_lattice(mn.parse_vector("2,2,2,2")), id="L(2,2,2,2)"),
+    pytest.param(lambda: fl.chain(2000), id="chain2000"),
+])
+def test_build_peak_memory(make):
+    """The build keeps 3 N^2 bytes of tables (the order as bools, the joins
+    as int16); each table is written once and renumbered a batch of rows at
+    a time, so the traced peak stays under 9 N^2 bytes."""
+    tracemalloc.start()
+    try:
+        L = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * L.n ** 2
+
+
 def test_parse_cover_file_diagnostics():
     with pytest.raises(MultilatError, match="line 2"):
         order.parse_cover_file("a<b\nnonsense\n")
     # labels are stripped; a comment line may hold anything
-    assert order.parse_cover_file(' a < b c \n#x<y<"z\n') == [("a", "b c")]
+    assert order.parse_cover_file(' a < b c \n#x<y<"z\n') == (["a", "b c"], [(0, 1)])
 
 
 def test_to_dot_mentions_all_labels():
