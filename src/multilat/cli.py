@@ -3,18 +3,25 @@
 Every verb maps onto one library operation and returns deterministic
 text, DOT, or JSON, which :func:`run` writes to stdout in one write;
 diagnostics go to stderr.  Exit codes: 0 success, 1 domain error, 2 usage error.
+
+:func:`run` parses an argv that starts with a verb once, with that verb's
+own parser from :func:`build_parser`.  The top-level parser answers only a
+missing or unknown verb and ``-h``, and reports arguments the verb's parser
+leaves over, so every usage message is the nested parse's.  Each verb
+imports the modules it uses when it runs: ``join``, ``meet``, ``order`` and
+``elements`` load neither ``irreducibles``, ``congruence`` nor
+``sd_engine``, and only the table verbs load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
 
-from . import congruence, irreducibles, multinomial, order, sd_engine
+from . import multinomial, order
 from .errors import MultilatError
 from .multinomial import parse_vector, parse_word, word_str
 
@@ -25,6 +32,11 @@ def _vector_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by name, the parser of each verb under it."""
     parser = argparse.ArgumentParser(
         prog="multilat",
         description="multinomial lattices: joins, irreducibles, congruences, SD levels")
@@ -85,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem", help="dimension verdict for L(v)")
     _vector_arg(p)
-    p.add_argument("--method", choices=[sd_engine.EXHAUSTIVE, sd_engine.DPATH_BOUND])
+    p.add_argument("--method", choices=[order.EXHAUSTIVE, order.DPATH_BOUND])
 
     p = sub.add_parser("lattice", help="analyse a lattice given by a cover file")
     p.add_argument("--covers", required=True, metavar="FILE")
@@ -97,15 +109,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seed-fixtures", help="dump built-in lattice fixtures as cover files")
     p.add_argument("directory", nargs="?", default=".")
 
-    return parser
+    return parser, sub.choices
 
 
-# Built once per process: parse_args leaves the parser unchanged.
-_parser = functools.cache(build_parser)
+# Built once per process: parse_args leaves the parsers unchanged.
+_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one parse of the verb's
+    arguments by the verb's parser where the nested parse makes two."""
+    top, verbs = _parsers()
+    verb = argv[0] if argv else None
+    if verb not in verbs:
+        return top.parse_args(argv)  # no verb, an unknown one, or -h
+    args, extras = verbs[verb].parse_known_args(argv[1:])
+    if extras:
+        return top.parse_args(argv)  # names them under the top-level usage
+    args.verb = verb
+    return args
 
 
 def run(argv: list[str]) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         reply = _dispatch(args)
     except MultilatError as exc:
@@ -154,6 +180,15 @@ def _dispatch(args: argparse.Namespace) -> str:
         w, u = (parse_word(v, t) for t in args.words)
         op = multinomial.mjoin if verb == "join" else multinomial.mmeet
         return f"{word_str(op(w, u))}\n"
+    if verb == "sd":
+        return _run_sd(v, args)
+    if verb == "theorem":
+        from . import sd_engine
+        return sd_engine.theorem_check(v, method=args.method).to_json() + "\n"
+    if verb in ("congruences", "classes", "quotient"):
+        return _run_congruence(verb, v, args)
+
+    from . import irreducibles  # ji, mi, kappa and dgraph
     if verb in ("ji", "mi") and args.count:
         return f"{irreducibles.count_ji(v)}\n"  # x -> v - x pairs the two kinds
     if verb in ("ji", "mi"):
@@ -171,9 +206,17 @@ def _dispatch(args: argparse.Namespace) -> str:
     if verb == "dgraph":
         graph = irreducibles.d_graph(v)
         return graph.to_dot() if args.dot else graph.to_json() + "\n"
+    raise MultilatError(f"unknown verb {verb!r}")  # pragma: no cover - argparse checks it
+
+
+def _run_congruence(verb: str, v, args) -> str:
+    from . import congruence
+
     if verb == "congruences" and args.count:
         return f"{congruence.count_d_closed(v)}\n"
     if verb == "congruences":
+        import json
+
         graph, masks = congruence.d_closed_masks(v)
         # node indices ascend with the vectors, so each set comes out sorted
         return json.dumps(
@@ -182,17 +225,10 @@ def _dispatch(args: argparse.Namespace) -> str:
                                     for i in congruence.mask_members(mask)]
                                    for mask in masks)},
             indent=2) + "\n"
+    s = congruence.parse_ji_set(v, args.S)
     if verb == "classes":
-        s = congruence.parse_ji_set(v, args.S)
         return congruence.congruence_from_S(v, s).to_json() + "\n"
-    if verb == "quotient":
-        s = congruence.parse_ji_set(v, args.S)
-        return order.cover_file(*congruence.quotient(v, s))
-    if verb == "sd":
-        return _run_sd(v, args)
-    if verb == "theorem":
-        return sd_engine.theorem_check(v, method=args.method).to_json() + "\n"
-    raise MultilatError(f"unknown verb {verb!r}")  # pragma: no cover - argparse checks it
+    return order.cover_file(*congruence.quotient(v, s))
 
 
 def _lattice_reply(lattice, sd_n: int | None) -> str:
@@ -205,6 +241,10 @@ def _lattice_reply(lattice, sd_n: int | None) -> str:
     labels), so the D edges, up to about N^2 of them, sorted as pairs of
     indices by ``bruteforce_D``, are ordered as the pairs of labels.
     """
+    import json
+
+    from .irreducibles import _json_array
+
     verdict = None if sd_n is None else lattice.sd_verdict(sd_n)
     quoted = [json.dumps(label) for label in lattice.labels]
     edges = lattice.bruteforce_D()
@@ -212,7 +252,7 @@ def _lattice_reply(lattice, sd_n: int | None) -> str:
         ("elements", lattice.n),
         ("join_irreducibles", len(lattice.join_irreducibles())),
         ("meet_irreducibles", len(lattice.meet_irreducibles())),
-        ("d_edges", irreducibles._json_array(
+        ("d_edges", _json_array(
             (f"[\n      {quoted[a]},\n      {quoted[b]}\n    ]" for a, b in edges), 2)),
         ("distributive", json.dumps(lattice.is_distributive())),
         ("semidistributive", json.dumps(lattice.is_semidistributive())),
@@ -221,17 +261,20 @@ def _lattice_reply(lattice, sd_n: int | None) -> str:
     if sd_n is not None:
         fields += [("sd_n", sd_n), ("sd_holds", json.dumps(verdict is True))]
         if verdict is not True:
-            fields.append(("sd_failure", irreducibles._json_array(
+            fields.append(("sd_failure", _json_array(
                 (quoted[i] for i in verdict), 2)))
     return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}\n"
 
 
 def _run_sd(v, args) -> str:
+    import json
+
     n = args.n
     order.check_sd_level(n)
     if args.witness:
         if args.dual:
             raise MultilatError("--dual applies to exhaustive mode only")
+        from . import sd_engine
         return json.dumps({
             "v": list(v.entries), "n": n, "mode": "witness",
             "witness_words": [word_str(w) for w in sd_engine.witness_words(v)],

@@ -27,6 +27,7 @@ if TYPE_CHECKING:
 _SHOWN_SIZE = 10 ** 18
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+_LETTER = {ch: i for i, ch in enumerate(_ALPHABET, start=1)}
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,9 @@ def _letters_str(n: int, letters) -> str:
 
 def parse_word(v: MultVector, text: str) -> PathWord:
     if v.n <= 26:
-        letters = []
-        for ch in text:
-            idx = _ALPHABET.find(ch)
-            if idx < 0:
-                raise MultilatError(f"bad letter {ch!r} in word {text!r}")
-            letters.append(idx + 1)
+        letters = tuple(map(_LETTER.get, text))
+        if None in letters:
+            raise MultilatError(f"bad letter {text[letters.index(None)]!r} in word {text!r}")
     else:
         try:
             letters = [int(part) for part in text.split()]

@@ -10,7 +10,8 @@ start without it.
 - the one union-find (``_find``, ``_union``, ``_blocks``), behind the
   D-graph components and the Parikh connectivity check;
 - the one SD-level rule (:func:`sd_scan_level`), for a table scan and for
-  L(v) before it is materialized;
+  L(v) before it is materialized, and the names of the two methods of the
+  dimension verdict;
 - the caps on the materialized lattices and their checks: SD_SCAN_CAP,
   DEFAULT_SIZE_CAP and ANALYSIS_CAP, and LISTING_CAP on the listings of
   words and irreducibles;
@@ -161,6 +162,11 @@ def sd_scan_level(size: int, height: int, n: int) -> int:
                           f"{work:,} steps, over the scan cap {SD_SCAN_CAP:,}")
     return level
 
+
+# The two methods of the dimension verdict (``sd_engine.theorem_check``),
+# here so that the command line offers them without loading sd_engine.
+EXHAUSTIVE = "exhaustive"
+DPATH_BOUND = "dpath-bound"
 
 # The most elements materialized, as L(v) or from a cover file: the N^2 order and
 # join tables of a 5,000-element chain take 0.7-1.0 s and 159 MB (2-vCPU Xeon).

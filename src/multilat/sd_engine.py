@@ -18,6 +18,7 @@ first reads x ^ y_n.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -25,11 +26,9 @@ from . import multinomial, perm_core
 from .errors import CapExceeded, MultilatError
 from .irreducibles import longest_d_chain
 from .multinomial import MultVector, PathWord, word_str
-from .order import sd_sequence
+from .order import DPATH_BOUND, EXHAUSTIVE, sd_sequence
 from .perm_core import InversionSet, inv_set
 
-EXHAUSTIVE = "exhaustive"
-DPATH_BOUND = "dpath-bound"
 DEFAULT_EXHAUSTIVE_CAP = 100
 # Bounds the letters of the printed witness words.  The walk itself runs in
 # Perm(n), n the dimension, so its cost depends on n alone, and the worst
@@ -49,6 +48,8 @@ class WitnessTriple:
     z: InversionSet
 
 
+# witness_words and witness_fails of one request share the triple
+@functools.lru_cache(maxsize=1)
 def perm_witness(n: int) -> WitnessTriple:
     if n < 2:
         raise MultilatError("witness triple needs dimension >= 2")

@@ -20,6 +20,7 @@ from multilat import cli, congruence, finite_lattice, order, sd_engine
 from multilat import irreducibles as ir
 from multilat import multinomial as mn
 from multilat.errors import CapExceeded
+from multilat.perm_core import inv_set
 
 
 def run_ok(capsys, *argv):
@@ -665,16 +666,39 @@ NUMPY_FREE_ARGVS = [
 ]
 
 
+# The modules each verb imports when it runs, among those that
+# `import multilat.cli` leaves out.
+IRR, CONG, SD = "multilat.irreducibles", "multilat.congruence", "multilat.sd_engine"
+VERB_LOADS = {"ji": {IRR}, "mi": {IRR}, "kappa": {IRR}, "dgraph": {IRR},
+              "congruences": {IRR, CONG}, "classes": {IRR, CONG}, "quotient": {IRR, CONG},
+              "sd": {IRR, SD}, "theorem": {IRR, SD}}
+
+
 def test_numpy_stays_out_of_startup():
+    for argvs in [
+        NUMPY_FREE_ARGVS,
+        # join, meet, order and elements load none of them, dgraph only irreducibles
+        NUMPY_FREE_ARGVS[:4] + [["dgraph", "-v", "1,1,1"]],
+    ]:
+        check_startup_loads(argvs)
+
+
+def check_startup_loads(argvs):
+    """In a fresh interpreter, `import multilat.cli` and then each argv load
+    exactly the modules of VERB_LOADS, and numpy only once FiniteLattice is
+    read."""
     script = f"""
 import contextlib, io, sys
 import multilat
 import multilat.cli as cli
-assert "numpy" not in sys.modules, "import"
-for argv in {NUMPY_FREE_ARGVS!r}:
+lazy = {{"numpy", {IRR!r}, {CONG!r}, {SD!r}}}
+loaded = set()
+assert lazy & set(sys.modules) == loaded, "import"
+for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
+    loaded |= {VERB_LOADS!r}.get(argv[0], set())
+    assert lazy & set(sys.modules) == loaded, (argv, lazy & set(sys.modules))
 assert not hasattr(multilat, "no_such_name")
 from multilat import *
 assert FiniteLattice is multilat.FiniteLattice is multilat.finite_lattice.FiniteLattice
@@ -685,6 +709,72 @@ print("ok")
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# A valid argv tail of each verb.
+VERB_ARGS = {
+    "elements": ["-v", "1,1"], "order": ["-v", "2,1", "aab", "aba"],
+    "join": ["-v", "2,1", "aab", "aba"], "meet": ["-v", "2,1", "aab", "aba"],
+    "ji": ["-v", "2,1"], "mi": ["-v", "2,1", "--count"], "kappa": ["-v", "3,3", "aabbab"],
+    "dgraph": ["-v", "1,1,1"], "congruences": ["-v", "1,1,1"],
+    "classes": ["-v", "3,3", "-S", "0,3"], "quotient": ["-v", "3,3", "-S", "0,3"],
+    "sd": ["-v", "1,1,1", "-n", "1", "--witness"], "theorem": ["-v", "1,1,1"],
+    "lattice": ["--covers", "f.cov"], "seed-fixtures": ["fixtures"],
+}
+PARSE_ARGVS = [
+    *([verb, *args] for verb, args in VERB_ARGS.items()),
+    *([verb, "-h"] for verb in VERB_ARGS),
+    *([verb] + args[:-1] for verb, args in VERB_ARGS.items()),  # the last one missing
+    *([verb, *args, "--no-such-option"] for verb, args in VERB_ARGS.items()),
+    *([verb, *args, "extra"] for verb, args in VERB_ARGS.items()),
+    ["theorem", "-v", "1,1,1", "--method", "x"], ["theorem", "--method", "exhaustive"],
+    ["lattice", "--covers", "f", "--dot", "--sd", "1"], ["lattice", "--sd", "x", "--covers", "f"],
+    [], ["-h"], ["--help"], ["no-such-verb"], ["-v", "2,1", "join", "aab", "aba"],
+    ["sd", "-n", "-1"], ["sd", "-v", "1,1", "-n", "-1"], ["sd", "-v", "1,1", "-n", "-1", "--witness"],
+    ["sd", "-v", "1,1", "-n", "1", "--witness", "--exhaustive"],
+    ["join", "-v", "2,1", "--", "aab", "aba"], ["join", "-v", "2,1", "--", "aab", "aba", "x"],
+    ["ji", "--vec", "2,1", "--cou"], ["ji", "--vec", "2,1", "--cou", "x", "-y"],
+    ["kappa", "-v3,3", "aabbab", "--dual"], ["order", "--vector=2,1", "aab", "aba", "-h"],
+]
+
+
+def parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` returns, or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=shlex.join)
+def test_one_parse_matches_the_nested_parse(argv):
+    """Parsing with the verb's own parser gives the nested parse's namespace,
+    and `run` its help, usage errors and exit codes, byte for byte."""
+    expected = parse_outcome(cli.build_parser().parse_args, argv)
+    if isinstance(expected, dict):
+        assert parse_outcome(cli._parse_args, argv) == expected
+    else:
+        assert expected[0] in (0, 2) and expected[1] + expected[2]
+        assert parse_outcome(cli.run, argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem", "-v", "1,2,1,1"], ["theorem", "-v", "1,1,1,1", "--method", "exhaustive"],
+    ["sd", "-v", "2,1,1,1", "-n", "1", "--witness"],
+])
+def test_theorem_and_witness_build_the_witness_once(monkeypatch, capsys, argv):
+    built = []
+
+    def counted(k, pairs):
+        built.append(k)
+        return inv_set(k, pairs)
+
+    monkeypatch.setattr(sd_engine, "inv_set", counted)
+    sd_engine.perm_witness.cache_clear()
+    run_ok(capsys, *argv)
+    assert built == [4, 4, 4]  # x, y and z of the one triple of Perm(4)
 
 
 class ReadOnce(io.StringIO):

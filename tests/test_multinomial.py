@@ -102,6 +102,16 @@ def test_parse_word_rejects_wrong_content():
         mn.parse_word(v, "ab")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("aB1", "bad letter 'B' in word 'aB1'"), ("ab-", "bad letter '-' in word 'ab-'"),
+    ("a\u00e1b", "bad letter '\u00e1' in word 'a\u00e1b'"), (" aab", "bad letter ' ' in word ' aab'"),
+    ("aaz", "letter 26 out of range for v=2,1"), ("", r"letter counts \(0, 0\) do not match"),
+])
+def test_parse_word_names_the_first_bad_letter(text, message):
+    with pytest.raises(MultilatError, match=f"^{message}"):
+        mn.parse_word(mn.parse_vector("2,1"), text)
+
+
 @pytest.mark.parametrize("text", SMALL_VECTORS)
 def test_leq_matches_rewrite_closure(text):
     for w in words_of(text):
