@@ -18,11 +18,20 @@ the joins ``c v y`` over the successors ``c`` of x.  Rows are filled one
 height level at a time from the top, all rows of a level in a few array
 operations, after one Kahn peel per build; each batch of rows writes its
 block of the join table and the transpose, and each table is renumbered
-to element order a batch of rows at a time.  The meet table is filled on
-its first read, as the join table of the dual order filled the same way
-from the bottom, or, given an order-reversing involution r that the build
-certifies on the covers (word reversal in L(v)), as x ^ y = r(r x v r y).
-Tables hold int16 indices (int32 above 32,767).
+to element order a batch of rows at a time.  The covers are the
+successors that lie above no other successor, and when every successor
+lies one height level up (a graded order given by its covers, as L(v))
+they are the successors as given.  The join fill tests no entry: every
+entry is a common upper bound, and the build is certified once, after the
+fill, by the lemma of :meth:`FiniteLattice.from_covers`, checking that
+every two upper covers of a common element have their entry as join; on
+a lattice the fill is exact.  Where the co-cover pairs outnumber what a
+test of each level's entries reads, as in a fan, each level is tested as
+it is filled instead.  The meet table is filled on its first read, as the
+join table of the dual order filled the same way from the bottom and left
+untested, as it cannot fail, or, given an order-reversing involution r
+that the build certifies on the covers (word reversal in L(v)), as
+x ^ y = r(r x v r y).  Tables hold int16 indices (int32 above 32,767).
 
 SD_n(meet) is scanned one batch of x at a time through the table
 MJ_x[y, t] = x ^ (y v t).  The z sequence is the transpose of the y
@@ -100,6 +109,22 @@ class FiniteLattice:
         height).  No meet needs checking: a finite order with a least
         element and all binary joins is a lattice.
 
+        The joins are certified once per build, on the filled table, by
+        this lemma: a finite order with a least element is a lattice iff
+        every two upper covers of a common element have a join.  Suppose
+        every such pair has one, but some pair does not; take a pair x, y
+        without a join and a common lower bound z of it such that no pair
+        without a join has a common lower bound above z.  x and y are
+        incomparable, so z lies under covers x' <= x and y' <= y of z,
+        which differ (else x' would be a common lower bound above z), so
+        w = x' v y' exists.  x and w share x' > z, so u = x v w exists;
+        u and y share y' > z, so u v y exists, and it is x v y, since every
+        common upper bound of x and y lies above x', y', so w, and x, so
+        u.  The filled entries are common upper bounds, so the check that
+        up(c1) & up(c2) <= up(T[c1, c2]) for every two upper covers c1, c2
+        of a common element decides the lattice, and on a lattice the fill
+        is exact: x v y = c v y for a cover c of x below x v y.
+
         ``flip[i]``, when given, is the image of element i under an
         order-reversing involution, through which :attr:`meet_table` is
         read.  It is certified in O(covers), as the order is the transitive
@@ -123,12 +148,13 @@ class FiniteLattice:
         """The meet table, filled on first read.  Through a certified flip r
         it is read off the join table, x ^ y = r(r x v r y); otherwise it
         is the join table of the dual order, filled by :class:`_Ranked`
-        from the bottom over the lower covers."""
+        from the bottom over the lower covers and not tested: an order
+        with a least element and all joins is a lattice."""
         if self._flip is not None:
             r = self._flip
             return _renumbered(self.join_table, r, r.astype(self.join_table.dtype))
         down = _Ranked(self._lower_covers, _heights(self._lower_covers, self._upper_covers))
-        return down.join_table(_renumbered(self.leq_table.T, down.order), self.labels)
+        return down.join_table(_renumbered(self.leq_table.T, down.order))
 
     # -- basic structure ---------------------------------------------------
 
@@ -257,8 +283,9 @@ class FiniteLattice:
     @cached_property
     def _d_longest(self) -> int | None:
         """The edge count of the longest D-path, None when D has a cycle."""
-        succ = [np.flatnonzero(row).tolist() for row in self._d_matrix]
-        return longest_path(succ)[0]
+        a, b = np.nonzero(self._d_matrix)
+        ends, b = np.searchsorted(a, np.arange(len(self._jis) + 1)).tolist(), b.tolist()
+        return longest_path([b[s:e] for s, e in zip(ends, ends[1:])])[0]
 
     def is_bounded(self) -> bool:
         """Semidistributive with an acyclic join dependency relation."""
@@ -449,10 +476,10 @@ class SdTrace:
 
 
 # Entries gathered at once by the table fill, the D product and the SD
-# scan: enough that numpy calls stay few on small lattices, few enough
-# that the temporaries stay small on large ones.  The scan steps its
-# arrays several times, so its batches are kept small enough to stay in
-# cache.
+# scan, and bytes of packed rows by the certificate: enough that numpy
+# calls stay few on small lattices, few enough that the temporaries stay
+# small on large ones.  The scan steps its arrays several times, so its
+# batches are kept small enough to stay in cache.
 _BATCH = 1 << 18
 _SCAN_BATCH = 1 << 15
 
@@ -462,7 +489,8 @@ def _order_and_joins(covers, labels):
     (labels, ``leq``, join table, upper covers, height of the longest chain).
     Peeling the maximal elements level by level (Kahn's algorithm on the
     reversed order) gives each element's height, -1 on or below a cycle;
-    :class:`_Ranked` then fills the tables level by level from the top."""
+    :class:`_Ranked` then fills the order and the join table level by level
+    from the top and certifies that they are a lattice's."""
     n = len(labels)
     if n == 0:
         raise NotALattice("empty element set")
@@ -484,8 +512,8 @@ def _order_and_joins(covers, labels):
                               + ", ".join(labels[i] for i in ends))
 
     up = _Ranked(succ, height)
-    le, upper_covers = up.order_and_covers()
-    join = up.join_table(le, labels)
+    le, cover, upper_covers = up.order_and_covers(succ)
+    join = up.lattice_join_table(le, cover, labels)
     return labels, _renumbered(le, up.pos), join, upper_covers, max(height)
 
 
@@ -509,10 +537,12 @@ class _Ranked:
 
     def __init__(self, succ, height):
         n = len(succ)
+        height = np.asarray(height)
         degree = np.array([len(s) for s in succ], dtype=np.intp)
-        self.order = np.lexsort((degree, -np.asarray(height)))
+        self.order = np.lexsort((degree, -height))
         self.pos = np.empty(n, dtype=np.intp)
         self.pos[self.order] = np.arange(n)
+        self.height = height[self.order]
         self.degree = degree[self.order]
         self.indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(self.degree, out=self.indptr[1:])
@@ -553,50 +583,92 @@ class _Ranked:
                              for r0, r1 in batches])
                        for hi, batches in cuts]
 
-    def order_and_covers(self):
-        """The order in position numbering, and each element's upper covers
-        in element numbering.
+    def order_and_covers(self, succ):
+        """The order in position numbering, the mask of the successors in
+        ``self.succ`` that are covers, and each element's upper covers in
+        element numbering, given ``succ``, the successors in element
+        numbering, each list ascending.
 
         Row x of the order is the union of its successors' rows; a
         successor covers x iff it lies strictly above no other successor.
+        When every successor lies one level up, as in a graded order given
+        by its covers (L(v), a chain, M_k), none lies above another, since
+        that would climb two levels: ``succ`` are the covers, and no cover
+        is looked for.
         """
         n = len(self.order)
         le = np.eye(n, dtype=bool)
         cover = np.ones(len(self.succ), dtype=bool)
+        graded = bool((np.repeat(self.height, self.degree) == self.height[self.succ] + 1).all())
         for _, batches in self.levels:
-            for r0, r1, succ in batches:
-                above = le[succ]
+            for r0, r1, block in batches:
+                above = le[block]
                 le[r0:r1] |= above.any(axis=1)
-                if succ.shape[1] > 1:
+                if not graded and block.shape[1] > 1:
                     rows = np.arange(r1 - r0)[:, None]
-                    slots = np.arange(succ.shape[1])
-                    above[rows, slots, succ] = False
+                    slots = np.arange(block.shape[1])
+                    above[rows, slots, block] = False
                     real = slots < self.degree[r0:r1, None]
                     cover[self.indptr[r0]:self.indptr[r1]] = \
-                        ~above.any(axis=1)[rows, succ][real]
+                        ~above.any(axis=1)[rows, block][real]
+        if graded:
+            return le, cover, succ
         lower = self.order[np.repeat(np.arange(n), self.degree)[cover]].tolist()
         higher = self.order[self.succ[cover]].tolist()
         upper: list[list[int]] = [[] for _ in range(n)]
         for x, c in sorted(zip(lower, higher)):
             upper[x].append(c)
-        return le, upper
+        return le, cover, upper
 
-    def join_table(self, le: np.ndarray, labels) -> np.ndarray:
-        """The join table, in element numbering, of the order ``le`` given
-        in position numbering; the meet table of the dual when called on
-        the dual order.
+    def join_table(self, le: np.ndarray) -> np.ndarray:
+        """The join table, in element numbering, of the order ``le`` given in
+        position numbering, filled by :meth:`_fill` with no entry tested:
+        the meet table of the dual when called on the dual order, which
+        cannot fail, as an order with a least element and all joins is a
+        lattice."""
+        table = self._fill(le)
+        return _renumbered(table, self.pos, self.order.astype(table.dtype))
+
+    def lattice_join_table(self, le: np.ndarray, cover: np.ndarray, labels) -> np.ndarray:
+        """The join table of :meth:`join_table`, certified to be that of a
+        lattice, with ``cover`` the mask of :meth:`order_and_covers`.
+
+        The fill runs untested and is certified once, on the co-cover
+        pairs (:func:`_covers_join`), where their packed rows come to fewer
+        bytes than the entries that testing each level as it is filled
+        reads; otherwise (a fan: one element under d covers has d(d-1)/2
+        pairs) the fill tests each level.  When the certificate fails, the
+        level-tested fill runs again, so the refusal is the same
+        :class:`NotALattice` either way.
+        """
+        n = len(self.order)
+        per_row = np.bincount(np.repeat(np.arange(n), self.degree)[cover], minlength=n)
+        pairs = int((per_row * (per_row - 1) // 2).sum())
+        level_test = sum(block.size * hi for hi, batches in self.levels for *_, block in batches)
+        if pairs * -(-n // 8) > level_test:
+            table = self._fill(le, labels)
+        else:
+            table = self._fill(le)
+            if pairs and not _covers_join(le, table, self.succ[cover], per_row):
+                self._fill(le, labels)
+                raise InternalInconsistency("the co-cover certificate refused a lattice")
+        return _renumbered(table, self.pos, self.order.astype(table.dtype))
+
+    def _fill(self, le: np.ndarray, labels=None) -> np.ndarray:
+        """The join table of the order ``le``, both in position numbering.
 
         Each batch writes its rows left of the end of their level and the
         same block transposed into their columns: the other entries of a
         row are joins with higher levels, which those levels' batches
         write, and the top's row and column are set first.  For y not
         below x, every common upper bound lies above some ``c v y`` with c
-        a successor of x, so ``x v y`` exists iff the lowest of these
-        candidates is below all the others; for y <= x the join is x.
-        Raises :class:`NotALattice` at the first level with a pair that
-        has no upper bound, naming the least such pair of that level in
-        element numbering.  The dual pass never raises: an order with a
-        least element and all joins is a lattice.
+        a successor of x, and the entry is the lowest of these candidates;
+        for y <= x it is x.  So every entry is a common upper bound, and in
+        a lattice the entry is the join: x v y = c v y for a cover c of x
+        below x v y.  With ``labels``, each level is tested as it is
+        filled: a pair has a least upper bound iff the lowest candidate is
+        below all the others, and :class:`NotALattice` names the least pair
+        without one, in element numbering, of the first level that has one.
         """
         n = len(self.order)
         dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
@@ -608,19 +680,44 @@ class _Ranked:
             for r0, r1, succ in batches:
                 cand = table[succ, :hi]
                 best = cand.min(axis=1)
-                ok = flat[best[:, None, :].astype(np.intp) * n + cand].all(axis=1)
                 under = le[:hi, r0:r1].T
                 block = np.where(under, np.arange(r0, r1, dtype=dtype)[:, None], best)
                 table[r0:r1, :hi] = block
                 table[:hi, r0:r1] = block.T
-                bad = ~(ok | under)
-                if bad.any():
-                    xs, ys = np.nonzero(bad)
-                    unbound += zip(self.order[xs + r0].tolist(), self.order[ys].tolist())
+                if labels is not None:
+                    ok = flat[best[:, None, :].astype(np.intp) * n + cand].all(axis=1)
+                    bad = ~(ok | under)
+                    if bad.any():
+                        xs, ys = np.nonzero(bad)
+                        unbound += zip(self.order[xs + r0].tolist(), self.order[ys].tolist())
             if unbound:
                 a, b = min(tuple(sorted(pair)) for pair in unbound)
                 raise NotALattice(f"no least upper bound for {labels[a]}, {labels[b]}")
-        return _renumbered(table, self.pos, self.order.astype(dtype))
+        return table
+
+
+def _covers_join(le: np.ndarray, table: np.ndarray, covers: np.ndarray,
+                 per_row: np.ndarray) -> bool:
+    """Whether every two upper covers c1, c2 of a common element have their
+    entry of ``table`` below all their common upper bounds, that is
+    up(c1) & up(c2) <= up(table[c1, c2]), on packed rows of ``le``, for the
+    covers listed row by row, ``per_row`` of them per row: the certificate
+    of :meth:`FiniteLattice.from_covers`, whose lemma says that it holds
+    iff ``le`` is a lattice order and ``table`` its join table.
+    """
+    end = np.repeat(np.cumsum(per_row), per_row)
+    slot = np.arange(len(covers))
+    later = end - slot - 1  # the covers after each one in its row
+    first = np.repeat(slot, later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    a, b = covers[first], covers[second]
+    rows = np.packbits(le, axis=1)
+    per = max(1, _BATCH // rows.shape[1])
+    for lo in range(0, a.size, per):
+        x, y = a[lo:lo + per], b[lo:lo + per]
+        if (rows[x] & rows[y] & ~rows[table[x, y]]).any():
+            return False
+    return True
 
 
 class _SdScan:

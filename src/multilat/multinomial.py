@@ -158,19 +158,19 @@ def enumerate_words(v: MultVector):
     when more than ``order.listing_cap`` words of k letters."""
     cap = order.listing_cap(v.k)
     check_words_cap(v, cap, f"the listing cap of {cap} words of {v.k} letters")
-    for letters in _letter_tuples(v):
+    for letters in _rearrangements(list(bottom(v).letters), tuple):
         yield PathWord(v, letters)
 
 
-def _letter_tuples(v: MultVector):
-    """The letter tuples of the words of L(v) in lexicographic order.
+def _rearrangements(word: list, pack):
+    """The rearrangements of the ascending list ``word`` in lexicographic
+    order, each packed by ``pack`` (``tuple``, or ``"".join`` for letters).
 
     Each is the next permutation of the one before: swap the last ascent's
     lower letter with the last letter above it, then reverse the suffix.
     """
-    word = list(bottom(v).letters)
     while True:
-        yield tuple(word)
+        yield pack(word)
         i = len(word) - 2
         while i >= 0 and word[i] >= word[i + 1]:
             i -= 1
@@ -183,9 +183,10 @@ def _letter_tuples(v: MultVector):
         word[i + 1:] = reversed(word[i + 1:])
 
 
-def _swaps(x: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The letter tuples one swap of adjacent letters a_i a_j, i < j, above x."""
-    return [x[:p] + (x[p + 1], x[p]) + x[p + 2:] for p in range(len(x) - 1) if x[p] < x[p + 1]]
+def _swaps(x):
+    """The letter tuples, or letter strings, one swap of adjacent letters
+    a_i a_j, i < j, above x."""
+    return [x[:p] + x[p:p + 2][::-1] + x[p + 2:] for p in range(len(x) - 1) if x[p] < x[p + 1]]
 
 
 def covers(w: PathWord) -> list[PathWord]:
@@ -272,7 +273,8 @@ def check_scan_cap(v: MultVector, n: int) -> None:
 
 def to_finite_lattice(v: MultVector) -> FiniteLattice:
     """Materialize L(v) as an explicit lattice with order and join tables,
-    from the covers of :func:`covers` found by index among the letter tuples.
+    from the covers of :func:`covers` found by index among the words, taken
+    as their label strings up to 26 letters and as letter tuples above.
 
     Reading a word backwards reverses the order (a swap a_i a_j -> a_j a_i
     up, i < j, is one down in the reversed word), so the meet table comes
@@ -282,9 +284,13 @@ def to_finite_lattice(v: MultVector) -> FiniteLattice:
     from .finite_lattice import FiniteLattice
 
     check_size_cap(v)
-    words = list(_letter_tuples(v))
+    if v.n <= 26:  # each word is its label, one string to hash and slice
+        words = labels = list(_rearrangements([_ALPHABET[i - 1] for i in bottom(v).letters],
+                                              "".join))
+    else:
+        words = list(_rearrangements(list(bottom(v).letters), tuple))
+        labels = [_letters_str(v.n, w) for w in words]
     index = {w: i for i, w in enumerate(words)}
     cover_pairs = [(i, index[u]) for i, w in enumerate(words) for u in _swaps(w)]
     reverse = [index[w[::-1]] for w in words]
-    return FiniteLattice.from_covers(
-        cover_pairs, [_letters_str(v.n, w) for w in words], flip=reverse)
+    return FiniteLattice.from_covers(cover_pairs, labels, flip=reverse)

@@ -191,6 +191,18 @@ def test_congruence_rejects_non_closed_S():
         cg.congruence_from_S(v, s)
 
 
+def test_verify_congruence_refuses_an_incompatible_partition():
+    """Merging the bottom abc of L(1,1,1) with its cover acb alone is no
+    congruence: joined with bac they give bac and the top cba, two blocks."""
+    v = V("1,1,1")
+    words = list(mn.enumerate_words(v))
+    merged = frozenset(mn.parse_word(v, w) for w in ("abc", "acb"))
+    p = cg.Partition(v, (merged,) + tuple(frozenset([w]) for w in words if w not in merged))
+    with pytest.raises(MultilatError, match="^relation is not compatible: "
+                                            "blocks of abc and acb split under bac$"):
+        cg._verify_congruence(p, words)
+
+
 @pytest.mark.parametrize("text", ["1,1,1", "2,2", "2,1,1"])
 def test_every_d_closed_set_yields_a_verified_congruence(text):
     v = V(text)

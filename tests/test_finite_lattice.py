@@ -196,6 +196,61 @@ def test_from_covers_matches_bruteforce_on_random_orders(case):
     assert L.sd_scan_level(10 ** 9) == L.dual().sd_scan_level(10 ** 9) == 2 * height
 
 
+def brute_co_cover_pairs(n, le):
+    """The pairs of distinct upper covers of a common element."""
+    up = [[j for j in range(n) if i != j and le[i][j]
+           and not any(le[i][k] and le[k][j] for k in range(n) if k not in (i, j))]
+          for i in range(n)]
+    return [pair for ups in up for pair in itertools.combinations(ups, 2)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(edge_lists(), layered_orders()))
+def test_co_cover_joins_decide_all_joins(case):
+    """The lemma behind the build's certificate: in a finite order with a
+    least element, every two upper covers of a common element have a join
+    iff every two elements do."""
+    n, edges = case
+    le = brute_order(n, edges)
+    if any(i != j and le[i][j] and le[j][i] for i in range(n) for j in range(n)) \
+            or sum(all(le[i]) for i in range(n)) != 1:
+        return  # a cycle, or no least element
+    every_pair = all(brute_bound(n, le, i, j) is not None
+                     for i, j in itertools.combinations(range(n), 2))
+    co_covers = all(brute_bound(n, le, i, j) is not None for i, j in brute_co_cover_pairs(n, le))
+    assert co_covers == every_pair
+
+
+BOWTIE = "0<a\n0<b\na<c\na<d\nb<c\nb<d\nc<1\nd<1\n"
+
+
+def test_lattices_are_certified_without_the_level_test(monkeypatch):
+    """With the fill's level test patched to raise where it passes, the
+    lattices still build: the co-cover certificate alone accepts them.  The
+    bowtie fails the certificate, and the level test that runs again names
+    its pair.  A fan, with more co-cover pairs than entries to test, is
+    certified by the level test."""
+    fill = fl._Ranked._fill
+
+    def level_tested(self, le, labels=None):
+        table = fill(self, le, labels)
+        if labels is not None:
+            raise AssertionError("the level test ran on a lattice")
+        return table
+
+    monkeypatch.setattr(fl._Ranked, "_fill", level_tested)
+    for make in fl.FIXTURES.values():
+        assert make().meet_table.shape  # the unchecked dual pass, too
+    for k in (2, 3, 4):
+        for v in itertools.product(range(3), repeat=k):
+            mn.to_finite_lattice(mn.MultVector(v))
+    assert fl.chain(2000).n == 2000
+    with pytest.raises(NotALattice, match="^no least upper bound for a, b$"):
+        read(BOWTIE)
+    with pytest.raises(AssertionError, match="the level test ran"):
+        fl.FiniteLattice.from_covers(*mk_by_chain(300, 1)[:2])
+
+
 @pytest.mark.parametrize("L", [fl.chain(1), fl.n5(), fl.benzene(),
                                mn.to_finite_lattice(mn.parse_vector("2,2,1"))],
                          ids=lambda L: f"n{L.n}")
