@@ -215,16 +215,7 @@ def _run_congruence(verb: str, v, args) -> str:
     if verb == "congruences" and args.count:
         return f"{congruence.count_d_closed(v)}\n"
     if verb == "congruences":
-        import json
-
-        graph, masks = congruence.d_closed_masks(v)
-        # node indices ascend with the vectors, so each set comes out sorted
-        return json.dumps(
-            {"v": list(v.entries),
-             "congruences": sorted([list(graph.nodes[i].x)
-                                    for i in congruence.mask_members(mask)]
-                                   for mask in masks)},
-            indent=2) + "\n"
+        return congruence.congruences_json(*congruence.d_closed_masks(v)) + "\n"
     s = congruence.parse_ji_set(v, args.S)
     if verb == "classes":
         return congruence.congruence_from_S(v, s).to_json() + "\n"
@@ -243,7 +234,7 @@ def _lattice_reply(lattice, sd_n: int | None) -> str:
     """
     import json
 
-    from .irreducibles import _json_array
+    from .order import _json_array
 
     verdict = None if sd_n is None else lattice.sd_verdict(sd_n)
     quoted = [json.dumps(label) for label in lattice.labels]

@@ -15,7 +15,7 @@ from . import irreducibles, multinomial
 from .errors import CapExceeded, MultilatError
 from .irreducibles import DGraph, IrrVector, d_graph, ji_word
 from .multinomial import MultVector, PathWord, mjoin, mmeet, word_inversions, word_str
-from .order import _blocks, _union
+from .order import _blocks, _json_array, _json_vectors, _union
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,11 @@ class JiSet:
 
     def is_d_closed(self) -> bool:
         """Every D-successor of a member is a member, read off the successor
-        masks of the D-graph of the parent."""
+        lists of the D-graph of the parent."""
         graph = d_graph(self.parent)
-        needs = _successor_masks(graph)
-        index = {node.x: i for i, node in enumerate(graph.nodes)}
-        mask = sum(1 << index[j.x] for j in self.members)
-        return all(mask & needs[i] == needs[i] for i in mask_members(mask))
+        index = {x: i for i, x in enumerate(graph.xs)}
+        members = {index[j.x] for j in self.members}
+        return all(p >> 3 in members for i in members for p in graph.succ[i])
 
     def __str__(self) -> str:
         return ";".join(str(j) for j in sorted(self.members, key=lambda j: j.x))
@@ -75,24 +74,26 @@ DEFAULT_JI_CAP = 24
 # empty S puts all N words in one block, checked by 4 N^2 word joins and
 # meets.  N = 90 (2,2,2) takes 0.8-1.4 s, 140 (3,3,1) 2.1-3.6 s, 210 (3,2,2) 5.1-7.4 s.
 CLASSES_CAP = 210
-# Set from `congruences` (in-process, JSON reply) on a 2-vCPU Xeon, Python
-# 3.11: 22,873 sets (1,4,2) take 0.9 s and 132 MB, 31,409 (1,2,4) 1.7 s and
-# 191 MB, 57,808 (1,3,3) 3.9 s and 366 MB, 289,747 (3,1,3) 30 s and 2 GB.
-# The cap admits (1,2,4) and refuses (1,3,3); --count has no such cap.
-LISTING_CAP = 32_768
+# Set from `congruences` (in-process, JSON reply, each in a fresh process)
+# on a 2-vCPU Xeon, Python 3.11: 31,409 sets (1,2,4) take 0.19 s and 90 MB
+# max RSS, 57,808 (1,3,3) 0.39 s and 126 MB, 84,787 (2,1,4) 0.6 s and
+# 195 MB (a 56 MB reply), 289,747 (3,1,3) 2.7 s and 681 MB.  The cap
+# admits (2,1,4) and refuses (3,1,3) and the 2^17 sets of (1,17); --count
+# has no such cap.
+LISTING_CAP = 100_000
 
 
 def d_closed_masks(v: MultVector) -> tuple[DGraph, list[int]]:
     """The D-graph and its forward-closed node sets, i.e. all congruences,
     refused above LISTING_CAP sets once they are counted.
 
-    A set is a bitmask over ``graph.nodes``, listed by :func:`_closed_masks`.
+    A set is a bitmask over the graph's nodes, listed by :func:`_closed_masks`.
     """
     graph = _capped_d_graph(v)
     count = _count_closed(graph)
     if count > LISTING_CAP:
         raise CapExceeded(f"{count} congruences exceed the listing cap {LISTING_CAP}")
-    return graph, _closed_masks(graph, [range(len(graph.nodes))])[0]
+    return graph, _closed_masks(graph, [range(len(graph.xs))])[0]
 
 
 def count_d_closed(v: MultVector) -> int:
@@ -104,9 +105,10 @@ def _count_closed(graph: DGraph) -> int:
     """A set is closed iff its part in each weakly connected component of
     the D-graph is, so the count is the product over the components of
     their closed sets, each listed by :func:`_closed_masks`."""
-    parent = list(range(len(graph.nodes)))
-    for s, t, _ in graph.edges:
-        _union(parent, s, t)
+    parent = list(range(len(graph.xs)))
+    for s, row in enumerate(graph.succ):
+        for p in row:
+            _union(parent, s, p >> 3)
     return prod(len(masks) for masks in _closed_masks(graph, _blocks(parent)))
 
 
@@ -120,7 +122,7 @@ def _capped_d_graph(v: MultVector) -> DGraph:
 
 def _closed_masks(graph: DGraph, groups) -> list[list[int]]:
     """For each group of nodes with no D-edge leaving it, its subsets closed
-    under D-successors as bitmasks over ``graph.nodes``.  Nodes are taken
+    under D-successors as bitmasks over the graph's nodes.  Nodes are taken
     by increasing height (:meth:`DGraph.heights`, which raises on a cycle),
     so each comes after its direct successors, and a node may join a set
     only once all of them are present."""
@@ -137,11 +139,8 @@ def _closed_masks(graph: DGraph, groups) -> list[list[int]]:
 
 
 def _successor_masks(graph: DGraph) -> list[int]:
-    """For each node, the bitmask over ``graph.nodes`` of its D-successors."""
-    needs = [0] * len(graph.nodes)
-    for s, t, _ in graph.edges:
-        needs[s] |= 1 << t
-    return needs
+    """For each node, the bitmask over the graph's nodes of its D-successors."""
+    return [sum(1 << (p >> 3) for p in row) for row in graph.succ]
 
 
 def mask_members(mask: int) -> list[int]:
@@ -149,11 +148,24 @@ def mask_members(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def d_closed_sets(v: MultVector) -> list[JiSet]:
-    """All D-closed sets of join irreducibles, i.e. all congruences."""
-    graph, masks = d_closed_masks(v)
-    return [JiSet(v, frozenset(graph.nodes[i] for i in mask_members(mask)))
-            for mask in masks]
+def congruences_json(graph: DGraph, masks: list[int]) -> str:
+    """The ``congruences`` listing: ``json.dumps`` with ``indent=2`` of v and
+    the sets ``masks``, each the sorted list of its nodes' vectors, in
+    sorted order, byte for byte.
+
+    Node indices ascend with the vectors, so a set's sorted member indices
+    order the sets as their lists of vectors do; each node's text is
+    rendered once, at its depth in a set.
+    """
+    ends = _json_vectors(graph.xs, graph.parent.n, 6)
+    sep = ",\n      "
+    sets = [f"[\n      {sep.join(map(ends.__getitem__, members))}\n    ]"
+            if members else "[]" for members in sorted(map(mask_members, masks))]
+    # every listing holds the empty set; the long text is copied once, by the join
+    sets[0] = (f'{{\n  "v": {_json_array(map(str, graph.parent.entries), 2)},'
+               f'\n  "congruences": [\n    {sets[0]}')
+    sets[-1] += "\n  ]\n}"
+    return ",\n    ".join(sets)
 
 
 def congruence_from_S(v: MultVector, s: JiSet) -> Partition:

@@ -18,12 +18,16 @@ comparison of a pair; ``cover_type`` stays as the arrow-based reference.
 Vectors are handled as mixed-radix ranks r(x) = sum x_i * w_i with
 w_i = prod_{j>i} (v_j + 1), which order [0, v] lexicographically.  One
 walk of that product, plan block by plan block, gives every join
-irreducible with its plan and rank (``_ji_walk``), and a successor's rank
-is the rank of x with v written below e, 0 above f and the two moved
-entries adjusted, so ``_successor_ranks`` reads it off x's rank with a
-few mods and sums.  ``d_graph`` looks each rank up in the walk, and is
-the one place the successors are listed: D-closure and congruences are
-decided on its edges.
+irreducible with its plan in rank order (``_ji_walk``).  A successor's
+rank is the rank of x with v written below e, 0 above f and the two
+moved entries adjusted, and its node index is that rank less the number
+of planless vectors below it, which its plan and z_e give; so
+``_successors`` writes each node's successor list down by a few sums,
+already in target order, with no vector built, hashed or sorted.
+``d_graph`` is the one place the successors are listed: a ``DGraph``
+keeps each node's list as ints t << 3 | tag code, and its JSON and DOT
+writers, D-closure, congruence enumeration and heights all read those
+lists; the ``nodes`` and ``edges`` tuples are built only on request.
 
 The meet side is not written out again.  Word reversal is an
 anti-automorphism of L(v) that sends <x> to [v - x], so meet irreducibles,
@@ -36,13 +40,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product, repeat
+from itertools import accumulate, combinations, product, repeat
 from math import prod
 
 from . import order
 from .errors import CapExceeded, InternalInconsistency, MultilatError
 from .multinomial import MultVector, PathWord, _check_same_parent, bottom, word_str
-from .order import dag_heights
+from .order import _json_array, _json_vectors, dag_heights
 
 JOIN = "join"
 MEET = "meet"
@@ -330,61 +334,114 @@ def cover_type(j: IrrVector, k: IrrVector) -> str:
     return "other"
 
 
-def _successor_ranks(v: tuple[int, ...], wide: list[int], x: tuple[int, ...], rank: int,
-                     plan: tuple[int, int]) -> list[tuple[int, str]]:
-    """(rank, tag) of every <z> with <x> D <z>; ``rank`` and ``plan`` are x's.
+# Tag codes of the successor lists: the index of the tag in COVER_TAGS.
+_LA, _LB, _RA, _RB, _OTHER = range(len(COVER_TAGS))
+
+
+def _successors(v: tuple[int, ...], wide8: list[int], base8: list[int], x: tuple[int, ...],
+                plan: tuple[int, int]) -> list[int]:
+    """t << 3 | code for every <z> with <x> D <z>, ascending, t the node
+    index of <z> and code the index of its tag in COVER_TAGS; ``plan`` is
+    the plan of <x>.
 
     With (a,b) the plan of <x>, z_e is x_e when e = a and z_f is x_f when
     f = b; the tag of ``cover_type`` is RA/RB for e = a as z_f = x_f or
     not, LA/LB for f = b as z_e = x_e or not, and "other" otherwise.
 
     With e, f 0-based here, r(z) = N - wide[e] + rest[e] - rest[f+1], where
-    rest[i] = rank % wide[i], less wide[e+1] when z_e = x_e - 1 and plus
-    wide[f+1] when z_f = x_f + 1.  The plan (e,f) holds when z_e < v_e
-    and z_f > 0, which x's own plan gives at e = a and at f = b.
+    rest[i] = sum_{j>=i} x_j * wide[j+1] is the rank of x's part from i
+    on, less wide[e+1] when z_e = x_e - 1 and plus wide[f+1] when
+    z_f = x_f + 1.  The plan (e,f) holds when z_e < v_e and z_f > 0, which
+    x's own plan gives at e = a and at f = b.  The vectors without a plan
+    are v_1 .. v_(i-1), c, 0 .. 0; those below <z> in the lexicographic
+    order have i < e, or i = e and c <= z_e, so the index of <z> is
+    r(z) - (v_1 + ... + v_(e-1)) - z_e - 1.  ``base8[e]`` holds
+    8 (N - wide[e] - v_1 - ... - v_(e-1) - 1), and every figure here is 8
+    times its value, so that a tag code can be added to it.
+
+    The list comes out sorted without a sort.  A larger e puts v_e where a
+    smaller one has z_e < v_e, so it ranks higher; for one e, z_e = x_e - 1
+    ranks below z_e = x_e.  For one (e, z_e), z_f = x_f ranks below every
+    later f and z_f = x_f + 1 above every later f, so the targets ascend
+    as z_f = x_f for f ascending, then f = b, then z_f = x_f + 1 for f
+    descending.  The walk below takes e downwards, summing ``low`` =
+    rest[e+1] as it goes, writes each head's targets in descending order
+    and reverses the list; ``dn`` and ``up`` hold the offsets of the
+    f > e with z_f = x_f and z_f = x_f + 1, f descending.
     """
     a, b = plan[0] - 1, plan[1] - 1
-    top = wide[0]
-    rest = [rank % w for w in wide]  # rest[b + 1] = 0: x is 0 above b
-    out = []
-    lead = top - wide[a] + rest[a]
-    for f in range(a + 1, b):  # e = a: z_a = x_a, f < b (f = b gives x back)
-        z = lead - rest[f + 1]
-        if x[f]:
-            out.append((z, "RA"))
-        if x[f] < v[f]:
-            out.append((z + wide[f + 1], "RB"))
-    for e in range(a + 1, b):
-        lead = top - wide[e] + rest[e]
-        for head, tag, fits in ((lead, "LA", x[e] < v[e]), (lead - wide[e + 1], "LB", x[e] > 0)):
-            if not fits:
-                continue
-            for f in range(e + 1, b):
-                z = head - rest[f + 1]
-                if x[f]:
-                    out.append((z, "other"))
-                if x[f] < v[f]:
-                    out.append((z + wide[f + 1], "other"))
-            out.append((head, tag))  # f = b: z_b = x_b
+    low = wide8[b + 1] * x[b]  # x is 0 above b
+    out: list[int] = []
+    dn: list[int] = []
+    up: list[int] = []
+    add = out.append
+    for e in range(b - 1, a, -1):
+        xe = x[e]
+        w = wide8[e + 1]
+        head = base8[e] + low + xe * (w - 8)  # z_e = x_e
+        if xe < v[e]:
+            o = head + _OTHER
+            for u in reversed(up):
+                add(o + u)
+            add(head + _LA)  # f = b: z_b = x_b
+            for d in dn:
+                add(o + d)
+        if xe:
+            head += 8 - w  # z_e = x_e - 1
+            o = head + _OTHER
+            for u in reversed(up):
+                add(o + u)
+            add(head + _LB)
+            for d in dn:
+                add(o + d)
+            dn.append(-low)
+        if xe < v[e]:
+            up.append(w - low)
+        low += xe * w
+    head = base8[a] + low + x[a] * (wide8[a + 1] - 8)  # e = a: z_a = x_a, f < b
+    o = head + _RB
+    for u in reversed(up):
+        add(o + u)
+    o = head + _RA
+    for d in dn:
+        add(o + d)
+    out.reverse()
     return out
 
 
 @dataclass(frozen=True)
 class DGraph:
-    """The join dependency graph of L(v), with tagged edges."""
+    """The join dependency graph of L(v): its nodes' vectors, ascending,
+    and for each node the list of t << 3 | code over its D-successors t,
+    ascending, with code the index of the edge's tag in COVER_TAGS."""
 
     parent: MultVector
-    nodes: tuple[IrrVector, ...]
-    edges: tuple[tuple[int, int, str], ...]  # (source, target, tag), node indices
+    xs: tuple[tuple[int, ...], ...]
+    succ: tuple[list[int], ...]
+
+    @cached_property
+    def nodes(self) -> tuple[IrrVector, ...]:
+        return tuple([IrrVector._inside(self.parent, x) for x in self.xs])
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, str], ...]:
+        """(source, target, tag) as node indices, sorted."""
+        return tuple([(s, p >> 3, COVER_TAGS[p & 7])
+                      for s, row in enumerate(self.succ) for p in row])
 
     def to_dot(self) -> str:
-        labels = [f'"({node})"' for node in self.nodes]
+        layout = '"(' + ",".join(["%d"] * self.parent.n) + ')"'
+        labels = [layout % x for x in self.xs]
+        tails = [f' [label="{tag}"];' for tag in COVER_TAGS]
         lines = ["digraph D {"]
-        lines.extend(f"  {label};" for label in labels)
-        lines.extend(f'  {labels[src]} -> {labels[dst]} [label="{tag}"];'
-                     for src, dst, tag in self.edges)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines += [f"  {label};" for label in labels]
+        for s, row in enumerate(self.succ):
+            if row:
+                head = f"  {labels[s]} -> "
+                lines.append(head + f"\n{head}".join([labels[p >> 3] + tails[p & 7]
+                                                       for p in row]))
+        lines.append("}\n")
+        return "\n".join(lines)
 
     def heights(self) -> list[int]:
         """Each node's longest D-path down to a node without D-successors.
@@ -392,46 +449,44 @@ class DGraph:
         A cycle in D, which the paper's acyclicity excludes, raises
         InternalInconsistency naming its least node.
         """
-        succ: list[list[int]] = [[] for _ in self.nodes]
-        for s, t, _ in self.edges:
-            succ[s].append(t)
-        height, on_cycle = dag_heights(succ)
+        height, on_cycle = dag_heights([[p >> 3 for p in row] for row in self.succ])
         if on_cycle is not None:
             raise InternalInconsistency(
-                f"D-graph of L({self.parent}) has a cycle through ({self.nodes[on_cycle]})")
+                f"D-graph of L({self.parent}) has a cycle through "
+                f"({','.join(map(str, self.xs[on_cycle]))})")
         return height
 
     def to_json(self) -> str:
         """``json.dumps`` of v, nodes and edges with ``indent=2``, byte for byte.
 
-        A node appears at two depths: as an item of "nodes" and as the
-        source or target of an edge.  Its text is rendered once at each,
-        and the edge records are joined from those strings.
+        Each node's text is rendered once, at the depth of an edge's source
+        or target, and re-indented for "nodes"; each edge is a per-source
+        prefix, its target's text and a per-tag tail.
         """
-        tags = {tag: json.dumps(tag) for tag in {tag for _, _, tag in self.edges}}
-        nodes = [_json_array(map(str, node.x), 4) for node in self.nodes]
-        ends = [_json_array(map(str, node.x), 6) for node in self.nodes]
-        edges = [f'{{\n      "source": {ends[s]},\n      "target": {ends[t]},'
-                 f'\n      "tag": {tags[tag]}\n    }}' for s, t, tag in self.edges]
-        return (f'{{\n  "v": {_json_array(map(str, self.parent.entries), 2)},'
-                f'\n  "nodes": {_json_array(nodes, 2)},'
-                f'\n  "edges": {_json_array(edges, 2)}\n}}')
+        ends = _json_vectors(self.xs, self.parent.n, 6)
+        tails = [f',\n      "tag": {json.dumps(tag)}\n    }}' for tag in COVER_TAGS]
+        chunks = []
+        for s, row in enumerate(self.succ):
+            if row:
+                head = f'{{\n      "source": {ends[s]},\n      "target": '
+                chunks.append(head + f",\n    {head}".join([ends[p >> 3] + tails[p & 7]
+                                                          for p in row]))
+        nodes = [end.replace("\n  ", "\n") for end in ends]
+        head = (f'{{\n  "v": {_json_array(map(str, self.parent.entries), 2)},'
+                f'\n  "nodes": {_json_array(nodes, 2)},\n  "edges": ')
+        if not chunks:
+            return head + "[]\n}"
+        chunks[0] = head + "[\n    " + chunks[0]  # the long text is copied once, by the join
+        chunks[-1] += "\n  ]\n}"
+        return ",\n    ".join(chunks)
 
 
-def _json_array(items, depth: int) -> str:
-    """Rendered items as a JSON array whose closing bracket sits at ``depth``."""
-    items = list(items)
-    if not items:
-        return "[]"
-    pad = " " * depth
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
-
-
-# Set from the whole dgraph verb (in-process, JSON reply of 66 and 171 MB)
-# on a 2-vCPU Xeon, Python 3.11, with the D-graph on the rank walk: (1^12),
-# m = 4,083, takes 0.6 s and 237 MB max RSS; (1^13), m = 8,178, takes 1.8 s
-# and 572 MB.  The cap admits the first and refuses the second; the memory
-# of the reply, not the time of the graph, keeps it there.
+# Set from the whole dgraph verb (in-process, each in a fresh process, JSON
+# reply of 66 and 171 MB) on a 2-vCPU Xeon, Python 3.11, with the D-graph
+# as successor lists: (1^12), m = 4,083, takes 0.23-0.31 s and 203 MB max
+# RSS; (1^13), m = 8,178, takes 0.7-1.0 s and 503 MB.  The cap admits the
+# first and refuses the second; the memory of the reply, not the time of
+# the graph, keeps it there.
 D_GRAPH_CAP = 5_000
 
 
@@ -456,18 +511,16 @@ def check_listing_cap(v: MultVector, kind: str, words: bool) -> None:
 
 
 def d_graph(v: MultVector) -> DGraph:
-    """The D-graph on the rank walk; edges sorted by (source, target)."""
+    """The D-graph on the rank walk, each node's successors written down by
+    :func:`_successors` as node indices, in order."""
     check_d_graph_cap(v)
     entries = v.entries
-    wide = _widths(entries)
+    wide8 = [8 * w for w in _widths(entries)]
+    base8 = [wide8[0] - w - 8 * (below + 1)
+             for w, below in zip(wide8, accumulate(entries, initial=0))]
     ji = _ji_walk(v)
-    index = {rank: i for i, (rank, _, _) in enumerate(ji)}
-    edges = []
-    for s, (rank, x, plan) in enumerate(ji):
-        targets = _successor_ranks(entries, wide, x, rank, plan)
-        targets.sort()  # node indices ascend with the ranks
-        edges += [(s, index[z], tag) for z, tag in targets]
-    return DGraph(v, tuple([IrrVector._inside(v, x, plan) for _, x, plan in ji]), tuple(edges))
+    return DGraph(v, tuple([x for _, x, _ in ji]),
+                  tuple([_successors(entries, wide8, base8, x, plan) for _, x, plan in ji]))
 
 
 def longest_d_chain(v: MultVector) -> list[IrrVector]:
@@ -476,7 +529,7 @@ def longest_d_chain(v: MultVector) -> list[IrrVector]:
     Over the support s_1 < ... < s_n, x(i) is v below s_i, 0 from s_i up
     to s_n and 1 at s_n, of plan (s_i, s_n); :func:`d_rel` checks each
     link.  No D-path has more than its n - 2 edges, and D is acyclic:
-    each target of :func:`_successor_ranks` has a plan strictly nested in
+    each target of :func:`_successors` has a plan strictly nested in
     its source's, a <= e < f <= b and (e,f) != (a,b), with endpoints in
     the support.
     """

@@ -16,7 +16,9 @@ start without it.
   DEFAULT_SIZE_CAP and ANALYSIS_CAP, and LISTING_CAP on the listings of
   words and irreducibles;
 - the cover-list format, its one reader (:func:`parse_cover_file`, under
-  DEFAULT_SIZE_CAP) and its one writer (:func:`cover_file`).
+  DEFAULT_SIZE_CAP) and its one writer (:func:`cover_file`);
+- the layout of ``json.dumps(indent=2)`` for the JSON replies written
+  without the pure-Python encoder (:func:`_json_array`, :func:`_json_vectors`).
 """
 
 from __future__ import annotations
@@ -133,6 +135,22 @@ def _blocks(parent: list[int]) -> tuple[frozenset[int], ...]:
     for i in range(len(parent)):
         blocks.setdefault(_find(parent, i), set()).add(i)
     return tuple(sorted((frozenset(b) for b in blocks.values()), key=min))
+
+
+def _json_array(items, depth: int) -> str:
+    """Rendered items as a JSON array whose closing bracket sits at ``depth``."""
+    items = list(items)
+    if not items:
+        return "[]"
+    pad = " " * depth
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _json_vectors(xs, n: int, depth: int) -> list[str]:
+    """Each tuple of ``n`` ints in ``xs`` as ``json.dumps(indent=2)`` writes
+    it, as a list, at ``depth``: one ``%`` formatting apiece."""
+    layout = _json_array(["%d"] * n, depth)
+    return [layout % x for x in xs]
 
 
 # Set from the scan of sd_holds on a 2-vCPU Xeon, Python 3.11, numpy 2.4,

@@ -26,7 +26,7 @@ from . import multinomial, perm_core
 from .errors import CapExceeded, MultilatError
 from .irreducibles import longest_d_chain
 from .multinomial import MultVector, PathWord, word_str
-from .order import DPATH_BOUND, EXHAUSTIVE, sd_sequence
+from .order import DPATH_BOUND, EXHAUSTIVE, _json_array, sd_sequence
 from .perm_core import InversionSet, inv_set
 
 DEFAULT_EXHAUSTIVE_CAP = 100
@@ -135,14 +135,14 @@ class TheoremReport:
     method: str
 
     def to_json(self) -> str:
-        return json.dumps({
-            "v": list(self.v.entries),
-            "dim": self.dim,
-            "sd_fail_level": self.sd_fail_level,
-            "sd_hold_level": self.sd_hold_level,
-            "witness_words": list(self.witness_words),
-            "method": self.method,
-        }, indent=2)
+        """``json.dumps`` of v, the levels, the words and the method with
+        ``indent=2``, byte for byte, without the pure-Python encoder."""
+        return (f'{{\n  "v": {_json_array(map(str, self.v.entries), 2)},'
+                f'\n  "dim": {self.dim},'
+                f'\n  "sd_fail_level": {self.sd_fail_level},'
+                f'\n  "sd_hold_level": {self.sd_hold_level},'
+                f'\n  "witness_words": {_json_array(map(json.dumps, self.witness_words), 2)},'
+                f'\n  "method": {json.dumps(self.method)}\n}}')
 
 
 def theorem_check(v: MultVector, method: str | None = None) -> TheoremReport:

@@ -258,15 +258,44 @@ def oracle_successors(v: tuple[int, ...], x: tuple[int, ...], a: int, b: int):
                     yield body + (zf,) + tail, tag
 
 
-def oracle_d_graph(v: mn.MultVector) -> ir.DGraph:
-    """The D-graph with every successor built as a tuple and found by
-    hashing it; edges sorted by (source, target)."""
+def graph_from_edges(v: mn.MultVector, xs, edges) -> ir.DGraph:
+    """The DGraph on the node vectors ``xs`` with the (source, target, tag)
+    triples ``edges``, in the successor-list form of ``d_graph``."""
+    succ: list[list[int]] = [[] for _ in xs]
+    for s, t, tag in sorted(edges):
+        succ[s].append(t << 3 | ir.COVER_TAGS.index(tag))
+    return ir.DGraph(v, tuple(xs), tuple(succ))
+
+
+# Every vector of 1-5 entries in 0..3, (1^k) for k <= 10 and vectors of
+# zero entries only: 1,364 + 10 + 5 vectors.
+ORACLE_VECTORS = ([e for n in range(1, 6) for e in product(range(4), repeat=n)]
+                  + [(1,) * k for k in range(1, 11)] + [(0,) * n for n in range(1, 6)])
+
+
+def oracle_d_edges(v: mn.MultVector):
+    """The D-graph's node vectors, lexicographic, and its (source, target,
+    tag) edges as node indices, with every successor built as a tuple and
+    found by hashing it."""
     ir.check_d_graph_cap(v)
     ji = list(_oracle_ji_plans(v))  # already lexicographic on x
     index = {x: i for i, (x, _) in enumerate(ji)}
-    edges = sorted((si, index[z], tag) for si, (x, (a, b)) in enumerate(ji)
-                   for z, tag in oracle_successors(v.entries, x, a, b))
-    return ir.DGraph(v, tuple(ir.IrrVector(v, x, ir.JOIN) for x, _ in ji), tuple(edges))
+    edges = [(si, index[z], tag) for si, (x, (a, b)) in enumerate(ji)
+             for z, tag in oracle_successors(v.entries, x, a, b)]
+    return [x for x, _ in ji], edges
+
+
+def oracle_d_graph(v: mn.MultVector) -> ir.DGraph:
+    """The D-graph of :func:`oracle_d_edges`; edges sorted by (source, target)."""
+    return graph_from_edges(v, *oracle_d_edges(v))
+
+
+def d_closed_sets(v: mn.MultVector) -> list[cg.JiSet]:
+    """All D-closed sets of join irreducibles, i.e. all congruences, as
+    JiSets built from the masks of ``congruence.d_closed_masks``."""
+    graph, masks = cg.d_closed_masks(v)
+    nodes = graph.nodes
+    return [cg.JiSet(v, frozenset(nodes[i] for i in cg.mask_members(mask))) for mask in masks]
 
 
 def oracle_longest_simple_path(g: ir.DGraph) -> int:

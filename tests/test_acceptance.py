@@ -10,9 +10,9 @@ import subprocess
 import sys
 import time
 
-from conftest import (all_inversion_sets, oracle_clopen_join, oracle_clopen_meet,
-                      oracle_congruences, oracle_leq, oracle_longest_simple_path,
-                      quotient_lattice)
+from conftest import (all_inversion_sets, d_closed_sets, oracle_clopen_join,
+                      oracle_clopen_meet, oracle_congruences, oracle_leq,
+                      oracle_longest_simple_path, quotient_lattice)
 from multilat import congruence, finite_lattice, irreducibles, perm_core, sd_engine
 from multilat import multinomial as mn
 
@@ -98,7 +98,7 @@ def test_07_congruence_counts():
     ok = True
     for text, expected in (("2,2", 16), ("1,1,1", 7)):
         v = mn.parse_vector(text)
-        via_sets = len(congruence.d_closed_sets(v))
+        via_sets = len(d_closed_sets(v))
         via_lattice = len(oracle_congruences(mn.to_finite_lattice(v)))
         counts[text] = via_sets
         ok = ok and via_sets == expected == via_lattice

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -85,10 +86,35 @@ def test_congruence_count_lists_no_sets(capsys):
     start = time.perf_counter()
     assert run_ok(capsys, "congruences", "-v", "4,6", "--count") == "16777216\n"
     assert time.perf_counter() - start < 1.0
-    assert run_ok(capsys, "congruences", "-v", "1,3,3", "--count") == "57808\n"
-    assert cli.run(["congruences", "-v", "1,3,3"]) == 1
+    assert run_ok(capsys, "congruences", "-v", "3,1,3", "--count") == "289747\n"
+    assert cli.run(["congruences", "-v", "3,1,3"]) == 1
     assert capsys.readouterr().err == \
-        f"error: 57808 congruences exceed the listing cap {congruence.LISTING_CAP}\n"
+        f"error: 289747 congruences exceed the listing cap {congruence.LISTING_CAP}\n"
+
+
+def reference_congruences(v):
+    """The ``congruences`` listing through ``json.dumps``, each set the
+    sorted list of its nodes' vectors."""
+    graph, masks = congruence.d_closed_masks(v)
+    return json.dumps({"v": list(v.entries),
+                       "congruences": sorted([list(graph.nodes[i].x)
+                                              for i in congruence.mask_members(mask)]
+                                             for mask in masks)}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("text", ["3", "0,2", "2,1", "1,1,1", "1,2,1", "2,2", "1,1,1,1",
+                                  "3,0,2", "0,3,3,0", "2,1,2"])
+def test_congruences_listing_is_the_json_module_layout(capsys, text):
+    assert run_ok(capsys, "congruences", "-v", text) == reference_congruences(mn.parse_vector(text))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=5).filter(
+    lambda e: ir.count_ji(mn.MultVector(tuple(e))) <= 14))
+def test_congruences_listing_matches_json_dumps_on_random_vectors(entries):
+    v = mn.MultVector(tuple(entries))
+    assert cli._dispatch(cli._parse_args(["congruences", "-v", str(v)])) == \
+        reference_congruences(v)
 
 
 def test_classes_and_quotient(capsys):
@@ -597,11 +623,22 @@ def test_theorem_and_witness_replies_match_the_oracles(capsys, text):
             "sd_fails_on_witness": oracle_sd_fails_on_words(*words, n)}, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("text", REPLY_VECTORS + ["3,0,2,1,3", ",".join(["1"] * 13)])
+def test_theorem_report_is_the_json_module_layout(text):
+    report = sd_engine.theorem_check(mn.parse_vector(text), "dpath-bound")
+    for method in ("dpath-bound", "exhaustive"):
+        report = dataclasses.replace(report, method=method)
+        assert report.to_json() == json.dumps({
+            "v": list(report.v.entries), "dim": report.dim,
+            "sd_fail_level": report.sd_fail_level, "sd_hold_level": report.sd_hold_level,
+            "witness_words": list(report.witness_words), "method": method}, indent=2)
+
+
 def test_dpath_bound_builds_no_d_graph_and_walks_no_words(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("theorem built a D-graph or walked the witness words")
 
-    for name in ("d_graph", "_ji_walk", "_successor_ranks"):
+    for name in ("d_graph", "_ji_walk", "_successors"):
         monkeypatch.setattr(ir, name, refuse)
     monkeypatch.setattr(mn, "inversions_word", refuse)  # behind every word join and meet
     for text in ("1,1,2,1,1", "2,0,2,2,1", "60,0,2", ",".join(["1"] * 13)):
@@ -647,6 +684,22 @@ def test_replies_that_fill_no_meet_table(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(finite_lattice.FiniteLattice, "meet_table", property(refuse))
     assert [run_ok(capsys, *argv) for argv in argvs] == expected
+
+
+def test_graph_verbs_build_no_node_or_edge_tuples(monkeypatch, capsys):
+    argvs = [["dgraph", "-v", "3,0,2,1,3"], ["dgraph", "-v", "1,1,1,1", "--dot"],
+             ["congruences", "-v", "1,2,1"], ["congruences", "-v", "1,1,1,1", "--count"],
+             ["classes", "-v", "3,3", "-S", "0,3;1,2"], ["quotient", "-v", "2,2,1", "-S", "-"],
+             ["classes", "-v", "2,1,1", "-S", "0,0,1"]]
+    expected = [(cli.run(argv), capsys.readouterr()) for argv in argvs]
+
+    def refuse(self):
+        raise AssertionError("a verb built the node or edge tuples of the D-graph")
+
+    monkeypatch.setattr(ir.DGraph, "nodes", property(refuse))
+    monkeypatch.setattr(ir.DGraph, "edges", property(refuse))
+    assert [(cli.run(argv), capsys.readouterr()) for argv in argvs] == expected
+    assert [code for code, _ in expected] == [0, 0, 0, 0, 0, 0, 1]
 
 
 # A child interpreter that imports this checkout's package.

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import d_closed_members, oracle_congruences, quotient_lattice
+from conftest import (ORACLE_VECTORS, d_closed_members, d_closed_sets, graph_from_edges,
+                      oracle_congruences, oracle_d_edges, quotient_lattice)
 from multilat import congruence as cg
 from multilat import finite_lattice as fl
 from multilat import irreducibles as ir
@@ -27,34 +28,48 @@ def full_set(v):
     ("2,1", 4),       # D empty: all 2^2 subsets
 ])
 def test_d_closed_set_counts(text, count):
-    sets = cg.d_closed_sets(V(text))
+    sets = d_closed_sets(V(text))
     assert len(sets) == count
     assert len({s.members for s in sets}) == count
     assert all(s.is_d_closed() for s in sets)
+
+
+def test_counts_match_a_brute_force_over_all_subsets():
+    # every subset of the oracle's nodes tested against its edge tuples,
+    # with neither the successor lists nor the height-ordered enumeration
+    small = [e for e in ORACLE_VECTORS if ir.count_ji(mn.MultVector(e)) <= 12]
+    assert len(small) == 395
+    for entries in small:
+        v = mn.MultVector(entries)
+        xs, edges = oracle_d_edges(v)
+        pairs = [(1 << s, 1 << t) for s, t, _ in edges]
+        count = sum(1 for mask in range(1 << len(xs))
+                    if all(mask & t or not mask & s for s, t in pairs))
+        assert cg.count_d_closed(v) == len(cg.d_closed_masks(v)[1]) == count, entries
 
 
 @pytest.mark.parametrize("text", ["2,1", "1,1,1", "2,2", "2,1,1", "1,2,1"])
 def test_counts_match_independent_lattice_enumeration(text):
     v = V(text)
     lattice = mn.to_finite_lattice(v)
-    assert len(cg.d_closed_sets(v)) == len(oracle_congruences(lattice))
+    assert len(d_closed_sets(v)) == len(oracle_congruences(lattice))
 
 
 def test_cap(monkeypatch):
     monkeypatch.setattr(cg, "DEFAULT_JI_CAP", 4)
-    assert len(cg.d_closed_sets(V("1,1,1"))) == 7  # four join irreducibles
+    assert len(d_closed_sets(V("1,1,1"))) == 7  # four join irreducibles
     assert cg.count_d_closed(V("1,1,1")) == 7
     with pytest.raises(CapExceeded, match="11 join irreducibles exceed cap 4"):
-        cg.d_closed_sets(V("1,1,1,1"))
+        d_closed_sets(V("1,1,1,1"))
     with pytest.raises(CapExceeded, match="11 join irreducibles exceed cap 4"):
         cg.count_d_closed(V("1,1,1,1"))
 
 
 def test_listing_cap(monkeypatch):
     monkeypatch.setattr(cg, "LISTING_CAP", 7)
-    assert len(cg.d_closed_sets(V("1,1,1"))) == 7
+    assert len(d_closed_sets(V("1,1,1"))) == 7
     with pytest.raises(CapExceeded, match="16 congruences exceed the listing cap 7"):
-        cg.d_closed_sets(V("2,2"))
+        d_closed_sets(V("2,2"))
     assert cg.count_d_closed(V("2,2")) == 16
 
 
@@ -71,7 +86,8 @@ def test_masks_refuse_a_cyclic_d_graph(monkeypatch):
     nodes = tuple(ir.enumerate_ji(v))
     # a chain 0 -> 1 -> 2 closed by 2 -> 1, plus an acyclic tail 3 -> 0
     edges = ((0, 1, "other"), (1, 2, "other"), (2, 1, "other"), (3, 0, "other"))
-    monkeypatch.setattr(cg, "d_graph", lambda v: ir.DGraph(v, nodes, edges))
+    monkeypatch.setattr(cg, "d_graph",
+                        lambda v: graph_from_edges(v, [j.x for j in nodes], edges))
     with pytest.raises(InternalInconsistency, match=rf"cycle through \({nodes[1]}\)"):
         cg.d_closed_masks(v)
     with pytest.raises(InternalInconsistency, match=rf"cycle through \({nodes[1]}\)"):
@@ -207,7 +223,7 @@ def test_verify_congruence_refuses_an_incompatible_partition():
 def test_every_d_closed_set_yields_a_verified_congruence(text):
     v = V(text)
     seen = set()
-    for s in cg.d_closed_sets(v):
+    for s in d_closed_sets(v):
         p = cg.congruence_from_S(v, s)  # checks compatibility
         key = frozenset(p.blocks)
         assert key not in seen  # distinct sets give distinct congruences
@@ -239,7 +255,7 @@ def test_quotient_by_identity_is_isomorphic():
 @pytest.mark.parametrize("text", ["1,1,1", "2,2"])
 def test_quotients_are_lattices_with_monotone_projection(text):
     v = V(text)
-    for s in cg.d_closed_sets(v):
+    for s in d_closed_sets(v):
         p = cg.congruence_from_S(v, s)
         q = quotient_lattice(v, s)
         assert q.n == len(p.blocks)
