@@ -184,7 +184,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         return _run_sd(v, args)
     if verb == "theorem":
         from . import sd_engine
-        return sd_engine.theorem_check(v, method=args.method).to_json() + "\n"
+        return sd_engine.theorem_check(v, method=args.method).to_json()
     if verb in ("congruences", "classes", "quotient"):
         return _run_congruence(verb, v, args)
 
@@ -205,7 +205,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         return f"{word_str(u)}\n"
     if verb == "dgraph":
         graph = irreducibles.d_graph(v)
-        return graph.to_dot() if args.dot else graph.to_json() + "\n"
+        return graph.to_dot() if args.dot else graph.to_json()
     raise MultilatError(f"unknown verb {verb!r}")  # pragma: no cover - argparse checks it
 
 
@@ -215,10 +215,10 @@ def _run_congruence(verb: str, v, args) -> str:
     if verb == "congruences" and args.count:
         return f"{congruence.count_d_closed(v)}\n"
     if verb == "congruences":
-        return congruence.congruences_json(*congruence.d_closed_masks(v)) + "\n"
+        return congruence.congruences_json(*congruence.d_closed_masks(v))
     s = congruence.parse_ji_set(v, args.S)
     if verb == "classes":
-        return congruence.congruence_from_S(v, s).to_json() + "\n"
+        return congruence.congruence_from_S(v, s).to_json()
     return order.cover_file(*congruence.quotient(v, s))
 
 

@@ -63,7 +63,7 @@ class Partition:
         return json.dumps(
             {"v": list(self.parent.entries),
              "blocks": [sorted(word_str(w) for w in block) for block in self.blocks]},
-            indent=2)
+            indent=2) + "\n"
 
 
 # Timed by `congruences --count` (in-process) on a 2-vCPU Xeon, Python 3.11,
@@ -151,7 +151,7 @@ def mask_members(mask: int) -> list[int]:
 def congruences_json(graph: DGraph, masks: list[int]) -> str:
     """The ``congruences`` listing: ``json.dumps`` with ``indent=2`` of v and
     the sets ``masks``, each the sorted list of its nodes' vectors, in
-    sorted order, byte for byte.
+    sorted order, byte for byte, and the newline that ends the reply.
 
     Node indices ascend with the vectors, so a set's sorted member indices
     order the sets as their lists of vectors do; each node's text is
@@ -164,7 +164,7 @@ def congruences_json(graph: DGraph, masks: list[int]) -> str:
     # every listing holds the empty set; the long text is copied once, by the join
     sets[0] = (f'{{\n  "v": {_json_array(map(str, graph.parent.entries), 2)},'
                f'\n  "congruences": [\n    {sets[0]}')
-    sets[-1] += "\n  ]\n}"
+    sets[-1] += "\n  ]\n}\n"
     return ",\n    ".join(sets)
 
 

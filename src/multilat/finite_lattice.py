@@ -42,10 +42,11 @@ gather over all pairs; later steps gather only the unsettled pairs, where
 a_k != MJ_x: a_k only climbs towards MJ_x, so a settled value is final.
 A batch's scan returns its failing triples, in increasing order.
 
-The arrow relations, the join dependency D, kappa and semidistributivity
-are boolean operations on rows of the order indexed by the join and meet
-irreducibles and their unique covers; the lattice is distributive iff D is
-empty.  They also give the SD level of a
+The arrow relations, kappa and semidistributivity are boolean operations
+on rows of the order indexed by the join and meet irreducibles and their
+unique covers, and the join dependency D, j D j' iff j up-arrow m
+down-arrow j' for some m, is one boolean matrix product of the arrow tables;
+the lattice is distributive iff D is empty.  They also give the SD level of a
 meet-semidistributive lattice without a scan: an SD_n failure there yields
 a simple D-path of n edges (:meth:`FiniteLattice.dpath_from_sd_failure`),
 so when D is acyclic with longest path l, SD_n holds for every n > l
@@ -59,13 +60,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InternalInconsistency, MultilatError, NotALattice
-from .order import (_cycle_pair, _heights, check_sd_level, cover_file, longest_path,
+from .order import (_cycle_pair, _heights, check_sd_level, cover_file, dag_heights,
                     parse_cover_file, sd_scan_level, sd_sequence)
 
 Quotient = tuple[int, int]  # (upper, lower) with lower <= upper
@@ -165,9 +165,6 @@ class FiniteLattice:
     def elements(self) -> range:
         return range(self.n)
 
-    def le(self, i: int, j: int) -> bool:
-        return bool(self.leq_table[i, j])
-
     def join(self, i: int, j: int) -> int:
         return int(self.join_table[i, j])
 
@@ -181,12 +178,6 @@ class FiniteLattice:
     @property
     def top(self) -> int:
         return int(np.argmax(self.leq_table.sum(axis=1) == 1))
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError as exc:
-            raise MultilatError(f"unknown element {label!r}") from exc
 
     def lower_covers(self, i: int) -> list[int]:
         return self._lower_covers[i]
@@ -242,7 +233,8 @@ class FiniteLattice:
 
     @cached_property
     def _d_matrix(self) -> np.ndarray:
-        """D over J x J: j D j' iff some m has j up-arrow m down-arrow j'."""
+        """D over J x J: j D j' iff some m has j up-arrow m down-arrow j', the
+        boolean matrix product of the arrow tables."""
         up, down = self._arrows
         d = _bool_product(up, down.T)
         np.fill_diagonal(d, False)
@@ -285,7 +277,8 @@ class FiniteLattice:
         """The edge count of the longest D-path, None when D has a cycle."""
         a, b = np.nonzero(self._d_matrix)
         ends, b = np.searchsorted(a, np.arange(len(self._jis) + 1)).tolist(), b.tolist()
-        return longest_path([b[s:e] for s, e in zip(ends, ends[1:])])[0]
+        height, on_cycle = dag_heights([b[s:e] for s, e in zip(ends, ends[1:])])
+        return max(height, default=0) if on_cycle is None else None
 
     def is_bounded(self) -> bool:
         """Semidistributive with an acyclic join dependency relation."""
@@ -340,20 +333,6 @@ class FiniteLattice:
 
     # -- SD_n machinery ------------------------------------------------------
 
-    def sd_eval(self, x: int, y: int, z: int, n: int) -> "SdTrace":
-        """The y/z sequences up to index n for one triple, with the verdict.
-
-        ``mu`` is the number of distinct pairs of :func:`sd_sequence`: the
-        least k with (y_k, z_k) = (y_{k-1}, z_{k-1}).
-        """
-        check_sd_level(n)
-        pairs = sd_sequence(self.join, self.meet, x, y, z)
-        y_seq, z_seq = zip(*(pairs[min(k, len(pairs) - 1)] for k in range(n + 1)))
-        x_seq = tuple(self.join(self.meet(x, a), self.meet(x, b))
-                      for a, b in zip(y_seq[:n], z_seq[:n]))
-        holds = self.meet(x, y_seq[n]) == self.meet(x, self.join(y, z))
-        return SdTrace(self, x, y, z, y_seq, z_seq, x_seq, len(pairs), holds)
-
     def sd_holds(self, n: int):
         """True if SD_n(meet) holds for all triples, else the first failing triple.
 
@@ -363,10 +342,11 @@ class FiniteLattice:
         x the scan steps a_k(y, z) = x ^ y_k through one table,
         MJ_x[y, t] = x ^ (y v t): since z_k(y, z) = y_k(z, y),
         a_{k+1}(y, z) = MJ_x[y, a_k(z, y)], and the triple fails exactly
-        where a_n != MJ_x, at the level of :meth:`sd_scan_level`.  After the
-        first step only the unsettled pairs, a_k != MJ_x, are stepped.
+        where a_n != MJ_x, at the level of :func:`order.sd_scan_level`.
+        After the first step only the unsettled pairs, a_k != MJ_x, are
+        stepped.
         """
-        n = self.sd_scan_level(n)
+        n = sd_scan_level(self.n, self.height, n)
         # batches of x double up to _SCAN_BATCH entries, so an early
         # failure costs little and a full scan makes few numpy calls
         lo, per, most = 0, 1, max(1, _SCAN_BATCH // self.n ** 2)
@@ -394,26 +374,26 @@ class FiniteLattice:
             return True
         return self.sd_holds(n)
 
-    def sd_scan_level(self, n: int) -> int:
-        """The level that ``sd_holds(n)`` scans at, by :func:`order.sd_scan_level`."""
-        return sd_scan_level(self.n, self.height, n)
-
     def dpath_from_sd_failure(self, x: int, y: int, z: int, n: int) -> list[int]:
         """Extract a simple D-path of length n from an SD_n(meet) failure.
 
         Walks the chain of (possibly swapped) pentagons built from the y/z
-        sequences, descending through prime quotients, and converts each
+        sequences of :func:`order.sd_sequence`, held at their last pair up
+        to index n, descending through prime quotients, and converts each
         quotient to a join irreducible.  Returns the irreducibles from the
         top of the chain down, so consecutive entries are D-related.
         """
         if not self.is_meet_semidistributive():
             raise MultilatError("lattice is not meet semidistributive")
-        trace = self.sd_eval(x, y, z, n)
-        if trace.holds:
+        check_sd_level(n)
+        pairs = sd_sequence(self.join, self.meet, x, y, z, n)
+        pairs += pairs[-1:] * (n + 1 - len(pairs))
+        if self.meet(x, pairs[n][0]) == self.meet(x, self.join(y, z)):
             raise MultilatError(f"triple is not an SD_{n} failure")
 
-        seqs = {"y": trace.y_seq, "z": trace.z_seq}
-        xk = (None,) + trace.x_seq  # xk[k] defined for k >= 1
+        seqs = dict(zip("yz", zip(*pairs)))
+        # xk[k] = (x ^ y_{k-1}) v (x ^ z_{k-1}), defined for k >= 1
+        xk = [None] + [self.join(self.meet(x, a), self.meet(x, b)) for a, b in pairs[:n]]
 
         def central(side: str, k: int) -> tuple[int, int]:
             return (self.meet(x, seqs[side][k]), xk[k])  # (top, bottom)
@@ -460,25 +440,10 @@ class FiniteLattice:
         return cover_file(self.labels, self.cover_pairs())
 
 
-@dataclass(frozen=True)
-class SdTrace:
-    """The sequences behind one SD_n(meet) evaluation."""
-
-    lattice: FiniteLattice = field(repr=False)
-    x: int
-    y: int
-    z: int
-    y_seq: tuple[int, ...]
-    z_seq: tuple[int, ...]
-    x_seq: tuple[int, ...]
-    mu: int
-    holds: bool
-
-
-# Entries gathered at once by the table fill, the D product and the SD
-# scan, and bytes of packed rows by the certificate: enough that numpy
+# Entries gathered at once by the table fill, the renumbering and the D
+# product, and bytes of packed rows by the certificate: enough that numpy
 # calls stay few on small lattices, few enough that the temporaries stay
-# small on large ones.  The scan steps its arrays several times, so its
+# small on large ones.  The SD scan steps its arrays several times, so its
 # batches are kept small enough to stay in cache.
 _BATCH = 1 << 18
 _SCAN_BATCH = 1 << 15

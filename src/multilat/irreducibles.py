@@ -457,7 +457,8 @@ class DGraph:
         return height
 
     def to_json(self) -> str:
-        """``json.dumps`` of v, nodes and edges with ``indent=2``, byte for byte.
+        """``json.dumps`` of v, nodes and edges with ``indent=2``, byte for
+        byte, and the newline that ends the reply.
 
         Each node's text is rendered once, at the depth of an edge's source
         or target, and re-indented for "nodes"; each edge is a per-source
@@ -475,9 +476,9 @@ class DGraph:
         head = (f'{{\n  "v": {_json_array(map(str, self.parent.entries), 2)},'
                 f'\n  "nodes": {_json_array(nodes, 2)},\n  "edges": ')
         if not chunks:
-            return head + "[]\n}"
+            return head + "[]\n}\n"
         chunks[0] = head + "[\n    " + chunks[0]  # the long text is copied once, by the join
-        chunks[-1] += "\n  ]\n}"
+        chunks[-1] += "\n  ]\n}\n"
         return ",\n    ".join(chunks)
 
 

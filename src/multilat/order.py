@@ -4,7 +4,7 @@ Nothing here imports numpy, so the verbs that never build a lattice table
 start without it.
 
 - the one Kahn peel (:func:`dag_heights`) behind every height, longest-path
-  and cycle question, and :func:`longest_path` read off it;
+  and cycle question;
 - the one walk of the SD_n(meet) sequences of a triple
   (:func:`sd_sequence`) under any join and meet;
 - the one union-find (``_find``, ``_union``, ``_blocks``), behind the
@@ -83,14 +83,6 @@ def dag_heights(succ) -> tuple[list[int], int | None]:
     height = _heights(succ, pred)
     left = {i for i, h in enumerate(height) if h < 0}
     return height, _cycle_pair(succ, pred, left)[0] if left else None
-
-
-def longest_path(succ) -> tuple[int | None, int | None]:
-    """(edge count of the longest path, None) when the digraph with edges
-    i -> j for j in succ[i] is acyclic, else (None, the least node on a
-    cycle), read off :func:`dag_heights`."""
-    height, on_cycle = dag_heights(succ)
-    return (None, on_cycle) if on_cycle is not None else (max(height, default=0), None)
 
 
 def sd_sequence(join, meet, x, y, z, n: int | None = None) -> list[tuple]:

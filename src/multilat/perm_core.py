@@ -83,19 +83,6 @@ def interior(x: InversionSet) -> InversionSet:
     return closure(x.complement()).complement()
 
 
-def is_closed(x: InversionSet) -> bool:
-    return closure(x) == x
-
-
-def is_open(x: InversionSet) -> bool:
-    """a\\c in x forces a\\b or b\\c in x: the complement is closed."""
-    return is_closed(x.complement())
-
-
-def is_clopen(x: InversionSet) -> bool:
-    return is_open(x) and is_closed(x)
-
-
 def clopen_sequence(x: InversionSet) -> list[int]:
     """The values 1..k laid out with value a after popcount(row a) of the
     larger ones: the permutation of x in one-line order, if x is clopen."""
@@ -115,10 +102,12 @@ def clopen_to_perm(x: InversionSet) -> tuple[int, ...]:
 
 
 def _check_clopen_args(x: InversionSet, y: InversionSet) -> None:
+    """Refuse sets of two sizes, and a set that is not clopen, by the round
+    trip of :func:`clopen_to_perm`."""
     if x.size != y.size:
         raise MultilatError(f"size mismatch: {x.size} vs {y.size}")
-    if not is_clopen(x) or not is_clopen(y):
-        raise MultilatError("join/meet arguments must be clopen")
+    clopen_to_perm(x)
+    clopen_to_perm(y)
 
 
 def perm_join(x: InversionSet, y: InversionSet) -> InversionSet:

@@ -136,13 +136,14 @@ class TheoremReport:
 
     def to_json(self) -> str:
         """``json.dumps`` of v, the levels, the words and the method with
-        ``indent=2``, byte for byte, without the pure-Python encoder."""
+        ``indent=2``, byte for byte, without the pure-Python encoder, and
+        the newline that ends the reply."""
         return (f'{{\n  "v": {_json_array(map(str, self.v.entries), 2)},'
                 f'\n  "dim": {self.dim},'
                 f'\n  "sd_fail_level": {self.sd_fail_level},'
                 f'\n  "sd_hold_level": {self.sd_hold_level},'
                 f'\n  "witness_words": {_json_array(map(json.dumps, self.witness_words), 2)},'
-                f'\n  "method": {json.dumps(self.method)}\n}}')
+                f'\n  "method": {json.dumps(self.method)}\n}}\n')
 
 
 def theorem_check(v: MultVector, method: str | None = None) -> TheoremReport:

@@ -12,9 +12,10 @@ import time
 
 from conftest import (all_inversion_sets, d_closed_sets, oracle_clopen_join,
                       oracle_clopen_meet, oracle_congruences, oracle_leq,
-                      oracle_longest_simple_path, quotient_lattice)
+                      oracle_longest_simple_path, oracle_sd_holds_on, quotient_lattice)
 from multilat import congruence, finite_lattice, irreducibles, perm_core, sd_engine
 from multilat import multinomial as mn
+from multilat.order import sd_sequence
 
 
 def report(num: int, name: str, ok: bool, extra: str = "") -> None:
@@ -66,7 +67,7 @@ def test_04_explicit_d_relation_matches_bruteforce():
         v = mn.parse_vector(text)
         lattice = mn.to_finite_lattice(v)
         jis = irreducibles.enumerate_ji(v)
-        idx = {lattice.index_of(mn.word_str(irreducibles.ji_word(j))): j
+        idx = {lattice.labels.index(mn.word_str(irreducibles.ji_word(j))): j
                for j in jis}
         brute = {(idx[a], idx[b]) for a, b in lattice.bruteforce_D()}
         explicit = {(a, b) for a in jis for b in jis if irreducibles.d_rel(a, b)}
@@ -119,16 +120,15 @@ def test_08_holes_congruence():
 
 def test_09_dpath_extraction():
     n5 = finite_lattice.n5()
-    path = n5.dpath_from_sd_failure(n5.index_of("a"), n5.index_of("b"),
-                                    n5.index_of("c"), 1)
+    path = n5.dpath_from_sd_failure(n5.labels.index("a"), n5.labels.index("b"),
+                                    n5.labels.index("c"), 1)
     ok = [n5.labels[i] for i in path] == ["a", "b"]
 
     v = mn.parse_vector("1,1,1,1")
     lattice = mn.to_finite_lattice(v)
-    wx, wy, wz = (lattice.index_of(mn.word_str(w))
+    wx, wy, wz = (lattice.labels.index(mn.word_str(w))
                   for w in sd_engine.witness_words(v))
-    trace = lattice.sd_eval(wx, wy, wz, 2)
-    if trace.holds:
+    if oracle_sd_holds_on(lattice, wx, wy, wz, 2):
         wy, wz = wz, wy  # the failing ordering depends on the parity of n
     path4 = lattice.dpath_from_sd_failure(wx, wy, wz, 2)
     brute = lattice.bruteforce_D()
@@ -161,10 +161,9 @@ def test_10_property_suites():
     for _ in range(1000):
         lattice = rng.choice(pool)
         x, y, z = (rng.randrange(lattice.n) for _ in range(3))
-        tr = lattice.sd_eval(x, y, z, 3)
-        for k in range(3):
-            ok = ok and lattice.le(tr.y_seq[k], tr.y_seq[k + 1])
-            ok = ok and lattice.le(tr.z_seq[k], tr.z_seq[k + 1])
+        pairs = sd_sequence(lattice.join, lattice.meet, x, y, z, 3)
+        for (y0, z0), (y1, z1) in zip(pairs, pairs[1:]):
+            ok = ok and lattice.leq_table[y0, y1] and lattice.leq_table[z0, z1]
 
     # clopen lub/glb, exhaustive for k <= 4
     for k in (2, 3, 4):

@@ -631,7 +631,7 @@ def test_theorem_report_is_the_json_module_layout(text):
         assert report.to_json() == json.dumps({
             "v": list(report.v.entries), "dim": report.dim,
             "sd_fail_level": report.sd_fail_level, "sd_hold_level": report.sd_hold_level,
-            "witness_words": list(report.witness_words), "method": method}, indent=2)
+            "witness_words": list(report.witness_words), "method": method}, indent=2) + "\n"
 
 
 def test_dpath_bound_builds_no_d_graph_and_walks_no_words(monkeypatch, capsys):

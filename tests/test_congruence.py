@@ -190,7 +190,7 @@ def test_blocks_group_words_by_dominated_members_in_tables(drawn):
     expected: dict[frozenset, set] = {}
     for w in mn.enumerate_words(v):
         key = frozenset(j for j, i in member_index.items()
-                        if lattice.le(i, index[mn.word_str(w)]))
+                        if lattice.leq_table[i, index[mn.word_str(w)]])
         expected.setdefault(key, set()).add(w)
     blocks = cg.congruence_from_S(v, s).blocks
     assert set(blocks) == {frozenset(b) for b in expected.values()}
@@ -266,7 +266,7 @@ def test_quotients_are_lattices_with_monotone_projection(text):
         for w in mn.enumerate_words(v):
             for u in mn.enumerate_words(v):
                 if mn.leq(w, u):
-                    assert q.le(to_q[block_idx[w]], to_q[block_idx[u]])
+                    assert q.leq_table[to_q[block_idx[w]], to_q[block_idx[u]]]
 
 
 def test_connectivity_detects_disconnected_blocks():

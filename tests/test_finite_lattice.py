@@ -29,8 +29,8 @@ ALL_FIXTURES = {
 
 
 def brute_join(L, i, j):
-    ubs = [t for t in L.elements() if L.le(i, t) and L.le(j, t)]
-    least = [t for t in ubs if all(L.le(t, u) for u in ubs)]
+    ubs = [t for t in L.elements() if L.leq_table[i, t] and L.leq_table[j, t]]
+    least = [t for t in ubs if all(L.leq_table[t, u] for u in ubs)]
     assert len(least) == 1
     return least[0]
 
@@ -193,7 +193,8 @@ def test_from_covers_matches_bruteforce_on_random_orders(case):
     assert L.dual().cover_pairs() == sorted((j, i) for i, j in covers)
     # the stored chain height clamps the SD level, of L and of its dual
     height = brute_chain_length(n, le)
-    assert L.sd_scan_level(10 ** 9) == L.dual().sd_scan_level(10 ** 9) == 2 * height
+    assert L.height == L.dual().height == height
+    assert order.sd_scan_level(L.n, L.height, 10 ** 9) == 2 * height
 
 
 def brute_co_cover_pairs(n, le):
@@ -353,7 +354,7 @@ def test_distributive_iff_empty_D():
 
 def test_arrows_and_kappa_on_n5():
     L = fl.n5()
-    a, b, c = (L.index_of(x) for x in "abc")
+    a, b, c = (L.labels.index(x) for x in "abc")
     # each join irreducible has a unique arrow-up partner here
     for j in L.join_irreducibles():
         partners = [m for m in L.meet_irreducibles() if L.arrow_up(j, m)]
@@ -395,7 +396,7 @@ def test_congruence_counts():
 
 def test_quotient_to_ji():
     L = fl.n5()
-    a, b = L.index_of("a"), L.index_of("b")
+    a, b = L.labels.index("a"), L.labels.index("b")
     j = L.quotient_to_ji(a, b)
     assert j == a
     with pytest.raises(MultilatError):
@@ -422,7 +423,7 @@ def test_sd_holds_matches_direct_recursion(name, n):
 ])
 def test_sd_holds_first_failing_triple(text, n, triple):
     L = mn.to_finite_lattice(mn.parse_vector(text))
-    assert L.sd_holds(n) == tuple(L.index_of(w) for w in triple)
+    assert L.sd_holds(n) == tuple(L.labels.index(w) for w in triple)
 
 
 def reference_sd_verdicts(L, top):
@@ -509,7 +510,7 @@ def test_sd_holds_matches_reference_kernel_on_large_lattices(text, top):
                                mn.to_finite_lattice(mn.parse_vector("2,1,1"))],
                          ids=lambda L: f"n{L.n}")
 def test_sd_level_clamps_at_twice_the_longest_chain(L):
-    height = order.longest_path(L._upper_covers)[0]
+    height = max(order.dag_heights(L._upper_covers)[0])
     reference = reference_sd_verdicts(L, 2 * height + 3)
     for n in range(2 * height, 2 * height + 4):
         assert L.sd_holds(n) == reference[n]
@@ -532,13 +533,13 @@ def test_scan_cap_refuses_alike_before_and_after_materializing(v, monkeypatch):
     # the cap as set, and one that admits the levels up to the longest
     # chain and refuses those above
     L = mn.to_finite_lattice(mn.MultVector(v))
-    height = order.longest_path(L._upper_covers)[0]
+    height = max(order.dag_heights(L._upper_covers)[0])
     for cap in (order.SD_SCAN_CAP, L.n ** 3 * (height + 1)):
         monkeypatch.setattr(order, "SD_SCAN_CAP", cap)
         for n in range(2 * height + 3):
             outcomes = []
             for check in (lambda: mn.check_scan_cap(mn.MultVector(v), n),
-                          lambda: L.sd_scan_level(n)):
+                          lambda: order.sd_scan_level(L.n, L.height, n)):
                 try:
                     check()
                     outcomes.append(None)
@@ -550,9 +551,9 @@ def test_scan_cap_refuses_alike_before_and_after_materializing(v, monkeypatch):
 
 
 def test_longest_path():
-    assert order.longest_path([]) == (0, None)
-    assert order.longest_path([[1, 2], [2], []]) == (2, None)
-    assert order.longest_path([[1], [2], [1], [0]]) == (None, 1)
+    assert order.dag_heights([]) == ([], None)
+    assert order.dag_heights([[1, 2], [2], []]) == ([2, 1, 0], None)
+    assert order.dag_heights([[1], [2], [1], [0]]) == ([-1, -1, -1, -1], 1)
 
 
 @st.composite
@@ -575,15 +576,17 @@ def simple_paths(succ, path):
 @given(digraphs())
 @settings(max_examples=300)
 def test_longest_path_matches_simple_path_enumeration(succ):
-    length, on_cycle = order.longest_path(succ)
+    height, on_cycle = order.dag_heights(succ)
     paths = [p for i in range(len(succ)) for p in simple_paths(succ, [i])]
     # i lies on a cycle iff some simple path from i ends next to i (i itself for a self-loop)
     cyclic = sorted({p[0] for p in paths if p[0] in succ[p[-1]]})
     if cyclic:
-        assert length is None and on_cycle == cyclic[0]
+        assert on_cycle == cyclic[0]
     else:
         assert on_cycle is None
-        assert length == max((len(p) - 1 for p in paths), default=0)
+        assert max(height, default=0) == max((len(p) - 1 for p in paths), default=0)
+        assert height == [max(len(p) - 1 for p in paths if p[0] == i)
+                          for i in range(len(succ))]
 
 
 SD_SEQUENCE_LATTICES = {"n5": fl.n5(), "m3": fl.m3(), "benzene": fl.benzene(),
@@ -608,8 +611,8 @@ def test_sd_sequence_matches_the_plain_recursion(name):
             assert pairs == plain[:min(n, mu - 1) + 1]
             yn, zn = pairs[-1]
             assert (L.meet(x, yn) == L.meet(x, L.join(y, z))) == oracle_sd_holds_on(L, x, y, z, n)
-            trace = L.sd_eval(x, y, z, n)
-            assert trace.mu == mu and (trace.y_seq[n], trace.z_seq[n]) == plain[n]
+            # the walk stops at its fixed point, which holds at every later k
+            assert pairs[-1] == plain[n]
 
 
 def test_lattice_relations_are_computed_once(monkeypatch):
@@ -628,22 +631,39 @@ def test_lattice_relations_are_computed_once(monkeypatch):
     assert calls == [(4, 4)]  # the D product, once
 
 
-def test_sd_eval_trace_consistency():
+def test_d_product_counts_past_uint8():
+    # in M_258 every two distinct atoms j, j' are D-related through each of
+    # the other 256 atoms m, a count that a uint8 product would wrap to 0
+    L = read("".join(f"0<a{i:03d}\na{i:03d}<1\n" for i in range(258)))
+    atoms = [i for i, label in enumerate(L.labels) if label.startswith("a")]
+    up, down = L._arrows
+    witnesses = up.astype(int) @ down.T.astype(int)
+    assert (witnesses[~np.eye(258, dtype=bool)] == 256).all()
+    assert L.bruteforce_D() == [(j, k) for j in atoms for k in atoms if j != k]
+    assert len(L.bruteforce_D()) == 258 * 257
+
+
+def test_sd_sequence_trace_on_n5():
     L = fl.n5()
-    x, y, z = L.index_of("c"), L.index_of("a"), L.index_of("b")
-    tr = L.sd_eval(x, y, z, 2)
-    assert tr.y_seq[0] == y and tr.z_seq[0] == z
+    x, y, z = L.labels.index("c"), L.labels.index("a"), L.labels.index("b")
+    pairs = order.sd_sequence(L.join, L.meet, x, y, z, 2)
+    pairs += pairs[-1:] * (3 - len(pairs))  # held at the fixed point, as the D-path walk does
+    y_seq, z_seq = zip(*pairs)
+    assert y_seq[0] == y and z_seq[0] == z
     for k in range(2):
-        assert tr.y_seq[k + 1] == L.join(y, L.meet(x, tr.z_seq[k]))
-        assert tr.z_seq[k + 1] == L.join(z, L.meet(x, tr.y_seq[k]))
-        assert tr.x_seq[k] == L.join(L.meet(x, tr.y_seq[k]),
-                                     L.meet(x, tr.z_seq[k]))
-    assert tr.holds == (L.meet(x, tr.y_seq[2]) == L.meet(x, L.join(y, z)))
+        assert y_seq[k + 1] == L.join(y, L.meet(x, z_seq[k]))
+        assert z_seq[k + 1] == L.join(z, L.meet(x, y_seq[k]))
+        # x_k = (x ^ y_k) v (x ^ z_k), the bottom of the k-th pentagon of
+        # the D-path walk, lies below x ^ y_{k+1} and x ^ z_{k+1}
+        x_k = L.join(L.meet(x, y_seq[k]), L.meet(x, z_seq[k]))
+        assert L.leq_table[x_k, L.meet(x, y_seq[k + 1])]
+        assert L.leq_table[x_k, L.meet(x, z_seq[k + 1])]
+    assert oracle_sd_holds_on(L, x, y, z, 2) == (L.meet(x, y_seq[2]) == L.meet(x, L.join(y, z)))
 
 
 def sd_mu(L):
     """The most distinct pairs in the SD sequences of any triple."""
-    return max(L.sd_eval(x, y, z, 0).mu
+    return max(len(order.sd_sequence(L.join, L.meet, x, y, z))
                for x, y, z in itertools.product(L.elements(), repeat=3))
 
 
@@ -664,8 +684,8 @@ def test_pentagon_search():
 
 def test_dpath_from_n5_failure():
     L = fl.n5()
-    path = L.dpath_from_sd_failure(L.index_of("a"), L.index_of("b"),
-                                   L.index_of("c"), 1)
+    path = L.dpath_from_sd_failure(L.labels.index("a"), L.labels.index("b"),
+                                   L.labels.index("c"), 1)
     assert [L.labels[i] for i in path] == ["a", "b"]
     with pytest.raises(MultilatError):
         fl.m3().dpath_from_sd_failure(0, 1, 2, 1)  # not meet semidistributive
@@ -701,7 +721,7 @@ def test_cover_file_roundtrip():
         idx = {lbl: i for i, lbl in enumerate(back.labels)}
         for i in L.elements():
             for j in L.elements():
-                assert L.le(i, j) == back.le(idx[L.labels[i]], idx[L.labels[j]])
+                assert L.leq_table[i, j] == back.leq_table[idx[L.labels[i]], idx[L.labels[j]]]
 
 
 def test_cover_list_reader_inverts_the_writer():
@@ -792,7 +812,7 @@ def check_arrows(L):
     assert L.is_join_semidistributive() == all(p == 1 for p in partners)
     assert L.is_join_semidistributive() == L.dual().is_meet_semidistributive()
     succ = [[b for a, b in d if a == i] for i in L.elements()]
-    assert L.is_bounded() == (L.is_semidistributive() and order.longest_path(succ)[1] is None)
+    assert L.is_bounded() == (L.is_semidistributive() and order.dag_heights(succ)[1] is None)
 
 
 @pytest.mark.parametrize("L", SMALL_LATTICES)
@@ -851,7 +871,7 @@ def check_quotient_to_ji(L):
     every prime quotient w -< u."""
     for w, u in L.cover_pairs():
         cands = [z for z in L.elements() if L.join(z, w) == u]
-        minimal = [z for z in cands if not any(t != z and L.le(t, z) for t in cands)]
+        minimal = [z for z in cands if not any(t != z and L.leq_table[t, z] for t in cands)]
         assert L.quotient_to_ji(u, w) == min(minimal), (u, w)
 
 
@@ -886,7 +906,8 @@ def check_certificate(L, monkeypatch):
     and sd_holds(n) against the plain recursion.  Under a scan cap of 0
     the certified levels still answer and every other level is refused."""
     succ = [[b for a, b in L.bruteforce_D() if a == i] for i in L.elements()]
-    longest = order.longest_path(succ)[0]
+    height, on_cycle = order.dag_heights(succ)
+    longest = max(height) if on_cycle is None else None
     certified = L.is_meet_semidistributive() and longest is not None
     top = longest + 2 if longest is not None else 4
     scanned = [L.sd_holds(n) for n in range(top + 1)]
@@ -938,6 +959,7 @@ def test_settled_triple_scan_matches_the_oracle_on_quotients(L, n):
 
 def test_negative_sd_levels_are_refused():
     L = fl.n5()
-    for call in (L.sd_holds, L.sd_verdict, L.sd_scan_level):
+    for call in (L.sd_holds, L.sd_verdict, lambda n: order.sd_scan_level(L.n, L.height, n),
+                 lambda n: L.dpath_from_sd_failure(0, 1, 2, n)):
         with pytest.raises(MultilatError, match="n must be >= 0"):
             call(-1)

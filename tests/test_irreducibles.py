@@ -85,7 +85,7 @@ def test_kappa_matches_lattice_kappa(text):
     v = V(text)
     L = materialized(text)
     for j in ir.enumerate_ji(v):
-        i = L.index_of(mn.word_str(ir.ji_word(j)))
+        i = L.labels.index(mn.word_str(ir.ji_word(j)))
         expected = L.kappa_of(i)
         assert expected is not None
         assert L.labels[expected] == mn.word_str(ir.mi_word(ir.kappa(j)))
@@ -103,8 +103,8 @@ def test_arrows_match_lattice_arrows(text):
     L = materialized(text)
     jis = ir.enumerate_ji(v)
     mis = ir.enumerate_mi(v)
-    jw = {j: L.index_of(mn.word_str(ir.ji_word(j))) for j in jis}
-    mw = {m: L.index_of(mn.word_str(ir.mi_word(m))) for m in mis}
+    jw = {j: L.labels.index(mn.word_str(ir.ji_word(j))) for j in jis}
+    mw = {m: L.labels.index(mn.word_str(ir.mi_word(m))) for m in mis}
     for j in jis:
         for m in mis:
             assert ir.arrow_up(j, m) == L.arrow_up(jw[j], mw[m]), (j, m)
@@ -117,7 +117,7 @@ def test_d_rel_matches_bruteforce(text):
     v = V(text)
     L = materialized(text)
     jis = ir.enumerate_ji(v)
-    idx = {L.index_of(mn.word_str(ir.ji_word(j))): j for j in jis}
+    idx = {L.labels.index(mn.word_str(ir.ji_word(j))): j for j in jis}
     brute = {(idx[a], idx[b]) for a, b in L.bruteforce_D()}
     explicit = {(a, b) for a in jis for b in jis if ir.d_rel(a, b)}
     assert explicit == brute
@@ -212,7 +212,7 @@ def reference_json(g):
         "nodes": [list(node.x) for node in g.nodes],
         "edges": [{"source": list(g.nodes[s].x), "target": list(g.nodes[t].x), "tag": tag}
                   for s, t, tag in g.edges],
-    }, indent=2)
+    }, indent=2) + "\n"
 
 
 def reference_dot(g):

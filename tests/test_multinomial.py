@@ -221,7 +221,7 @@ def _check_against_tables(lattice, words, pairs):
     swap covers alone, apart from the clopen calculus."""
     for i, j in pairs:
         w, u = words[i], words[j]
-        assert mn.leq(w, u) == lattice.le(i, j)
+        assert mn.leq(w, u) == lattice.leq_table[i, j]
         assert mn.mjoin(w, u) == words[lattice.join(i, j)]
         assert mn.mmeet(w, u) == words[lattice.meet(i, j)]
 
@@ -259,7 +259,7 @@ def test_to_finite_lattice_tables_match_word_operations(text):
     for w in words_of(text):
         for u in words_of(text):
             i, j = idx[mn.word_str(w)], idx[mn.word_str(u)]
-            assert lattice.le(i, j) == mn.leq(w, u)
+            assert lattice.leq_table[i, j] == mn.leq(w, u)
             assert lattice.labels[lattice.join(i, j)] == mn.word_str(mn.mjoin(w, u))
             assert lattice.labels[lattice.meet(i, j)] == mn.word_str(mn.mmeet(w, u))
 

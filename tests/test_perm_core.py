@@ -37,7 +37,9 @@ def test_clopen_iff_inversion_set(k):
     realizable = set(all_inversion_sets(k))
     for bits in itertools.product([False, True], repeat=len(_pairs(k))):
         x = pc.inv_set(k, (p for p, b in zip(_pairs(k), bits) if b))
-        assert pc.is_clopen(x) == (x in realizable)
+        # clopen: x and its complement are both closed
+        clopen = pc.closure(x) == x and pc.closure(x.complement()) == x.complement()
+        assert clopen == (x in realizable)
         if x in realizable:
             assert pc.sequence_inversions(k, pc.clopen_to_perm(x)) == x
         else:
@@ -56,11 +58,11 @@ def test_closure_is_least_closed_superset(k):
     for bits in itertools.product([False, True], repeat=len(_pairs(k))):
         x = pc.inv_set(k, (p for p, b in zip(_pairs(k), bits) if b))
         c = pc.closure(x)
-        assert pc.is_closed(c) and x <= c
+        assert pc.closure(c) == c and x <= c
         # least: every closed superset contains the closure
         for bits2 in itertools.product([False, True], repeat=len(_pairs(k))):
             y = pc.inv_set(k, (p for p, b in zip(_pairs(k), bits2) if b))
-            if pc.is_closed(y) and x <= y:
+            if pc.closure(y) == y and x <= y:
                 assert c <= y
 
 
@@ -80,10 +82,16 @@ def test_join_meet_against_bruteforce_bounds(k):
 
 
 def test_join_meet_reject_non_clopen():
-    x = pc.inv_set(3, [(1, 3)])  # not closed downward-compatible: open fails
-    assert not pc.is_clopen(x)
-    with pytest.raises(MultilatError):
-        pc.perm_join(x, x)
+    x = pc.inv_set(3, [(1, 3)])  # closed, but its complement 1\\2;2\\3 is not
+    assert pc.closure(x) == x and pc.closure(x.complement()) != x.complement()
+    with pytest.raises(MultilatError, match="not clopen"):
+        pc.clopen_to_perm(x)
+    # the refusal names the set
+    for call in (pc.perm_join, pc.perm_meet):
+        with pytest.raises(MultilatError, match=r"^not clopen: 1\\3$"):
+            call(x, x)
+        with pytest.raises(MultilatError, match=r"^not clopen: 1\\3$"):
+            call(pc.inv_set(3, []), x)
 
 
 def test_size_mismatch_rejected():

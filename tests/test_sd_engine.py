@@ -10,6 +10,7 @@ from multilat import multinomial as mn
 from multilat import perm_core as pc
 from multilat import sd_engine as sd
 from multilat.errors import CapExceeded, MultilatError
+from multilat.order import sd_sequence
 
 
 def V(text):
@@ -22,7 +23,7 @@ def test_perm_witness_shapes():
     assert wit.y == pc.inv_set(4, [(2, 3)])
     assert wit.z == pc.inv_set(4, [(1, 2), (3, 4)])
     for part in (wit.x, wit.y, wit.z):
-        assert pc.is_clopen(part)
+        assert pc.sequence_inversions(4, pc.clopen_to_perm(part)) == part
     with pytest.raises(MultilatError):
         sd.perm_witness(1)
 
@@ -159,24 +160,30 @@ def test_sequence_laws_on_random_triples():
     for _ in range(1000):
         L = rng.choice(lattices)
         x, y, z = (rng.randrange(L.n) for _ in range(3))
-        tr = L.sd_eval(x, y, z, 4)
+        pairs = sd_sequence(L.join, L.meet, x, y, z)  # to its fixed point
+        mu = len(pairs)
+        assert sd_sequence(L.join, L.meet, x, y, z, 4) == pairs[:5]
+        y_seq, z_seq = zip(*(pairs[min(k, mu - 1)] for k in range(5)))
         for k in range(4):
             # the two sequences only climb
-            assert L.le(tr.y_seq[k], tr.y_seq[k + 1])
-            assert L.le(tr.z_seq[k], tr.z_seq[k + 1])
+            assert L.leq_table[y_seq[k], y_seq[k + 1]]
+            assert L.leq_table[z_seq[k], z_seq[k + 1]]
             # and stay inside the join of the starting pair
-            assert L.le(tr.y_seq[k + 1], L.join(y, L.meet(x, L.join(y, z))))
-        assert 1 <= tr.mu
-        if tr.mu <= 4:
-            assert tr.y_seq[tr.mu] == tr.y_seq[tr.mu - 1]
-            assert tr.z_seq[tr.mu] == tr.z_seq[tr.mu - 1]
+            assert L.leq_table[y_seq[k + 1], L.join(y, L.meet(x, L.join(y, z)))]
+        assert 1 <= mu
+        # the last pair is the step's fixed point
+        y_mu, z_mu = pairs[-1]
+        assert (L.join(y, L.meet(x, z_mu)), L.join(z, L.meet(x, y_mu))) == pairs[-1]
+        if mu <= 4:
             # once both sequences stabilize the verdict is settled
-            assert tr.holds == (L.sd_eval(x, y, z, tr.mu).holds)
+            def holds(n):
+                return L.meet(x, y_seq[n]) == L.meet(x, L.join(y, z))
+            assert holds(4) == holds(mu)
 
 
 def test_mu_bounds_sd_level():
     for L in SD_LATTICES:
-        mu = max(L.sd_eval(x, y, z, 0).mu
+        mu = max(len(sd_sequence(L.join, L.meet, x, y, z))
                  for x, y, z in itertools.product(L.elements(), repeat=3))
         if L.sd_holds(mu) is True:
             assert L.sd_holds(mu + 1) is True
