@@ -77,7 +77,7 @@ FIXED = [
       for name in ("n5", "m3", "benzene")
       for flags in ([], ["--dot"], *(["--sd", str(n)] for n in range(4)))],
     *[["lattice", "--covers", f"{{tmp}}/{name}.cov"] + flags
-      for name in ("tr", "bowtie", "two", "refl", "cycle", "label", "missing")
+      for name in ("tr", "bowtie", "fanbowtie", "two", "refl", "cycle", "label", "missing")
       for flags in ([], ["--dot"])],
     # the README examples
     ["elements", "-v", "1,1,1"],
@@ -126,6 +126,7 @@ FIXED = [
     ["lattice", "--covers", "{tmp}/chain5001.cov"],
     ["lattice", "--covers", "{tmp}/chain5001.cov", "--dot"],
     ["lattice", "--covers", "{tmp}/m898.cov", "--sd", "2"],
+    ["lattice", "--covers", "{tmp}/m898.cov", "--dot"],
     # parse and usage errors
     ["sd", "-v", "1,1,1", "-n", "-1", "--witness"],
     ["sd", "-v", "1,1,1", "-n", "-1", "--exhaustive"],

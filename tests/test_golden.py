@@ -28,8 +28,9 @@ CORPUS = Path(__file__).parent / "golden" / "replies.tsv"
 def make_inputs(tmp: Path) -> None:
     """The cover files the corpus reads besides the fixtures: chains just
     over the analysis cap and the materialization cap, M_898 (whose SD_2
-    scan is over the scan cap), an order with two minimal upper bounds,
-    a line with two '<', a transitive pair, and a reflexive line."""
+    scan is over the scan cap), two orders whose atoms have two minimal
+    upper bounds (the bowtie and its fan of 300 atoms), a line with two
+    '<', a transitive pair, and a reflexive line."""
     def chain(n):
         return "".join(f"c{i:04d}<c{i + 1:04d}\n" for i in range(n - 1))
 
@@ -38,6 +39,8 @@ def make_inputs(tmp: Path) -> None:
         "chain5001.cov": chain(5001),
         "m898.cov": "".join(f"0<a{i:03d}\na{i:03d}<1\n" for i in range(898)),
         "bowtie.cov": "0<a\n0<b\na<c\na<d\nb<c\nb<d\nc<1\nd<1\n",
+        "fanbowtie.cov": "".join(f"0<a{i:03d}\na{i:03d}<c\na{i:03d}<d\n" for i in range(300))
+        + "c<1\nd<1\n",
         "two.cov": "a<b<c\nb<c\n",
         "tr.cov": "a<b\nb<c\na<c\n",
         "refl.cov": "x<x\n",
