@@ -9,29 +9,23 @@ imports numpy; the pure-Python helpers it shares with the other layers
 :mod:`multilat.order`, and the other layers import this module only
 inside the functions that build a lattice.
 
-The tables are filled from (lower, upper) pairs of indices into the
+The build fills the order from (lower, upper) pairs of indices into the
 labels, the cover list of :mod:`multilat.order`, in O(n^2 d) time, d the
 largest number of successors given for one element (Freese, Jezek and
-Nation, *Free Lattices*, ch. 11): each row ``leq[x]`` is the union of the
-rows of its successors, and ``x v y`` for incomparable x, y is the least of
-the joins ``c v y`` over the successors ``c`` of x.  Rows are filled one
-height level at a time from the top, all rows of a level in a few array
-operations, after one Kahn peel per build; each batch of rows writes its
-block of the join table and the transpose, and each table is renumbered
-to element order a batch of rows at a time.  The covers are the
-successors that lie above no other successor, and when every successor
-lies one height level up (a graded order given by its covers, as L(v))
-they are the successors as given.  The join fill tests no entry: every
-entry is a common upper bound, and the build is certified once, after the
-fill, by the lemma of :meth:`FiniteLattice.from_covers`, checking that
-every two upper covers of a common element have their entry as join; on
-a lattice the fill is exact.  Where the co-cover pairs outnumber what a
-test of each level's entries reads, as in a fan, each level is tested as
-it is filled instead.  The meet table is filled on its first read, as the
-join table of the dual order filled the same way from the bottom and left
-untested, as it cannot fail, or, given an order-reversing involution r
-that the build certifies on the covers (word reversal in L(v)), as
-x ^ y = r(r x v r y).  Tables hold int16 indices (int32 above 32,767).
+Nation, *Free Lattices*, ch. 11): after one Kahn peel, each row ``leq[x]``
+is the union of its successors' rows, a height level at a time from the
+top.  The covers are the successors above no other successor, and when
+every successor lies one level up (a graded order given by its covers, as
+L(v)) they are the successors as given.  The build then certifies the
+lattice from the order alone (:meth:`FiniteLattice.from_covers`).
+
+Both tables are filled on first read, the same way and untested:
+``x v y`` for incomparable x, y is the least of the joins ``c v y`` over
+the successors ``c`` of x, a level at a time from the top, and the table
+is renumbered to element order a batch of rows at a time.  The meet table
+is the join table of the dual order, or, given an order-reversing
+involution r that the build certifies on the covers (word reversal in
+L(v)), x ^ y = r(r x v r y).  Tables hold int16 indices (int32 above 32,767).
 
 SD_n(meet) is scanned one batch of x at a time through the table
 MJ_x[y, t] = x ^ (y v t).  The z sequence is the transpose of the y
@@ -78,12 +72,12 @@ class FiniteLattice:
     transitive closure of the covers is a lattice order.
     """
 
-    def __init__(self, labels, leq, join, upper_covers, height):
+    def __init__(self, labels, leq, upper_covers, height):
         self.labels: list[str] = list(labels)
         self.leq_table: np.ndarray = leq      # leq_table[i, j] == (i <= j)
-        self.join_table: np.ndarray = join
         self.height: int = height             # steps of the longest chain
         self._flip = None                     # a certified order-reversing involution
+        self._build = None                    # (_Ranked, its order) until the join fill
         self._upper_covers: list[list[int]] = upper_covers
         self._lower_covers: list[list[int]] = [[] for _ in upper_covers]
         for lo, ups in enumerate(upper_covers):
@@ -101,29 +95,25 @@ class FiniteLattice:
         into ``labels``, the shape :func:`order.parse_cover_file` reads.
         The pairs need only generate the order: duplicate, transitive and
         reflexive pairs are allowed, and the true covers are recovered.
+        Raises :class:`NotALattice` on a cycle, on more than one minimal or
+        maximal element, and on a pair without a least upper bound (the
+        least such pair among those with an element of least height).  No
+        meet needs checking: a finite order with a least element and all
+        binary joins is a lattice.
 
-        :func:`_order_and_joins` fills ``leq``, the covers and the join
-        table.  Raises :class:`NotALattice` on a cycle, on more than one
-        minimal or maximal element, and on a pair without a least upper
-        bound (the least such pair among those with an element of least
-        height).  No meet needs checking: a finite order with a least
-        element and all binary joins is a lattice.
-
-        The joins are certified once per build, on the filled table, by
-        this lemma: a finite order with a least element is a lattice iff
-        every two upper covers of a common element have a join.  Suppose
-        every such pair has one, but some pair does not; take a pair x, y
-        without a join and a common lower bound z of it such that no pair
-        without a join has a common lower bound above z.  x and y are
-        incomparable, so z lies under covers x' <= x and y' <= y of z,
-        which differ (else x' would be a common lower bound above z), so
-        w = x' v y' exists.  x and w share x' > z, so u = x v w exists;
-        u and y share y' > z, so u v y exists, and it is x v y, since every
-        common upper bound of x and y lies above x', y', so w, and x, so
-        u.  The filled entries are common upper bounds, so the check that
-        up(c1) & up(c2) <= up(T[c1, c2]) for every two upper covers c1, c2
-        of a common element decides the lattice, and on a lattice the fill
-        is exact: x v y = c v y for a cover c of x below x v y.
+        :func:`_certified_order` fills ``leq`` and the covers and certifies
+        the joins by this lemma: a finite order with a least element is a
+        lattice iff every two upper covers of a common element have a
+        join, which needs no table (:func:`_covers_join`).  Suppose every
+        such pair has one, but some pair does not; take a pair x, y without
+        a join and a common lower bound z of it such that no pair without a
+        join has a common lower bound above z.  x and y are incomparable, so
+        z lies under covers x' <= x and y' <= y of z, which differ (else x'
+        would be a common lower bound above z), so w = x' v y' exists.  x
+        and w share x' > z, so u = x v w exists; u and y share y' > z, so
+        u v y exists, and it is x v y, since every common upper bound of x
+        and y lies above x', y', so w, and x, so u.  When the certificate
+        fails, the join fill tests each level as it fills it, to name the pair.
 
         ``flip[i]``, when given, is the image of element i under an
         order-reversing involution, through which :attr:`meet_table` is
@@ -132,7 +122,9 @@ class FiniteLattice:
         to a cover flip[hi] -< flip[lo] reverses the order.
         :class:`InternalInconsistency` if it does not.
         """
-        lattice = cls(*_order_and_joins(covers, labels))
+        up, le, upper_covers, height = _certified_order(covers, labels)
+        lattice = cls(labels, _renumbered(le, up.pos), upper_covers, height)
+        lattice._build = up, le
         if flip is not None:
             r, ident = np.asarray(flip, dtype=np.intp), np.arange(lattice.n)
             lo = np.repeat(ident, [len(ups) for ups in lattice._upper_covers])
@@ -144,12 +136,18 @@ class FiniteLattice:
         return lattice
 
     @cached_property
+    def join_table(self) -> np.ndarray:
+        """The join table, filled on first read by :meth:`_Ranked.join_table`
+        from the build's ranking and order, which are then dropped."""
+        (up, le), self._build = self._build, None
+        return up.join_table(le)
+
+    @cached_property
     def meet_table(self) -> np.ndarray:
         """The meet table, filled on first read.  Through a certified flip r
         it is read off the join table, x ^ y = r(r x v r y); otherwise it
-        is the join table of the dual order, filled by :class:`_Ranked`
-        from the bottom over the lower covers and not tested: an order
-        with a least element and all joins is a lattice."""
+        is the join table of the dual order, filled by
+        :meth:`_Ranked.join_table` from the bottom over the lower covers."""
         if self._flip is not None:
             r = self._flip
             return _renumbered(self.join_table, r, r.astype(self.join_table.dtype))
@@ -191,9 +189,8 @@ class FiniteLattice:
 
     def dual(self) -> "FiniteLattice":
         """The order dual, sharing labels."""
-        dual = FiniteLattice(self.labels, self.leq_table.T, self.meet_table,
-                             self._lower_covers, self.height)
-        dual.meet_table = self.join_table
+        dual = FiniteLattice(self.labels, self.leq_table.T, self._lower_covers, self.height)
+        dual.join_table, dual.meet_table = self.meet_table, self.join_table
         return dual
 
     # -- irreducibles and arrow relations ----------------------------------
@@ -444,18 +441,20 @@ class FiniteLattice:
 # product, and bytes of packed rows by the certificate: enough that numpy
 # calls stay few on small lattices, few enough that the temporaries stay
 # small on large ones.  The SD scan steps its arrays several times, so its
-# batches are kept small enough to stay in cache.
+# batches are kept small enough to stay in cache.  A packed row's first set
+# column lies _LEADING_ZEROS[b] bits into its first nonzero byte b.
 _BATCH = 1 << 18
 _SCAN_BATCH = 1 << 15
+_LEADING_ZEROS = np.array([8 - v.bit_length() for v in range(256)], dtype=np.intp)
 
 
-def _order_and_joins(covers, labels):
+def _certified_order(covers, labels):
     """The build of :meth:`FiniteLattice.from_covers`, with its refusals:
-    (labels, ``leq``, join table, upper covers, height of the longest chain).
-    Peeling the maximal elements level by level (Kahn's algorithm on the
-    reversed order) gives each element's height, -1 on or below a cycle;
-    :class:`_Ranked` then fills the order and the join table level by level
-    from the top and certifies that they are a lattice's."""
+    (the :class:`_Ranked` elements, their order in position numbering, the
+    upper covers, the height of the longest chain).  Kahn's peel of the
+    maximal elements gives each element's height, -1 on or below a cycle;
+    :class:`_Ranked` fills the order level by level from the top, and
+    :func:`_covers_join` certifies it."""
     n = len(labels)
     if n == 0:
         raise NotALattice("empty element set")
@@ -478,8 +477,10 @@ def _order_and_joins(covers, labels):
 
     up = _Ranked(succ, height)
     le, cover, upper_covers = up.order_and_covers(succ)
-    join = up.lattice_join_table(le, cover, labels)
-    return labels, _renumbered(le, up.pos), join, upper_covers, max(height)
+    if not _covers_join(le, np.repeat(np.arange(n), up.degree)[cover], up.succ[cover]):
+        up._fill(le, labels)
+        raise InternalInconsistency("the co-cover certificate refused a lattice")
+    return up, le, upper_covers, max(height)
 
 
 class _Ranked:
@@ -494,10 +495,7 @@ class _Ranked:
     The tables are filled one level at a time from the top: the rows of a
     level, sorted by their number of successors, are cut into batches of
     about _BATCH gathered entries, and each batch gathers its successors'
-    rows as one rows-by-d-by-columns array (a row with fewer than d
-    successors repeats its last) and reduces over d.  The batches'
-    rows-by-d successor blocks are all cut from one padded array, set up
-    once.
+    rows as one rows-by-d-by-columns array and reduces over d.
     """
 
     def __init__(self, succ, height):
@@ -586,37 +584,10 @@ class _Ranked:
         return le, cover, upper
 
     def join_table(self, le: np.ndarray) -> np.ndarray:
-        """The join table, in element numbering, of the order ``le`` given in
-        position numbering, filled by :meth:`_fill` with no entry tested:
-        the meet table of the dual when called on the dual order, which
-        cannot fail, as an order with a least element and all joins is a
-        lattice."""
+        """The join table, in element numbering, of the lattice order ``le``
+        given in position numbering, filled by :meth:`_fill` with no entry
+        tested: the order is certified, or is the dual of one."""
         table = self._fill(le)
-        return _renumbered(table, self.pos, self.order.astype(table.dtype))
-
-    def lattice_join_table(self, le: np.ndarray, cover: np.ndarray, labels) -> np.ndarray:
-        """The join table of :meth:`join_table`, certified to be that of a
-        lattice, with ``cover`` the mask of :meth:`order_and_covers`.
-
-        The fill runs untested and is certified once, on the co-cover
-        pairs (:func:`_covers_join`), where their packed rows come to fewer
-        bytes than the entries that testing each level as it is filled
-        reads; otherwise (a fan: one element under d covers has d(d-1)/2
-        pairs) the fill tests each level.  When the certificate fails, the
-        level-tested fill runs again, so the refusal is the same
-        :class:`NotALattice` either way.
-        """
-        n = len(self.order)
-        per_row = np.bincount(np.repeat(np.arange(n), self.degree)[cover], minlength=n)
-        pairs = int((per_row * (per_row - 1) // 2).sum())
-        level_test = sum(block.size * hi for hi, batches in self.levels for *_, block in batches)
-        if pairs * -(-n // 8) > level_test:
-            table = self._fill(le, labels)
-        else:
-            table = self._fill(le)
-            if pairs and not _covers_join(le, table, self.succ[cover], per_row):
-                self._fill(le, labels)
-                raise InternalInconsistency("the co-cover certificate refused a lattice")
         return _renumbered(table, self.pos, self.order.astype(table.dtype))
 
     def _fill(self, le: np.ndarray, labels=None) -> np.ndarray:
@@ -654,34 +625,50 @@ class _Ranked:
                     bad = ~(ok | under)
                     if bad.any():
                         xs, ys = np.nonzero(bad)
-                        unbound += zip(self.order[xs + r0].tolist(), self.order[ys].tolist())
+                        a, b = self.order[xs + r0], self.order[ys]
+                        unbound.append(int((np.minimum(a, b) * n + np.maximum(a, b)).min()))
             if unbound:
-                a, b = min(tuple(sorted(pair)) for pair in unbound)
+                a, b = divmod(min(unbound), n)
                 raise NotALattice(f"no least upper bound for {labels[a]}, {labels[b]}")
         return table
 
 
-def _covers_join(le: np.ndarray, table: np.ndarray, covers: np.ndarray,
-                 per_row: np.ndarray) -> bool:
-    """Whether every two upper covers c1, c2 of a common element have their
-    entry of ``table`` below all their common upper bounds, that is
-    up(c1) & up(c2) <= up(table[c1, c2]), on packed rows of ``le``, for the
-    covers listed row by row, ``per_row`` of them per row: the certificate
-    of :meth:`FiniteLattice.from_covers`, whose lemma says that it holds
-    iff ``le`` is a lattice order and ``table`` its join table.
+def _covers_join(le: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
+    """Whether every two upper covers c1, c2 of a common element have a
+    join in ``le``, an order with a greatest element numbered by a linear
+    extension, given its cover pairs lower -< upper sorted by lower: the
+    certificate of :meth:`FiniteLattice.from_covers`, whose lemma says that
+    it holds iff ``le`` is a lattice order.  The join can only be m, the
+    first of the common upper bounds, as the others that lie above it come
+    later; so the test is up(c1) & up(c2) <= up(m), on packed rows of ``le``.
+
+    Covers of one element with the same only upper cover u join at u, and
+    share with any other cover the upper bounds of u, so one of them is
+    tested (a fan of d atoms is not d(d-1)/2 pairs).  The pairs are laid
+    out a run of first covers at a time, about _BATCH bytes of rows each.
     """
-    end = np.repeat(np.cumsum(per_row), per_row)
-    slot = np.arange(len(covers))
-    later = end - slot - 1  # the covers after each one in its row
-    first = np.repeat(slot, later)
-    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-    a, b = covers[first], covers[second]
+    n = len(le)
+    key = np.arange(n, 2 * n)  # a cover's only upper cover, else n + itself
+    only = np.bincount(lower, minlength=n)[lower] == 1
+    key[lower[only]] = upper[only]
+    keep = np.unique(lower * 2 * n + key[upper], return_index=True)[1]
+    lower, upper = lower[keep], upper[keep]
+    later = np.cumsum(np.bincount(lower, minlength=n))[lower] - np.arange(len(lower)) - 1
+    done = np.cumsum(later)  # the pairs whose first cover is this slot or before it
     rows = np.packbits(le, axis=1)
-    per = max(1, _BATCH // rows.shape[1])
-    for lo in range(0, a.size, per):
-        x, y = a[lo:lo + per], b[lo:lo + per]
-        if (rows[x] & rows[y] & ~rows[table[x, y]]).any():
+    per, s0 = max(1, _BATCH // rows.shape[1]), 0
+    while s0 < len(upper):
+        start = done[s0] - later[s0]
+        s1 = max(s0 + 1, int(np.searchsorted(done, start + per, side="right")))
+        first = np.repeat(np.arange(s0, s1), later[s0:s1])
+        second = first + 1 + np.arange(first.size) \
+            - np.repeat(done[s0:s1] - later[s0:s1] - start, later[s0:s1])
+        both = rows.take(upper[first], axis=0) & rows.take(upper[second], axis=0)
+        byte = (both != 0).argmax(axis=1)  # the first common upper bound's byte
+        m = 8 * byte + _LEADING_ZEROS.take(both[np.arange(len(both)), byte])
+        if (both & ~rows.take(m, axis=0)).any():
             return False
+        s0 = s1
     return True
 
 

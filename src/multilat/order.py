@@ -178,10 +178,10 @@ def sd_scan_level(size: int, height: int, n: int) -> int:
 EXHAUSTIVE = "exhaustive"
 DPATH_BOUND = "dpath-bound"
 
-# The most elements materialized, as L(v) or from a cover file: the N^2 order and
-# join tables of a 5,000-element chain (`lattice --covers --dot`) take 0.5-0.7 s
-# and 158 MB in a fresh process, as do those of L(3,29) and L(1,1,69) for
-# `theorem --method exhaustive` (2-vCPU Xeon, Python 3.11, numpy 2.4).
+# The most elements materialized, as L(v) or from a cover file: the N^2 order of a
+# 5,000-element chain (`lattice --covers --dot`) takes 0.2-0.5 s and 84 MB in a fresh
+# process, as does that of L(3,29) or L(1,1,69) for `theorem --method exhaustive`;
+# neither fills a join table (2-vCPU Xeon, Python 3.11, numpy 2.4).
 DEFAULT_SIZE_CAP = 5000
 
 

@@ -661,8 +661,8 @@ def test_lattice_sd_scans_only_up_to_the_longest_d_path(tmp_path, monkeypatch, c
 
 
 def test_replies_that_fill_no_meet_table(tmp_path, monkeypatch, capsys):
-    # the order, the covers, the join fill and D answer these; the meet
-    # table is filled only when a scan or a prime-quotient descent reads it
+    # the order, its covers and D answer these; the join and meet tables are
+    # filled only when a scan or a prime-quotient descent reads them
     argvs = [["theorem", "-v", "2,2,2", "--method", "exhaustive"]]
     for i, text in enumerate(LATTICE_FILES.values()):
         path = tmp_path / f"{i}.cov"
@@ -680,9 +680,10 @@ def test_replies_that_fill_no_meet_table(tmp_path, monkeypatch, capsys):
     assert all(json.loads(out)["sd_holds"] for out in expected[-3:])
 
     def refuse(self):
-        raise AssertionError("a meet table was filled")
+        raise AssertionError("a join or meet table was filled")
 
-    monkeypatch.setattr(finite_lattice.FiniteLattice, "meet_table", property(refuse))
+    for name in ("join_table", "meet_table"):
+        monkeypatch.setattr(finite_lattice.FiniteLattice, name, property(refuse))
     assert [run_ok(capsys, *argv) for argv in argvs] == expected
 
 

@@ -220,17 +220,27 @@ def test_co_cover_joins_decide_all_joins(case):
                      for i, j in itertools.combinations(range(n), 2))
     co_covers = all(brute_bound(n, le, i, j) is not None for i, j in brute_co_cover_pairs(n, le))
     assert co_covers == every_pair
+    if sum(all(le[i][j] for i in range(n)) for j in range(n)) == 1:
+        # the build's certificate, on the order numbered by a linear extension
+        succ = [sorted({b for a, b in edges if a == i != b}) for i in range(n)]
+        pred = [sorted({a for a, b in edges if b == i != a}) for i in range(n)]
+        up = fl._Ranked(succ, order._heights(succ, pred))
+        pos_le, cover, _ = up.order_and_covers(succ)
+        lower = np.repeat(np.arange(n), up.degree)[cover]
+        assert fl._covers_join(pos_le, lower, up.succ[cover]) == co_covers
 
 
 BOWTIE = "0<a\n0<b\na<c\na<d\nb<c\nb<d\nc<1\nd<1\n"
+# 0 under 300 atoms, each under both c and d
+FAN_BOWTIE = "".join(f"0<a{i:03d}\na{i:03d}<c\na{i:03d}<d\n" for i in range(300)) + "c<1\nd<1\n"
 
 
 def test_lattices_are_certified_without_the_level_test(monkeypatch):
-    """With the fill's level test patched to raise where it passes, the
-    lattices still build: the co-cover certificate alone accepts them.  The
-    bowtie fails the certificate, and the level test that runs again names
-    its pair.  A fan, with more co-cover pairs than entries to test, is
-    certified by the level test."""
+    """With the fill's level test patched to raise where it passes, every
+    lattice still builds and fills its tables, fans included: the co-cover
+    certificate alone accepts them, and no table fill is tested.  The
+    bowtie and the fan bowtie fail the certificate, and the level test that
+    runs then names their pair."""
     fill = fl._Ranked._fill
 
     def level_tested(self, le, labels=None):
@@ -240,16 +250,16 @@ def test_lattices_are_certified_without_the_level_test(monkeypatch):
         return table
 
     monkeypatch.setattr(fl._Ranked, "_fill", level_tested)
-    for make in fl.FIXTURES.values():
-        assert make().meet_table.shape  # the unchecked dual pass, too
-    for k in (2, 3, 4):
-        for v in itertools.product(range(3), repeat=k):
-            mn.to_finite_lattice(mn.MultVector(v))
-    assert fl.chain(2000).n == 2000
-    with pytest.raises(NotALattice, match="^no least upper bound for a, b$"):
-        read(BOWTIE)
-    with pytest.raises(AssertionError, match="the level test ran"):
-        fl.FiniteLattice.from_covers(*mk_by_chain(300, 1)[:2])
+    lattices = [make() for make in fl.FIXTURES.values()]
+    lattices += [mn.to_finite_lattice(mn.MultVector(v))
+                 for k in (2, 3, 4) for v in itertools.product(range(3), repeat=k)]
+    lattices += [fl.chain(2000)]
+    lattices += [fl.FiniteLattice.from_covers(*mk_by_chain(300, c)[:2]) for c in (1, 2)]
+    for L in lattices:
+        assert L.join_table.shape == L.meet_table.shape == (L.n, L.n)
+    for text, pair in ((BOWTIE, "a, b"), (FAN_BOWTIE, "a000, a001")):
+        with pytest.raises(NotALattice, match=f"^no least upper bound for {pair}$"):
+            read(text)
 
 
 @pytest.mark.parametrize("L", [fl.chain(1), fl.n5(), fl.benzene(),
@@ -741,15 +751,20 @@ def test_cover_list_reader_inverts_the_writer():
     pytest.param(lambda: fl.chain(2000), id="chain2000"),
 ])
 def test_build_peak_memory(make):
-    """The build keeps 3 N^2 bytes of tables (the order as bools, the joins
-    as int16); each table is written once and renumbered a batch of rows at
-    a time, so the traced peak stays under 9 N^2 bytes."""
+    """The build fills no table but the order, as bools in element and in
+    position numbering, so its traced peak stays under 3.5 N^2 bytes.  The
+    join table, filled on first read as int16, is written once and
+    renumbered a batch of rows at a time, so the peak then stays under
+    9 N^2 bytes."""
     tracemalloc.start()
     try:
         L = make()
+        build = tracemalloc.get_traced_memory()[1]
+        assert L.join_table.dtype == np.int16
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert build <= 3.5 * L.n ** 2
     assert peak <= 9 * L.n ** 2
 
 
