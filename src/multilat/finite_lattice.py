@@ -34,7 +34,10 @@ a_0(y, z) = x ^ y and a_{k+1}(y, z) = MJ_x[y, a_k(z, y)], and SD_n fails
 at (x, y, z) exactly where a_n(y, z) != MJ_x[y, z].  The first step is one
 gather over all pairs; later steps gather only the unsettled pairs, where
 a_k != MJ_x: a_k only climbs towards MJ_x, so a settled value is final.
-A batch's scan returns its failing triples, in increasing order.
+A batch's scan returns its failing triples, in increasing order.  In a
+meet-semidistributive lattice a failure at x needs a D-walk of n edges
+among the join irreducibles below x, so a large scan steps those x first
+(:meth:`FiniteLattice.sd_holds`).
 
 The arrow relations, kappa and semidistributivity are boolean operations
 on rows of the order indexed by the join and meet irreducibles and their
@@ -60,7 +63,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, MultilatError, NotALattice
 from .order import (_cycle_pair, _heights, check_sd_level, cover_file, dag_heights,
-                    parse_cover_file, sd_scan_level, sd_sequence)
+                    parse_cover_file, sd_scan_refusal, sd_scan_room, sd_sequence)
 
 Quotient = tuple[int, int]  # (upper, lower) with lower <= upper
 
@@ -225,8 +228,9 @@ class FiniteLattice:
         leq, jis, mis = self.leq_table, self._jis, self._mis
         j_star = [self._lower_covers[j][0] for j in jis]
         m_star = [self._upper_covers[m][0] for m in mis]
-        outside = ~leq[np.ix_(jis, mis)]
-        return outside & leq[np.ix_(jis, m_star)], outside & leq[np.ix_(j_star, mis)]
+        rows = leq[jis]
+        outside = ~rows[:, mis]
+        return outside & rows[:, m_star], outside & leq[j_star][:, mis]
 
     @cached_property
     def _d_matrix(self) -> np.ndarray:
@@ -331,31 +335,126 @@ class FiniteLattice:
     # -- SD_n machinery ------------------------------------------------------
 
     def sd_holds(self, n: int):
-        """True if SD_n(meet) holds for all triples, else the first failing triple.
+        """True if SD_n(meet) holds for all triples, else the least failing triple.
 
-        Iterates x in index order, in batches of x whose failing triples
-        :meth:`_SdScan.failures` lists in increasing order, so the least
-        (x, y, z) is reported and the witness is deterministic.  For each
-        x the scan steps a_k(y, z) = x ^ y_k through one table,
+        For each x the scan steps a_k(y, z) = x ^ y_k through one table,
         MJ_x[y, t] = x ^ (y v t): since z_k(y, z) = y_k(z, y),
         a_{k+1}(y, z) = MJ_x[y, a_k(z, y)], and the triple fails exactly
-        where a_n != MJ_x, at the level of :func:`order.sd_scan_level`.
+        where a_n != MJ_x, at the level of :func:`order.sd_scan_room`.
         After the first step only the unsettled pairs, a_k != MJ_x, are
-        stepped.
+        stepped.  Each x is stepped over every (y, z), and
+        :meth:`_SdScan.failures` lists a batch's failing triples in
+        increasing order, so the first failing x stepped gives the least
+        triple at that x.  A True verdict steps every x.
+
+        Small scans, and those of a lattice that is not meet
+        semidistributive, step x in index order.  Otherwise the scan
+        steps first the x where SD_n can fail.  Lemma (Jipsen and Rose,
+        *Varieties of Lattices*; Freese, Jezek and Nation, *Free
+        Lattices*, ch. 2): in a meet-semidistributive lattice, a failure
+        at x yields a D-path of n edges whose join irreducibles all lie
+        below x.  Proof sketch: :meth:`dpath_from_sd_failure` builds the
+        path from such a failure; each link is ``quotient_to_ji(u, w)``
+        of a prime quotient w -< u inside an interval topped by x ^ y_k,
+        x ^ z_k or x_k = (x ^ y_{k-1}) v (x ^ z_{k-1}), each below x, and
+        that join irreducible lies below u.  So every failing x lies in
+        C_n, the x whose join irreducibles below x carry a D-walk of n
+        edges (:meth:`_sd_candidates`; a path is a walk, so no
+        acyclicity is needed).  The scan steps an index-order prefix of
+        about one pass's cost (_PASS_STEPS), then the candidates above
+        it in index order, then the rest: the first failing x it meets
+        is the least one.  The pass is taken only by scans of at least
+        _ORDERED_SCAN steps, so that a holding scan pays little for it,
+        and the prefix and the candidates read only their own rows of
+        the meet table (:meth:`_meet_rows`), which the rest fills.
+
+        SD_SCAN_CAP bounds the x stepped.  Past it, the candidates are
+        found before any table is filled; the first ones the cap admits
+        are stepped, and the scan is refused, as a scan of every x, when
+        they do not fail.
         """
-        n = sd_scan_level(self.n, self.height, n)
+        size = self.n
+        level, room = sd_scan_room(size, self.height, n)
         # batches of x double up to _SCAN_BATCH entries, so an early
         # failure costs little and a full scan makes few numpy calls
-        lo, per, most = 0, 1, max(1, _SCAN_BATCH // self.n ** 2)
-        scan = _SdScan(self.join_table, self.meet_table, most)
-        while lo < self.n:
-            hi = min(lo + per, self.n)
-            bad = scan.failures(lo, hi, n)
+        most, scan = max(1, _SCAN_BATCH // size ** 2), None
+        for xs in self._sd_batches(level, room, most):
+            if scan is None:
+                scan = _SdScan(self.join_table, self._meet_rows, most)
+            bad = scan.failures(xs, level)
             if bad.size:
-                x, y, z = np.unravel_index(bad[0], (hi - lo, self.n, self.n))
-                return (lo + int(x), int(y), int(z))
-            lo, per = hi, min(2 * per, most)
+                i, y, z = np.unravel_index(bad[0], (len(xs), size, size))
+                return int(xs[i]), int(y), int(z)
         return True
+
+    def _sd_batches(self, level: int, room: int, most: int):
+        """The x that :meth:`sd_holds` steps, in batches of up to ``most``,
+        and its refusals: every x in index order, or, for a large scan or
+        one past the cap of a meet-semidistributive lattice, the prefix,
+        the candidates above it and the rest."""
+        size = self.n
+        steps = size ** 2 * (level + 1)  # for one x
+        ordered = (room < size or size * steps >= _ORDERED_SCAN) \
+            and self.is_meet_semidistributive()
+        if room < size and not ordered:
+            raise sd_scan_refusal(size, level)
+        if not ordered:
+            self.meet_table  # every row is read
+            yield from _doubling(np.arange(size), most)
+            return
+        lo = 0 if room < size else min(size, -(-_PASS_STEPS // steps))
+        yield from _doubling(np.arange(lo), most)
+        cands = self._sd_candidates(level)
+        cands = cands[cands >= lo]
+        if room < size:
+            if not cands.size:
+                raise sd_scan_refusal(size, level)
+            yield from _doubling(cands[:room], most)
+            raise sd_scan_refusal(size, level)
+        yield from _doubling(cands, most)
+        rest = np.ones(size, dtype=bool)
+        rest[:lo] = False
+        rest[cands] = False
+        self.meet_table  # every other row is read
+        yield from _doubling(np.flatnonzero(rest), most)
+
+    def _sd_candidates(self, level: int) -> np.ndarray:
+        """C_level, ascending: the x whose join irreducibles below x carry
+        a D-walk of ``level`` edges.  W_0[j, x] = (j <= x) and
+        W_{k+1} = (D W_k) & W_0, a boolean product each; x is in C_level
+        iff column x of W_level has a True.  The rows of W are packed
+        eight columns to a byte."""
+        below = np.packbits(self.leq_table[self._jis], axis=1)
+        walk = below
+        for _ in range(level):
+            if not walk.any():
+                break
+            walk = _or_rows(self._d_matrix, walk) & below
+        return np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(walk, axis=0), count=self.n))
+
+    def _meet_rows(self, xs: np.ndarray) -> np.ndarray:
+        """Rows ``xs`` of :attr:`meet_table`, read from it once it is
+        filled, and otherwise computed for these x alone: through the
+        flip r, x ^ y = r(r x v r y) is one row of the join table;
+        without one, x ^ y is the common lower bound of x and y with the
+        most elements below it."""
+        if "meet_table" in self.__dict__:
+            return self.meet_table[xs]
+        join = self.join_table
+        if self._flip is not None:
+            r = self._flip
+            return r.astype(join.dtype).take(join[r[xs]][:, r])
+        leq, out = self.leq_table, np.empty((len(xs), self.n), dtype=join.dtype)
+        for i, x in enumerate(xs.tolist()):
+            lower = np.flatnonzero(leq[:, x])
+            lower = lower[np.argsort(-self._lower_sizes[lower], kind="stable")]
+            out[i] = lower[leq[lower].argmax(axis=0)]
+        return out
+
+    @cached_property
+    def _lower_sizes(self) -> np.ndarray:
+        """The number of elements below each element, itself included."""
+        return self.leq_table.sum(axis=0)
 
     def sd_verdict(self, n: int):
         """``sd_holds(n)``, certified without a scan where a D-path bound
@@ -445,6 +544,12 @@ class FiniteLattice:
 # column lies _LEADING_ZEROS[b] bits into its first nonzero byte b.
 _BATCH = 1 << 18
 _SCAN_BATCH = 1 << 15
+# SD scan steps (x times N^2 pairs times level + 1) that cost about one
+# candidate pass of FiniteLattice._sd_candidates, which is the index-order
+# prefix of an ordered scan; a scan takes the pass only if it has at least
+# 20 times as many, so that a holding scan pays at most about 5% for it.
+_PASS_STEPS = 200_000
+_ORDERED_SCAN = 20 * _PASS_STEPS
 _LEADING_ZEROS = np.array([8 - v.bit_length() for v in range(256)], dtype=np.intp)
 
 
@@ -674,25 +779,27 @@ def _covers_join(le: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> bool:
 
 class _SdScan:
     """The SD_n(meet) sequences of batches of x, stepped in buffers that
-    are reused from batch to batch (see :meth:`FiniteLattice.sd_holds`)."""
+    are reused from batch to batch (see :meth:`FiniteLattice.sd_holds`),
+    given the join table and ``rows``, which reads the rows of the meet
+    table of a batch of x."""
 
-    def __init__(self, J: np.ndarray, M: np.ndarray, most: int):
-        self.J, self.M = J.astype(np.intp), M
-        self.mj = np.empty((most,) + J.shape, dtype=M.dtype)
+    def __init__(self, J: np.ndarray, rows, most: int):
+        self.J, self.rows = J.astype(np.intp), rows
+        self.mj = np.empty((most,) + J.shape, dtype=J.dtype)
         self.a = np.empty_like(self.mj)
 
-    def failures(self, lo: int, hi: int, level: int) -> np.ndarray:
+    def failures(self, xs: np.ndarray, level: int) -> np.ndarray:
         """The flat indices (i, y, z), in increasing order, of the triples
-        (x_i, y, z) with x_i in [lo, hi) where SD_level(meet) fails:
-        a_level != MJ, with MJ[i, y, t] = x_i ^ (y v t)."""
-        c, n = hi - lo, len(self.M)
-        mx = self.M[lo:hi]
+        (xs[i], y, z) where SD_level(meet) fails: a_level != MJ, with
+        MJ[i, y, t] = xs[i] ^ (y v t)."""
+        c, n = len(xs), len(self.J)
+        mx = self.rows(xs)
         mj, a = self.mj[:c], self.a[:c]
-        np.take(mx, self.J, axis=1, out=mj, mode="clip")
+        mx.take(self.J, axis=1, out=mj, mode="clip")
         if level == 0:  # a_0(y, z) = x ^ y
             return np.flatnonzero(mx[:, :, None] != mj)
         for i in range(c):  # a_1(y, z) = MJ[y, a_0(z, y)] = MJ[y, x ^ z]
-            np.take(mj[i], mx[i], axis=1, out=a[i], mode="clip")
+            mj[i].take(mx[i], axis=1, out=a[i], mode="clip")
         act = np.flatnonzero(a != mj)
         # an unsettled entry (i, y, z) reads MJ at i n^2 + y n + a(i, z, y)
         flat_mj, flat_a = mj.reshape(-1), a.reshape(-1)
@@ -703,10 +810,12 @@ class _SdScan:
         tr *= n - 1
         tr += act
         top = flat_mj[act]
-        for _ in range(level - 1):
+        for left in range(level - 1, 0, -1):  # steps still to take
             new = flat_mj.take(base + flat_a[tr], mode="clip")
-            flat_a[act] = new
             keep = new != top
+            if left == 1:  # the last step writes no a_k
+                return act[keep]
+            flat_a[act] = new
             act, base, tr, top = act[keep], base[keep], tr[keep], top[keep]
         return act
 
@@ -722,11 +831,24 @@ def _renumbered(table: np.ndarray, index: np.ndarray, values=None) -> np.ndarray
     return out
 
 
+def _doubling(xs: np.ndarray, most: int):
+    """``xs`` cut into batches that double from 1 up to ``most`` x."""
+    lo, per = 0, 1
+    while lo < len(xs):
+        yield xs[lo:lo + per]
+        lo, per = lo + per, min(2 * per, most)
+
+
 def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The boolean matrix product, out[i, k] = any over j of a[i, j] & b[j, k]:
-    row i is the OR of the rows of b that row i of a selects, packed eight
-    columns to a byte and gathered a few rows of a at a time."""
-    packed = np.packbits(b, axis=1)
+    """The boolean matrix product, out[i, k] = any over j of a[i, j] & b[j, k]."""
+    return np.unpackbits(_or_rows(a, np.packbits(b, axis=1)), axis=1,
+                         count=b.shape[1]).astype(bool)
+
+
+def _or_rows(a: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """The boolean product of ``a`` with a matrix whose rows are packed
+    eight columns to a byte, packed the same way: row i is the OR of the
+    rows that row i of ``a`` selects, gathered a few rows of ``a`` at a time."""
     out = np.zeros((len(a), packed.shape[1]), dtype=np.uint8)
     per = max(1, _BATCH // max(1, a.shape[1] * packed.shape[1]))
     for lo in range(0, len(a), per):
@@ -734,7 +856,7 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if rows.size:
             starts = np.flatnonzero(np.diff(rows, prepend=-1))
             out[lo + rows[starts]] = np.bitwise_or.reduceat(packed[cols], starts)
-    return np.unpackbits(out, axis=1, count=b.shape[1]).astype(bool)
+    return out
 
 
 # -- fixtures ----------------------------------------------------------------

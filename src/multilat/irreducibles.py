@@ -205,7 +205,8 @@ def _counts_to_descent(w: PathWord, letters: tuple[int, ...], turns: str) -> tup
     """
     descents = [p for p in range(len(letters) - 1) if letters[p] > letters[p + 1]]
     if len(descents) != 1:
-        raise MultilatError(f"word {word_str(w)} has {len(descents)} {turns}, expected 1")
+        shown = word_str(w) or '""'  # the empty word, named
+        raise MultilatError(f"word {shown} has {len(descents)} {turns}, expected 1")
     x = [0] * w.parent.n
     for letter in letters[: descents[0] + 1]:
         x[letter - 1] += 1

@@ -261,14 +261,20 @@ def check_size_cap(v: MultVector) -> None:
 
 
 def check_scan_cap(v: MultVector, n: int) -> None:
-    """Refuse the SD_n(meet) scan of ``sd --exhaustive``, which always runs,
-    before materializing L(v): first by :func:`check_size_cap`, which
-    bounds |L(v)|, then by the rule of :meth:`FiniteLattice.sd_holds`; the
-    longest chain of L(v) has one step per inversion, sum over i < j of
-    v_i v_j."""
+    """Refuse, before materializing L(v), the SD_n(meet) scans of ``sd
+    --exhaustive`` that :meth:`FiniteLattice.sd_holds` refuses after it:
+    first by :func:`check_size_cap`, which bounds |L(v)|, then, for
+    n >= dim - 1, by the rule for a scan of every x.  L(v) is meet
+    semidistributive and its longest D-path has dim - 2 edges, so at
+    those levels ``sd_holds`` finds no x where SD_n can fail and steps
+    every x; below them it steps first the x where SD_n can fail, and
+    only the table tells how many it steps.  The longest chain of L(v)
+    has one step per inversion, sum over i < j of v_i v_j."""
+    order.check_sd_level(n)
     check_size_cap(v)
-    height = sum(a * b for a, b in itertools.combinations(v.entries, 2))
-    order.sd_scan_level(v.size(), height, n)
+    if n >= v.dimension - 1:
+        height = sum(a * b for a, b in itertools.combinations(v.entries, 2))
+        order.sd_scan_level(v.size(), height, n)
 
 
 def to_finite_lattice(v: MultVector) -> FiniteLattice:

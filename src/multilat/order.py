@@ -9,9 +9,9 @@ start without it.
   (:func:`sd_sequence`) under any join and meet;
 - the one union-find (``_find``, ``_union``, ``_blocks``), behind the
   D-graph components and the Parikh connectivity check;
-- the one SD-level rule (:func:`sd_scan_level`), for a table scan and for
-  L(v) before it is materialized, and the names of the two methods of the
-  dimension verdict;
+- the one SD-level rule (:func:`sd_scan_room`, :func:`sd_scan_level`),
+  for a table scan and for L(v) before it is materialized, and the names
+  of the two methods of the dimension verdict;
 - the caps on the materialized lattices and their checks: SD_SCAN_CAP,
   DEFAULT_SIZE_CAP and ANALYSIS_CAP, and LISTING_CAP on the listings of
   words and irreducibles;
@@ -150,7 +150,9 @@ def _json_vectors(xs, n: int, depth: int) -> list[str]:
 # to `level` (more for larger N): L(2,2,2,1), N = 630, takes 1.3 s to
 # level 4; L(1^6), N = 720, 0.5 s to its failure at level 4 (x = 153); the
 # 1001-element chain L(1,1000) 2.9 s to level 1.  The cap admits the first
-# two and refuses the third.
+# two and refuses the third.  It bounds the x a scan steps, N^2 (level + 1)
+# each, so a failing scan that steps first the x where SD_n can fail
+# answers past N^3 (level + 1): L(2,2,2,2), N = 2,520, in 0.3 s to level 2.
 SD_SCAN_CAP = 2_000_000_000
 
 
@@ -160,16 +162,27 @@ def check_sd_level(n: int) -> None:
         raise MultilatError("n must be >= 0")
 
 
-def sd_scan_level(size: int, height: int, n: int) -> int:
+def sd_scan_room(size: int, height: int, n: int) -> tuple[int, int]:
     """The level of an SD_n(meet) scan of ``size`` elements whose longest
-    chain has ``height`` steps: y_k and z_k only climb, so the pair is
-    stationary after 2 height steps.  Refuses n < 0 and scans above SD_SCAN_CAP."""
+    chain has ``height`` steps, and the most x that SD_SCAN_CAP lets it
+    step, each over all size^2 pairs (y, z) to that level: y_k and z_k
+    only climb, so the pair is stationary after 2 height steps.  Refuses n < 0."""
     check_sd_level(n)
     level = min(n, 2 * height)
-    work = size ** 3 * (level + 1)
-    if work > SD_SCAN_CAP:
-        raise CapExceeded(f"SD scan of {size} elements to level {level} takes "
-                          f"{work:,} steps, over the scan cap {SD_SCAN_CAP:,}")
+    return level, SD_SCAN_CAP // (size ** 2 * (level + 1))
+
+
+def sd_scan_refusal(size: int, level: int) -> CapExceeded:
+    """The refusal of a scan of every x of ``size`` elements to ``level``."""
+    return CapExceeded(f"SD scan of {size} elements to level {level} takes "
+                       f"{size ** 3 * (level + 1):,} steps, over the scan cap {SD_SCAN_CAP:,}")
+
+
+def sd_scan_level(size: int, height: int, n: int) -> int:
+    """The level of :func:`sd_scan_room`, refusing a scan of every x above SD_SCAN_CAP."""
+    level, room = sd_scan_room(size, height, n)
+    if room < size:
+        raise sd_scan_refusal(size, level)
     return level
 
 

@@ -11,7 +11,8 @@ line that changed and why.  The argvs are:
   partition with 4 N^2 word operations), the SD scans of ``sd --exhaustive`` only where
   |L(v)| <= 200, and ``theorem --method exhaustive`` only where
   |L(v)| <= 630;
-- the README examples, every cap refusal and a few parse and usage errors;
+- the README examples, every cap refusal, a failing SD scan past the
+  scan cap, and a few parse and usage errors;
 - the fixtures through ``lattice --covers``, alone, with ``--dot`` and
   with ``--sd 0..3``, and the cover files of ``test_golden.make_inputs``.
 """
@@ -127,6 +128,9 @@ FIXED = [
     ["lattice", "--covers", "{tmp}/chain5001.cov", "--dot"],
     ["lattice", "--covers", "{tmp}/m898.cov", "--sd", "2"],
     ["lattice", "--covers", "{tmp}/m898.cov", "--dot"],
+    # a failing SD scan whose every x would be over the scan cap, answered
+    # by the x where SD_n can fail
+    ["sd", "-v", "2,2,2,2", "-n", "2", "--exhaustive"],
     # parse and usage errors
     ["sd", "-v", "1,1,1", "-n", "-1", "--witness"],
     ["sd", "-v", "1,1,1", "-n", "-1", "--exhaustive"],

@@ -359,8 +359,8 @@ def test_caps_refuse_before_any_witness_work(capsys, argv, message):
 @pytest.mark.parametrize("argv,message", [
     (["sd", "-v", "1,4000", "-n", "1", "--exhaustive"],
      "error: SD scan of 4001 elements to level 1 takes 128,096,024,002 steps, over the scan cap"),
-    (["sd", "-v", "3,3,3", "-n", "0", "--exhaustive", "--dual"],
-     "error: SD scan of 1680 elements to level 0 takes"),
+    (["sd", "-v", "3,3,3", "-n", "2", "--exhaustive", "--dual"],
+     "error: SD scan of 1680 elements to level 2 takes"),
     (["sd", "-v", "1,1,1,1,1,1", "-n", "5", "--exhaustive"],
      "error: SD scan of 720 elements to level 5 takes"),
 ])
@@ -548,9 +548,9 @@ def record_scans(monkeypatch):
         scans.append([])
         return holds(self, n)
 
-    def counted_failures(self, lo, hi, level):
-        scans[-1].extend(range(lo, hi))
-        return failures(self, lo, hi, level)
+    def counted_failures(self, xs, level):
+        scans[-1].extend(xs.tolist())
+        return failures(self, xs, level)
 
     monkeypatch.setattr(finite_lattice.FiniteLattice, "sd_holds", counted_holds)
     monkeypatch.setattr(finite_lattice._SdScan, "failures", counted_failures)
@@ -567,6 +567,59 @@ def test_sd_exhaustive_scans_every_triple(monkeypatch, capsys):
         data = json.loads(run_ok(capsys, "sd", "-v", "2,1,1", "-n", str(n), "--exhaustive"))
         assert data["sd_holds"] is True
     assert scans == [list(range(12))] * 3
+
+
+def test_sd_exhaustive_steps_the_candidates_first(monkeypatch, capsys):
+    # a holding scan of L(1,1,1,1,1), large enough to take the candidate
+    # pass, still steps every x once; a failing scan of L(1,2,2,1) steps
+    # an index-order prefix and then its least failing x, a candidate
+    scans = record_scans(monkeypatch)
+    data = json.loads(run_ok(capsys, "sd", "-v", "1,1,1,1,1", "-n", "4", "--exhaustive"))
+    assert data["sd_holds"] is True and sorted(scans[0]) == list(range(120))
+    data = json.loads(run_ok(capsys, "sd", "-v", "1,2,2,1", "-n", "2", "--exhaustive"))
+    L = mn.to_finite_lattice(mn.parse_vector("1,2,2,1"))
+    x = L.labels.index(data["failure"][0])
+    prefix = -(-finite_lattice._PASS_STEPS // (L.n ** 2 * 3))
+    assert scans[1] == list(range(prefix)) + [x] and x in L._sd_candidates(2)
+
+
+def sd_fails(join, meet, x, y, z, n):
+    """Whether SD_n fails at exactly (x, y, z) under ``join`` and ``meet``."""
+    yn = order.sd_sequence(join, meet, x, y, z, n)[-1][0]
+    return meet(x, yn) != meet(x, join(y, z))
+
+
+@pytest.mark.parametrize("argv", [["sd", "-v", "2,2,2,2", "-n", "2", "--exhaustive"],
+                                  ["sd", "-v", "3,3,3", "-n", "0", "--exhaustive", "--dual"]])
+def test_sd_exhaustive_answers_a_failing_side_past_the_scan_cap(capsys, argv):
+    # a scan of every x would be over the cap; the failure is walked again
+    # on the words, with join and meet swapped for the dual
+    v = mn.parse_vector(argv[2])
+    n = int(argv[4])
+    assert v.size() ** 3 * (n + 1) > order.SD_SCAN_CAP
+    data = json.loads(run_ok(capsys, *argv))
+    assert data["sd_holds"] is False
+    x, y, z = (mn.parse_word(v, w) for w in data["failure"])
+    ops = (mn.mmeet, mn.mjoin) if "--dual" in argv else (mn.mjoin, mn.mmeet)
+    assert sd_fails(*ops, x, y, z, n)
+
+
+def test_failing_scans_fill_no_meet_table(tmp_path, monkeypatch, capsys):
+    # L(v) reads its meet rows through the word reversal, a cover file
+    # from its order; only the x stepped are read
+    path = tmp_path / "L1221.cov"
+    path.write_text(mn.to_finite_lattice(mn.parse_vector("1,2,2,1")).to_cover_file())
+    argvs = [["sd", "-v", "1,2,2,1", "-n", "2", "--exhaustive"],
+             ["sd", "-v", "1,1,1,1,1", "-n", "3", "--exhaustive"],
+             ["lattice", "--covers", str(path), "--sd", "2"]]
+    expected = [run_ok(capsys, *argv) for argv in argvs]
+    assert not any(json.loads(out)["sd_holds"] for out in expected)
+
+    def refuse(self):
+        raise AssertionError("the meet table was filled")
+
+    monkeypatch.setattr(finite_lattice.FiniteLattice, "meet_table", property(refuse))
+    assert [run_ok(capsys, *argv) for argv in argvs] == expected
 
 
 def test_theorem_exhaustive_certifies_the_holding_side(monkeypatch, capsys):

@@ -538,26 +538,38 @@ def test_sd_scan_cap(monkeypatch):
     assert L.sd_holds(10 ** 9) is True
 
 
+class Stepped(Exception):
+    """An SD scan stepped an x: it was not refused."""
+
+
 @pytest.mark.parametrize("v", multinomial_vectors(420), ids=lambda v: ",".join(map(str, v)))
 def test_scan_cap_refuses_alike_before_and_after_materializing(v, monkeypatch):
-    # the cap as set, and one that admits the levels up to the longest
-    # chain and refuses those above
-    L = mn.to_finite_lattice(mn.MultVector(v))
+    # check_scan_cap refuses exactly the scans that sd_holds refuses before
+    # it steps any x: those over the cap at the levels n >= dim - 1, where
+    # no x carries a D-walk of n edges below it.  Under the cap as set, and
+    # under one that admits a scan of every x up to the longest chain.
+    def stepped(self, xs, level):
+        raise Stepped
+
+    monkeypatch.setattr(fl._SdScan, "failures", stepped)
+    vec = mn.MultVector(v)
+    L = mn.to_finite_lattice(vec)
     height = max(order.dag_heights(L._upper_covers)[0])
     for cap in (order.SD_SCAN_CAP, L.n ** 3 * (height + 1)):
         monkeypatch.setattr(order, "SD_SCAN_CAP", cap)
         for n in range(2 * height + 3):
             outcomes = []
-            for check in (lambda: mn.check_scan_cap(mn.MultVector(v), n),
-                          lambda: order.sd_scan_level(L.n, L.height, n)):
+            for check in (lambda: mn.check_scan_cap(vec, n), lambda: L.sd_holds(n)):
                 try:
                     check()
+                    outcomes.append(None)
+                except Stepped:
                     outcomes.append(None)
                 except CapExceeded as exc:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1], n
             if cap < order.SD_SCAN_CAP:
-                assert (outcomes[0] is None) == (n <= height), n
+                assert (outcomes[0] is None) == (n <= height or n < vec.dimension - 1), n
 
 
 def test_longest_path():
@@ -905,11 +917,11 @@ def test_quotient_to_ji_matches_its_definition_on_quotients(L):
 def test_scan_failures_are_the_triples_the_recursion_rejects(L):
     # batches of three x share the scan's buffers, as in sd_holds
     n = L.n
-    scan = fl._SdScan(L.join_table, L.meet_table, 3)
+    scan = fl._SdScan(L.join_table, lambda xs: L.meet_table[xs], 3)
     for level in range(4):
         found = []
         for lo in range(0, n, 3):
-            found += (lo * n * n + scan.failures(lo, min(lo + 3, n), level)).tolist()
+            found += (lo * n * n + scan.failures(np.arange(lo, min(lo + 3, n)), level)).tolist()
         expected = [(x * n + y) * n + z for x, y, z in itertools.product(range(n), repeat=3)
                     if not oracle_sd_holds_on(L, x, y, z, level)]
         assert found == expected, level
@@ -978,3 +990,138 @@ def test_negative_sd_levels_are_refused():
                  lambda n: L.dpath_from_sd_failure(0, 1, 2, n)):
         with pytest.raises(MultilatError, match="n must be >= 0"):
             call(-1)
+
+
+# -- the SD scan that steps first the x where SD_n can fail -------------------
+
+def index_order_scan(L, n):
+    """sd_holds(n) with every x stepped in index order, the oracle of the
+    ordered scan."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(fl, "_ORDERED_SCAN", float("inf"))
+        return L.sd_holds(n)
+
+
+def ordered_scans(L, n):
+    """sd_holds(n) stepping the candidates first at any size, after an
+    index-order prefix of 0 and of 3 x, each reading only the meet rows
+    of the x it steps."""
+    verdicts = []
+    for prefix in (0, 3):
+        L.__dict__.pop("meet_table", None)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(fl, "_ORDERED_SCAN", 0)
+            monkeypatch.setattr(fl, "_PASS_STEPS", prefix * L.n ** 2 * (min(n, 2 * L.height) + 1))
+            verdicts.append(L.sd_holds(n))
+    return verdicts
+
+
+def check_ordered_scan(L, levels):
+    """At each level the ordered scans give the index-order scan's verdict.
+    Where L is meet semidistributive, the least failing x is a candidate
+    and the D-path of its failure lies below it."""
+    msd = L.is_meet_semidistributive()
+    for n in levels:
+        expected = index_order_scan(L, n)
+        assert ordered_scans(L, n) == [expected] * 2, n
+        if expected is not True and msd:
+            x, level = expected[0], min(n, 2 * L.height)
+            assert x in L._sd_candidates(level), n
+            if level:  # a path of no edge is one join irreducible below x
+                path = L.dpath_from_sd_failure(*expected, level)
+                assert len(path) == level + 1 and L.leq_table[path, x].all(), n
+
+
+@pytest.mark.parametrize("v", multinomial_vectors(720), ids=lambda v: ",".join(map(str, v)))
+def test_ordered_scan_matches_the_index_order_scan(v):
+    # every failing level, and the first holding one up to 210 elements;
+    # the dual up to 420, and the lattice of the cover file (whose meet rows
+    # come from the order) up to 210
+    vec = mn.MultVector(v)
+    L = mn.to_finite_lattice(vec)
+    levels = list(range(vec.dimension - 1)) + ([vec.dimension - 1] if L.n <= 210 else [])
+    check_ordered_scan(L, levels)
+    if L.n <= 420:
+        check_ordered_scan(L.dual(), levels)
+    if L.n <= 210:
+        check_ordered_scan(fl.FiniteLattice.from_covers(L.cover_pairs(), L.labels), levels)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_ordered_scan_matches_the_index_order_scan_on_fixtures(name):
+    check_ordered_scan(ALL_FIXTURES[name], range(4))
+
+
+@given(d_closed_quotients(), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_ordered_scan_matches_the_index_order_scan_on_quotients(L, n):
+    check_ordered_scan(L, [n])
+
+
+def computed_meet_rows(L):
+    L.__dict__.pop("meet_table", None)
+    return L._meet_rows(np.arange(L.n))
+
+
+@pytest.mark.parametrize("L", SMALL_LATTICES)
+def test_meet_rows_are_the_rows_of_the_meet_table(L):
+    # through the flip, from the order, and the dual's
+    for M in (L, fl.FiniteLattice.from_covers(L.cover_pairs(), L.labels), L.dual()):
+        rows = computed_meet_rows(M)
+        assert rows.dtype == M.meet_table.dtype and np.array_equal(rows, M.meet_table)
+
+
+@given(d_closed_quotients())
+@settings(max_examples=20, deadline=None)
+def test_meet_rows_are_the_rows_of_the_meet_table_on_quotients(L):
+    assert np.array_equal(computed_meet_rows(L), L.meet_table)
+
+
+def test_a_scan_past_the_cap_steps_the_candidates_it_admits(monkeypatch):
+    # the dual of L(1,1,1,1) fails SD_2 first at its sixth candidate: a
+    # cap that admits six x answers, one that admits five refuses, as a
+    # scan of every x, and so does a holding level, before any table is
+    # filled; so does a lattice that is not meet semidistributive
+    text = "1,1,1,1"
+    L = mn.to_finite_lattice(mn.parse_vector(text)).dual()
+    expected = index_order_scan(L, 2)
+    assert L._sd_candidates(2).tolist().index(expected[0]) == 5
+    per_x = L.n ** 2 * 3
+    for room in (5, 6):
+        monkeypatch.setattr(order, "SD_SCAN_CAP", room * per_x)
+        fresh = mn.to_finite_lattice(mn.parse_vector(text)).dual()
+        if room == 6:
+            assert fresh.sd_holds(2) == expected
+        else:
+            with pytest.raises(CapExceeded, match=f"SD scan of 24 elements to level 2 takes "
+                                                  f"{24 ** 3 * 3:,} steps"):
+                fresh.sd_holds(2)
+
+    def refuse(self):
+        raise AssertionError("a table was filled")
+
+    monkeypatch.setattr(order, "SD_SCAN_CAP", 1)
+    for name in ("join_table", "meet_table"):
+        monkeypatch.setattr(fl.FiniteLattice, name, property(refuse))
+    for lattice, n in ((mn.to_finite_lattice(mn.parse_vector(text)), 3), (fl.m3(), 1)):
+        with pytest.raises(CapExceeded, match="over the scan cap"):
+            lattice.sd_holds(n)
+
+
+def test_candidates_carry_a_d_walk_below_them():
+    # C_n against its definition: some D-walk of n edges among the join
+    # irreducibles below x, by depth-first search
+    for L in (fl.benzene(), fl.n5(), mn.to_finite_lattice(mn.parse_vector("2,1,1")),
+              mn.to_finite_lattice(mn.parse_vector("1,1,1,1"))):
+        jis = L.join_irreducibles()
+        d = set(L.bruteforce_D())
+
+        def walks(j, n, below):
+            return n == 0 or any((j, k) in d and k in below and walks(k, n - 1, below)
+                                 for k in jis)
+
+        below_x = [{j for j in jis if L.leq_table[j, x]} for x in L.elements()]
+        for n in range(4):
+            expected = [x for x in L.elements()
+                        if any(walks(j, n, below_x[x]) for j in below_x[x])]
+            assert L._sd_candidates(n).tolist() == expected, n
